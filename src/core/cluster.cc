@@ -5,24 +5,56 @@
 
 namespace mdsim {
 
-ClusterSim::ClusterSim(SimConfig config) : config_(std::move(config)) {}
+ClusterSim::ClusterSim(SimConfig config)
+    : config_(std::move(config)),
+      own_sim_(std::make_unique<Simulation>()),
+      sim_(*own_sim_),
+      num_mds_(share(config_.num_mds)),
+      num_clients_(share(config_.num_clients)) {}
+
+ClusterSim::ClusterSim(SimConfig config, Simulation& engine,
+                       const ShardSlice& slice)
+    : config_(std::move(config)),
+      slice_(slice),
+      sim_(engine),
+      num_mds_(share(config_.num_mds)),
+      num_clients_(share(config_.num_clients)) {
+  assert(slice_.link != nullptr);
+}
 
 ClusterSim::~ClusterSim() = default;
+
+int ClusterSim::share(int total) const {
+  const int n =
+      total / slice_.count + (slice_.index < total % slice_.count ? 1 : 0);
+  return slice_.link != nullptr ? std::max(1, n) : n;
+}
+
+std::uint64_t ClusterSim::shard_seed(std::uint64_t seed) const {
+  return seed +
+         static_cast<std::uint64_t>(slice_.index) * 0x9e3779b97f4a7c15ULL;
+}
 
 void ClusterSim::build() {
   if (built_) return;
   built_ = true;
 
   // --- namespace -----------------------------------------------------------
-  ns_info_ = generate_namespace(tree_, config_.fs);
+  // A shard's tree covers its share of the users; distinct seeds keep the
+  // shard trees distinct populations rather than copies of one tree.
+  NamespaceParams fs = config_.fs;
+  fs.num_users = share(config_.fs.num_users);
+  fs.seed = shard_seed(config_.fs.seed);
+  ns_info_ = generate_namespace(tree_, fs);
 
   // --- shared substrates -----------------------------------------------------
   NetworkParams net_params = config_.net;
-  net_params.seed = config_.seed;
+  net_params.seed = shard_seed(config_.seed);
   net_ = std::make_unique<Network>(sim_, net_params);
-  partition_ = make_partitioner(config_.strategy, config_.num_mds, tree_);
-  dirfrag_ = std::make_unique<DirFragRegistry>(config_.num_mds,
-                                               config_.mds.giga_max_depth);
+  if (slice_.link != nullptr) net_->set_shard(slice_.index, slice_.link);
+  partition_ = make_partitioner(config_.strategy, num_mds_, tree_);
+  dirfrag_ =
+      std::make_unique<DirFragRegistry>(num_mds_, config_.mds.giga_max_depth);
   if (config_.strategy == StrategyKind::kLazyHybrid) {
     lazy_ = std::make_unique<LazyHybridManager>(tree_);
   }
@@ -32,7 +64,7 @@ void ClusterSim::build() {
   if (config_.cache_fraction > 0.0) {
     const double total = static_cast<double>(tree_.node_count());
     const double per_node =
-        total * config_.cache_fraction / config_.num_mds;
+        total * config_.cache_fraction / num_mds_;
     mds_params.cache_capacity =
         std::max<std::size_t>(64, static_cast<std::size_t>(per_node));
     mds_params.journal_capacity = mds_params.cache_capacity;
@@ -44,11 +76,11 @@ void ClusterSim::build() {
 
   ctx_ = std::make_unique<ClusterContext>(ClusterContext{
       sim_, *net_, tree_, store_, *partition_, *dirfrag_, anchors_,
-      lazy_.get(), traits, mds_params, config_.num_mds, &fault_log_, {}});
+      lazy_.get(), traits, mds_params, num_mds_, &fault_log_, {}});
 
   // --- MDS nodes (network addresses == MdsIds, attached first) -----------
-  mds_nodes_.reserve(static_cast<std::size_t>(config_.num_mds));
-  for (MdsId i = 0; i < config_.num_mds; ++i) {
+  mds_nodes_.reserve(static_cast<std::size_t>(num_mds_));
+  for (MdsId i = 0; i < num_mds_; ++i) {
     auto node = std::make_unique<MdsNode>(*ctx_, i);
     const NetAddr addr = net_->attach(node.get());
     assert(addr == i);
@@ -59,6 +91,8 @@ void ClusterSim::build() {
   for (auto& node : mds_nodes_) node->bootstrap();
 
   // --- workload ----------------------------------------------------------
+  // Drawn from this unit's own tree, so an S-shard run behaves like S
+  // correlated instances of the standalone scenario.
   switch (config_.workload) {
     case WorkloadKind::kGeneral: {
       auto homes = ns_info_.user_roots;
@@ -80,10 +114,11 @@ void ClusterSim::build() {
       break;
     }
     case WorkloadKind::kFlashCrowd: {
-      // A deterministic, unremarkable file: the crowd's shared target.
+      // A deterministic, unremarkable file: the crowd's shared target
+      // (a distinct one per shard).
       assert(!tree_.files().empty());
       FsNode* target =
-          tree_.files()[config_.seed % tree_.files().size()];
+          tree_.files()[shard_seed(config_.seed) % tree_.files().size()];
       auto fc = std::make_unique<FlashCrowdWorkload>(tree_, target,
                                                      config_.flash);
       if (config_.flash.base_think > 0) {
@@ -110,50 +145,68 @@ void ClusterSim::build() {
   if (config_.trace.enabled) {
     tracer_ = std::make_unique<TraceCollector>(config_.trace.slowest_n);
   }
-  clients_.reserve(static_cast<std::size_t>(config_.num_clients));
-  for (ClientId c = 0; c < config_.num_clients; ++c) {
-    clients_.push_back(std::make_unique<Client>(
-        sim_, *net_, tree_, *workload_, *partition_, *dirfrag_, c,
-        config_.num_mds, config_.seed));
-    // Align each client with the user whose home it primarily works in,
-    // so permission checks reflect ownership.
-    if (config_.fs.num_users > 0) {
-      clients_.back()->set_uid(
-          100 + static_cast<std::uint32_t>(c % config_.fs.num_users));
+  // Align each client with the user whose home it primarily works in, so
+  // permission checks reflect ownership: the workload maps global client
+  // id c to home c % num_users, owned by uid 100 + that user.
+  const auto uid_of = [users = fs.num_users](ClientId c) {
+    return 100 + static_cast<std::uint32_t>(c % users);
+  };
+  std::vector<ClientStats*> client_stats;
+  if (slice_.link == nullptr) {
+    clients_.reserve(static_cast<std::size_t>(num_clients_));
+    for (ClientId c = 0; c < num_clients_; ++c) {
+      clients_.push_back(std::make_unique<Client>(
+          sim_, *net_, tree_, *workload_, *partition_, *dirfrag_, c, num_mds_,
+          config_.seed));
+      Client& client = *clients_.back();
+      if (fs.num_users > 0) client.set_uid(uid_of(c));
+      client.set_retry_policy(config_.client_retry);
+      client.set_hedge_policy(config_.hedge);
+      client.set_tracer(tracer_.get());
+      client_stats.push_back(&client.stats());
     }
-    clients_.back()->set_retry_policy(config_.client_retry);
-    clients_.back()->set_hedge_policy(config_.hedge);
-    clients_.back()->set_tracer(tracer_.get());
+  } else {
+    cohort_ = std::make_unique<ClientCohort>(
+        sim_, *net_, tree_, *workload_, *partition_, *dirfrag_, num_clients_,
+        slice_.first_client, num_mds_, config_.seed);
+    for (int c = 0; c < num_clients_; ++c) {
+      cohort_->set_uid(c, uid_of(slice_.first_client + c));
+    }
+    cohort_->set_retry_policy(config_.client_retry);
+    cohort_->set_hedge_policy(config_.hedge);
+    cohort_->set_tracer(tracer_.get());
+    client_stats.push_back(&cohort_->stats());
   }
 
   // --- metrics -------------------------------------------------------------
   std::vector<MdsNode*> node_ptrs;
   for (auto& n : mds_nodes_) node_ptrs.push_back(n.get());
-  std::vector<Client*> client_ptrs;
-  for (auto& c : clients_) client_ptrs.push_back(c.get());
   metrics_ = std::make_unique<Metrics>(std::move(node_ptrs),
-                                       std::move(client_ptrs), &sim_);
+                                       std::move(client_stats), &sim_);
   metrics_->set_fault_log(&fault_log_);
   metrics_->set_trace(tracer_.get());
 }
 
-void ClusterSim::run_until(SimTime t) {
+void ClusterSim::start() {
   build();
-  if (!started_) {
-    started_ = true;
-    for (auto& c : clients_) c->start();
-    sim_.every(config_.sample_period, config_.sample_period,
-               [this]() {
-                 metrics_->sample(sim_.now());
-                 return true;
-               });
-    if (config_.warmup > 0) {
-      sim_.schedule(config_.warmup, [this]() {
-        metrics_->reset(sim_.now());
-        net_->reset_counters();
-      });
-    }
+  if (started_) return;
+  started_ = true;
+  if (cohort_) cohort_->start();
+  for (auto& c : clients_) c->start();
+  sim_.every(config_.sample_period, config_.sample_period, [this]() {
+    metrics_->sample(sim_.now());
+    return true;
+  });
+  if (config_.warmup > 0) {
+    sim_.schedule(config_.warmup, [this]() {
+      metrics_->reset(sim_.now());
+      net_->reset_counters();
+    });
   }
+}
+
+void ClusterSim::run_until(SimTime t) {
+  start();
   sim_.run_until(t);
 }
 
@@ -161,7 +214,7 @@ void ClusterSim::run() { run_until(config_.duration); }
 
 void ClusterSim::fail_mds(MdsId failed, bool warm_takeover) {
   build();
-  assert(failed >= 0 && failed < config_.num_mds && config_.num_mds > 1);
+  assert(failed >= 0 && failed < num_mds_ && num_mds_ > 1);
   ctx_->params.warm_takeover = warm_takeover;
   MdsNode& dead = mds(failed);
   dead.set_failed(true);
@@ -182,7 +235,7 @@ void ClusterSim::fail_mds(MdsId failed, bool warm_takeover) {
   // apply the redistribution directly, as an external monitor would.
   std::vector<MdsId> survivors;
   dirfrag_->set_node_alive(failed, false);
-  for (MdsId i = 0; i < config_.num_mds; ++i) {
+  for (MdsId i = 0; i < num_mds_; ++i) {
     if (i == failed || mds(i).failed()) continue;
     survivors.push_back(i);
     mds(i).mark_peer_down(failed);
@@ -226,7 +279,7 @@ void ClusterSim::fail_mds(MdsId failed, bool warm_takeover) {
 
 void ClusterSim::set_fail_slow(MdsId node, double cpu_mult, double disk_mult) {
   build();
-  assert(node >= 0 && node < config_.num_mds);
+  assert(node >= 0 && node < num_mds_);
   mds(node).set_fail_slow(cpu_mult, disk_mult);
   if (cpu_mult != 1.0 || disk_mult != 1.0) {
     fault_log_.note_fail_slow(node, sim_.now());
@@ -251,7 +304,7 @@ void ClusterSim::recover_mds(MdsId node) {
     return;  // peers mark it up when its heartbeats resume
   }
   dirfrag_->set_node_alive(node, true);
-  for (MdsId i = 0; i < config_.num_mds; ++i) {
+  for (MdsId i = 0; i < num_mds_; ++i) {
     if (i == node || mds(i).failed()) continue;
     mds(i).mark_peer_up(node);
   }

@@ -76,11 +76,11 @@ struct SimConfig {
 
   /// Parallel simulation (core/sharded_cluster.h). shards == 1 is the
   /// classic single-engine ClusterSim path, bit-for-bit unchanged; with
-  /// shards > 1 the system is split into that many self-contained
-  /// mini-clusters (num_mds, num_clients and fs.num_users divided among
-  /// them) advancing in lookahead-bounded lockstep windows. `threads`
-  /// sets the worker count inside windows — results are identical for
-  /// every value, by construction.
+  /// shards > 1 the system is split into that many ClusterSim units, one
+  /// per shard engine (num_mds, num_clients and fs.num_users divided
+  /// among them), advancing in lookahead-bounded lockstep windows.
+  /// `threads` sets the worker count inside windows — results are
+  /// identical for every value, by construction.
   int shards = 1;
   int threads = 1;
   /// Probability that a cohort client's think-turn targets another shard

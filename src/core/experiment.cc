@@ -8,6 +8,38 @@
 
 namespace mdsim {
 
+RunResult summarize(const SimConfig& config,
+                    const std::vector<const Metrics*>& units, SimTime now) {
+  Metrics::Totals totals;
+  std::size_t nodes = 0;
+  double prefix_sum = 0.0;
+  Summary latency;
+  for (const Metrics* m : units) {
+    totals += m->totals();
+    nodes += m->nodes().size();
+    for (const MdsNode* n : m->nodes()) {
+      prefix_sum += n->cache().prefix_fraction();
+    }
+    latency.merge(m->client_latency());
+  }
+  // Every unit resets at the same warm-up instant.
+  const SimTime since = units.empty() ? 0 : units.front()->reset_at();
+  const double n = static_cast<double>(nodes);
+  RunResult r;
+  r.config = config;
+  r.avg_mds_throughput =
+      nodes > 0 && now > since
+          ? static_cast<double>(totals.replies) / to_seconds(now - since) / n
+          : 0.0;
+  r.hit_rate = totals.hit_rate();
+  r.prefix_fraction = nodes > 0 ? prefix_sum / n : 0.0;
+  r.forward_fraction = totals.forward_fraction();
+  r.mean_latency_ms = latency.mean() * 1e3;
+  r.replies = totals.replies;
+  r.failures = totals.failures;
+  return r;
+}
+
 RunResult run_one(const SimConfig& config,
                   const std::function<void(ClusterSim&)>& inspect) {
   if (config.shards > 1) {
@@ -19,18 +51,8 @@ RunResult run_one(const SimConfig& config,
   }
   ClusterSim cluster(config);
   cluster.run();
-
-  RunResult r;
-  r.config = config;
-  Metrics& m = cluster.metrics();
-  const SimTime now = cluster.sim().now();
-  r.avg_mds_throughput = m.avg_mds_throughput(now);
-  r.hit_rate = m.cluster_hit_rate();
-  r.prefix_fraction = m.mean_prefix_fraction();
-  r.forward_fraction = m.overall_forward_fraction();
-  r.mean_latency_ms = m.client_latency().mean() * 1e3;
-  r.replies = m.total_replies();
-  r.failures = m.total_failures();
+  const RunResult r =
+      summarize(config, {&cluster.metrics()}, cluster.sim().now());
   if (inspect) inspect(cluster);
   return r;
 }

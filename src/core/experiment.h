@@ -1,6 +1,9 @@
 // Sweep driver: run a batch of independent simulations (optionally on a
 // thread pool — each ClusterSim is fully self-contained) and collect the
-// aggregate numbers the paper's figures plot.
+// aggregate numbers the paper's figures plot. Both engines summarize a run
+// the same way: summarize() folds the Metrics of every cluster unit (one
+// on the single engine, one per shard on the parallel engine) into one
+// RunResult.
 #pragma once
 
 #include <functional>
@@ -21,6 +24,12 @@ struct RunResult {
   std::uint64_t replies = 0;
   std::uint64_t failures = 0;
 };
+
+/// The end-of-run summary of one or more cluster units' Metrics, read at
+/// simulated time `now`. Integer counters add across units; the prefix
+/// fraction averages over every node of every unit, in unit order.
+RunResult summarize(const SimConfig& config,
+                    const std::vector<const Metrics*>& units, SimTime now);
 
 /// Run one configured simulation to completion and summarize it. With
 /// config.shards > 1 the run uses the sharded parallel engine

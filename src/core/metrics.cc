@@ -8,17 +8,12 @@
 
 namespace mdsim {
 
-Metrics::Metrics(std::vector<MdsNode*> nodes, std::vector<Client*> clients,
-                 const Simulation* sim)
+Metrics::Metrics(std::vector<MdsNode*> nodes,
+                 std::vector<ClientStats*> clients, const Simulation* sim)
     : nodes_(std::move(nodes)), clients_(std::move(clients)), sim_(sim) {
   mds_tput_.resize(nodes_.size());
   mds_health_.resize(nodes_.size());
-  base_replies_.assign(nodes_.size(), 0);
-  base_forwards_.assign(nodes_.size(), 0);
-  base_requests_.assign(nodes_.size(), 0);
-  base_failures_.assign(nodes_.size(), 0);
-  base_hits_.assign(nodes_.size(), 0);
-  base_misses_.assign(nodes_.size(), 0);
+  base_.assign(nodes_.size(), Totals{});
   base_sheds_.assign(nodes_.size(), 0);
   base_rejects_.assign(nodes_.size(), 0);
 }
@@ -27,6 +22,14 @@ namespace {
 std::uint64_t sheds_of(const MdsStats& s) {
   return s.requests_shed_queue + s.requests_shed_admission +
          s.requests_shed_deadline;
+}
+
+/// A node's cumulative (never reset) Totals counters.
+Metrics::Totals counters_of(MdsNode& n) {
+  const MdsStats& s = n.stats();
+  const CacheStats& cache = n.cache().stats();
+  return {s.replies_sent, s.forwards,   s.requests_received,
+          s.failures,     cache.hits,   cache.misses};
 }
 }  // namespace
 
@@ -75,12 +78,7 @@ void Metrics::reset(SimTime now) {
   reset_at_ = now;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     MdsStats& s = nodes_[i]->stats();
-    base_replies_[i] = s.replies_sent;
-    base_forwards_[i] = s.forwards;
-    base_requests_[i] = s.requests_received;
-    base_failures_[i] = s.failures;
-    base_hits_[i] = nodes_[i]->cache().stats().hits;
-    base_misses_[i] = nodes_[i]->cache().stats().misses;
+    base_[i] = counters_of(*nodes_[i]);
     base_sheds_[i] = sheds_of(s);
     base_rejects_[i] = s.rejects_sent;
     s.reply_rate.sample(now);
@@ -90,36 +88,56 @@ void Metrics::reset(SimTime now) {
     s.shed_rate.sample(now);
     nodes_[i]->reset_cpu_depth_stats(now);
   }
-  for (Client* c : clients_) {
-    c->stats().latency_seconds = Summary{};
-  }
+  for (ClientStats* c : clients_) c->latency_seconds = Summary{};
   // Warmup traces are dropped together with the latency Summaries they
   // reconcile against.
   if (trace_ != nullptr) trace_->reset();
 }
 
-double Metrics::avg_mds_throughput(SimTime now) const {
-  if (nodes_.empty() || now <= reset_at_) return 0.0;
-  const double secs = to_seconds(now - reset_at_);
-  double total = 0.0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    total += static_cast<double>(nodes_[i]->stats().replies_sent -
-                                 base_replies_[i]);
-  }
-  return total / secs / static_cast<double>(nodes_.size());
+Metrics::Totals& Metrics::Totals::operator+=(const Totals& o) {
+  replies += o.replies;
+  forwards += o.forwards;
+  requests += o.requests;
+  failures += o.failures;
+  hits += o.hits;
+  misses += o.misses;
+  return *this;
 }
 
-double Metrics::cluster_hit_rate() const {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    hits += nodes_[i]->cache().stats().hits - base_hits_[i];
-    misses += nodes_[i]->cache().stats().misses - base_misses_[i];
-  }
+Metrics::Totals Metrics::Totals::operator-(const Totals& o) const {
+  return {replies - o.replies,   forwards - o.forwards,
+          requests - o.requests, failures - o.failures,
+          hits - o.hits,         misses - o.misses};
+}
+
+double Metrics::Totals::hit_rate() const {
   const std::uint64_t total = hits + misses;
   return total > 0 ? static_cast<double>(hits) / static_cast<double>(total)
                    : 0.0;
 }
+
+double Metrics::Totals::forward_fraction() const {
+  const std::uint64_t original = requests > forwards ? requests - forwards : 0;
+  return original > 0
+             ? static_cast<double>(forwards) / static_cast<double>(original)
+             : 0.0;
+}
+
+Metrics::Totals Metrics::totals() const {
+  Totals t;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    t += counters_of(*nodes_[i]) - base_[i];
+  }
+  return t;
+}
+
+double Metrics::avg_mds_throughput(SimTime now) const {
+  if (nodes_.empty() || now <= reset_at_) return 0.0;
+  return static_cast<double>(totals().replies) /
+         to_seconds(now - reset_at_) / static_cast<double>(nodes_.size());
+}
+
+double Metrics::cluster_hit_rate() const { return totals().hit_rate(); }
 
 double Metrics::mean_prefix_fraction() const {
   if (nodes_.empty()) return 0.0;
@@ -139,59 +157,36 @@ double Metrics::mean_cache_fill() const {
 }
 
 double Metrics::overall_forward_fraction() const {
-  std::uint64_t fwd = 0;
-  std::uint64_t req = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    fwd += nodes_[i]->stats().forwards - base_forwards_[i];
-    req += nodes_[i]->stats().requests_received - base_requests_[i];
-  }
-  // Forwarded arrivals are re-counted as received; normalize by original
-  // client submissions.
-  const std::uint64_t original = req > fwd ? req - fwd : 0;
-  return original > 0
-             ? static_cast<double>(fwd) / static_cast<double>(original)
-             : 0.0;
+  return totals().forward_fraction();
 }
 
 Summary Metrics::client_latency() const {
   Summary s;
-  for (Client* c : clients_) s.merge(c->stats().latency_seconds);
+  for (const ClientStats* c : clients_) s.merge(c->latency_seconds);
   return s;
 }
 
 std::uint64_t Metrics::total_hedges_fired() const {
   std::uint64_t total = 0;
-  for (Client* c : clients_) total += c->stats().hedges_fired;
+  for (const ClientStats* c : clients_) total += c->hedges_fired;
   return total;
 }
 
 std::uint64_t Metrics::total_hedge_wins() const {
   std::uint64_t total = 0;
-  for (Client* c : clients_) total += c->stats().hedge_wins;
+  for (const ClientStats* c : clients_) total += c->hedge_wins;
   return total;
 }
 
 std::uint64_t Metrics::total_wasted_hedges() const {
   std::uint64_t total = 0;
-  for (Client* c : clients_) total += c->stats().wasted_hedges;
+  for (const ClientStats* c : clients_) total += c->wasted_hedges;
   return total;
 }
 
-std::uint64_t Metrics::total_replies() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    total += nodes_[i]->stats().replies_sent - base_replies_[i];
-  }
-  return total;
-}
+std::uint64_t Metrics::total_replies() const { return totals().replies; }
 
-std::uint64_t Metrics::total_failures() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    total += nodes_[i]->stats().failures - base_failures_[i];
-  }
-  return total;
-}
+std::uint64_t Metrics::total_failures() const { return totals().failures; }
 
 std::uint64_t Metrics::total_sheds() const {
   std::uint64_t total = 0;

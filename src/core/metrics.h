@@ -15,11 +15,13 @@
 namespace mdsim {
 
 class MdsNode;
-class Client;
+struct ClientStats;
 
 class Metrics {
  public:
-  Metrics(std::vector<MdsNode*> nodes, std::vector<Client*> clients,
+  /// `clients` holds one ClientStats per client on the single engine, or
+  /// the one aggregate ClientStats of a shard's client cohort.
+  Metrics(std::vector<MdsNode*> nodes, std::vector<ClientStats*> clients,
           const Simulation* sim = nullptr);
 
   /// Take one sample (called by the cluster on its sampling cadence).
@@ -48,6 +50,29 @@ class Metrics {
   const TimeSeries& degraded_nodes() const { return degraded_nodes_; }
 
   // --- end-of-run aggregates ----------------------------------------------
+  /// Per-node counters since the last reset, summed over nodes: the
+  /// integer inputs of the end-of-run ratios, which combine across shards
+  /// by plain addition (core/experiment.h summarize()).
+  struct Totals {
+    std::uint64_t replies = 0;
+    std::uint64_t forwards = 0;
+    std::uint64_t requests = 0;
+    std::uint64_t failures = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+
+    Totals& operator+=(const Totals& o);
+    Totals operator-(const Totals& o) const;
+    double hit_rate() const;
+    /// Forwarded / original client submissions (forwarded arrivals are
+    /// re-counted as received).
+    double forward_fraction() const;
+  };
+  Totals totals() const;
+  const std::vector<MdsNode*>& nodes() const { return nodes_; }
+  /// Start of the measured window: the last reset, or 0.
+  SimTime reset_at() const { return reset_at_; }
+
   /// Mean per-MDS throughput since the last reset (figure 2's y-axis).
   double avg_mds_throughput(SimTime now) const;
   /// Aggregate cache hit rate across nodes since the last reset (fig 4).
@@ -134,7 +159,7 @@ class Metrics {
   }
 
   std::vector<MdsNode*> nodes_;
-  std::vector<Client*> clients_;
+  std::vector<ClientStats*> clients_;
   const Simulation* sim_ = nullptr;
   const FaultLog* faults_ = nullptr;
   TraceCollector* trace_ = nullptr;
@@ -151,12 +176,7 @@ class Metrics {
   TimeSeries degraded_nodes_;
 
   SimTime reset_at_ = 0;
-  std::vector<std::uint64_t> base_replies_;
-  std::vector<std::uint64_t> base_forwards_;
-  std::vector<std::uint64_t> base_requests_;
-  std::vector<std::uint64_t> base_failures_;
-  std::vector<std::uint64_t> base_hits_;
-  std::vector<std::uint64_t> base_misses_;
+  std::vector<Totals> base_;  // per node, at the last reset
   std::vector<std::uint64_t> base_sheds_;
   std::vector<std::uint64_t> base_rejects_;
 };

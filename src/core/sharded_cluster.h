@@ -1,83 +1,64 @@
-// Sharded cluster simulation: the parallel counterpart of ClusterSim.
+// Sharded cluster simulation: the parallel counterpart of a standalone
+// ClusterSim.
 //
-// A shard is a self-contained mini-cluster — its own namespace tree,
-// object store, network, partitioner, MDS group and client cohort — bound
-// to one engine of a ShardedSimulation. All of the existing intra-cluster
-// protocol (forwarding, replication, migration, heartbeats, journaling)
-// runs unmodified *within* a shard, single-threaded. Cross-shard traffic
-// is client-driven: each cohort holds a frozen catalog of remote targets
-// (sampled deterministically from the other shards' trees at build time)
-// and issues stats against them with a configurable probability; those
+// The system is split into S shards, each one ClusterSim unit — the same
+// builder as the standalone engine — bound to one engine of a
+// ShardedSimulation over its slice of the users, MDS group and clients
+// (core/cluster.h ShardSlice). All of the intra-cluster protocol
+// (forwarding, replication, migration, heartbeats, journaling, failure
+// detection and takeover) runs unmodified *within* a shard,
+// single-threaded, and every shard keeps the standalone observables: its
+// own Metrics time series, FaultLog and tracer, and FaultPlan / fail_mds
+// injection through shard(s). Cross-shard traffic is client-driven: each
+// shard's cohort holds a frozen catalog of remote targets (sampled
+// deterministically from the other shards' trees at build time) and
+// issues stats against them with a configurable probability; those
 // requests and their replies ride the lookahead-bounded mailbox fabric
 // (net/shard_link.h), which is what makes N-shard runs bit-stable across
 // any thread count.
 //
-// Deliberate non-goals, documented in DESIGN.md §5f: fault injection,
-// partitions and MDS crash/recovery stay intra-shard concepts; sharded
-// runs model healthy scale-out. Every workload kind is supported, wired
-// per shard against that shard's own tree (a flash crowd picks one target
-// per shard; a shifting run moves each shard's clients within its own
-// namespace).
+// Non-goals, documented in DESIGN.md §5f: faults on the cross-shard
+// fabric itself (partitions, link faults) and cross-shard takeover; a
+// crashed MDS is recovered by its own shard's survivors.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "client/cohort.h"
-#include "common/fault_log.h"
+#include "core/cluster.h"
 #include "core/config.h"
 #include "core/experiment.h"
-#include "mds/mds_node.h"
 #include "net/shard_link.h"
 #include "sim/sharded.h"
-#include "workload/workload.h"
 
 namespace mdsim {
 
 class ShardedClusterSim {
  public:
+  /// Creates the S shard units; they are wired on the first run().
   explicit ShardedClusterSim(SimConfig config);
   ~ShardedClusterSim();
   ShardedClusterSim(const ShardedClusterSim&) = delete;
   ShardedClusterSim& operator=(const ShardedClusterSim&) = delete;
 
-  /// Build, run to config.duration, aggregate. Idempotent.
+  /// Build, run to config.duration, summarize. Idempotent.
   void run();
 
-  /// Aggregates over every shard, shaped exactly like a single-cluster
-  /// run's summary. Valid after run().
+  /// Summary over every shard, shaped exactly like a single-cluster run's
+  /// summary. Valid after run().
   const RunResult& result() const { return result_; }
 
   ShardedSimulation& engine() { return engine_; }
   int num_shards() const { return engine_.shard_count(); }
-  int total_mds() const { return total_mds_; }
-  int total_clients() const { return total_clients_; }
+  /// Shard `s`'s cluster unit (arm a FaultPlan on it before run()).
+  ClusterSim& shard(int s) { return *shards_[static_cast<std::size_t>(s)]; }
+  int total_mds() const;
+  int total_clients() const;
   std::uint64_t remote_ops() const;
   /// Merged per-request trace aggregation (null when tracing is off).
   const TraceCollector* tracer() const { return merged_tracer_.get(); }
 
  private:
-  struct Shard {
-    FsTree tree;
-    NamespaceInfo ns_info;
-    ObjectStore store;
-    AnchorTable anchors;
-    FaultLog fault_log;
-    std::unique_ptr<Network> net;
-    std::unique_ptr<Partitioner> partition;
-    std::unique_ptr<DirFragRegistry> dirfrag;
-    std::unique_ptr<LazyHybridManager> lazy;
-    std::unique_ptr<ClusterContext> ctx;
-    std::vector<std::unique_ptr<MdsNode>> mds_nodes;
-    std::unique_ptr<Workload> workload;
-    std::unique_ptr<TraceCollector> tracer;
-    std::unique_ptr<ClientCohort> cohort;
-    int first_client = 0;
-    /// Warm-up snapshots (per local MDS), mirroring Metrics::reset.
-    std::vector<std::uint64_t> base_replies, base_forwards, base_requests,
-        base_failures, base_hits, base_misses;
-  };
-
   /// Ferries cross-shard messages: source/destination shards are decoded
   /// from the global addresses, so one fabric serves every network.
   struct Fabric final : CrossShardLink {
@@ -86,21 +67,14 @@ class ShardedClusterSim {
                  MessagePtr msg) override;
   };
 
-  void build();
-  void build_shard(int s);
   void build_catalogs();
-  void snapshot(int s);
-  void aggregate();
 
   SimConfig config_;
   ShardedSimulation engine_;
   Fabric fabric_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<ClusterSim>> shards_;
   std::unique_ptr<TraceCollector> merged_tracer_;
   RunResult result_;
-  int total_mds_ = 0;
-  int total_clients_ = 0;
-  bool built_ = false;
   bool ran_ = false;
 };
 

@@ -44,14 +44,16 @@ ScaleRun run_100k(int threads) {
 // against its own tree: a flash crowd picks one seeded target per
 // shard, a shifting run moves clients within its shard's namespace).
 // Smoke both paths and require thread-count invariance.
-ScaleRun run_workload(WorkloadKind kind, int threads) {
+ScaleRun run_workload(WorkloadKind kind, int threads, int shards = 4,
+                      SimTime flash_base_think = 0) {
   SimConfig cfg = kind == WorkloadKind::kFlashCrowd
                       ? flash_crowd_config(/*traffic_control=*/true)
                       : shift_config(StrategyKind::kDynamicSubtree);
   cfg.workload = kind;
   cfg.num_clients = 2000;
-  cfg.shards = 4;
+  cfg.shards = shards;
   cfg.threads = threads;
+  cfg.flash.base_think = flash_base_think;
   cfg.duration = cfg.warmup + kSecond;
   ShardedClusterSim cluster(cfg);
   cluster.run();
@@ -71,6 +73,13 @@ TEST(ScaleSmoke, FlashCrowdAndShiftingRunShardedDeterministically) {
     EXPECT_EQ(a.result.replies, b.result.replies) << workload_name(kind);
     EXPECT_EQ(a.result.hit_rate, b.result.hit_rate) << workload_name(kind);
   }
+  // Every shard installs the flash crowd's background pool, as the single
+  // engine does: a steady background load must change the run.
+  const ScaleRun crowd_only =
+      run_workload(WorkloadKind::kFlashCrowd, 1, /*shards=*/2);
+  const ScaleRun with_background = run_workload(
+      WorkloadKind::kFlashCrowd, 1, /*shards=*/2, 100 * kMillisecond);
+  EXPECT_NE(crowd_only.result.replies, with_background.result.replies);
 }
 
 TEST(ScaleSmoke, HundredThousandClientsRunAndStayDeterministic) {

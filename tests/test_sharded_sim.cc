@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/fault_plan.h"
 #include "core/sharded_cluster.h"
 #include "sim/sharded.h"
 
@@ -186,7 +187,22 @@ TEST(ShardedSim, MeshRepeatsByteIdenticalAtSameThreadCount) {
 
 // --- full-cluster determinism ------------------------------------------
 
-RunResult run_cluster(int threads, std::uint64_t* events) {
+// Crash and restart times for the fault variant: shard 1's MDS 1 goes
+// down mid-run and comes back after its peer has detected the crash.
+constexpr SimTime kCrashAt = 300 * kMillisecond;
+constexpr SimTime kRestartAt = 900 * kMillisecond;
+
+struct ClusterRun {
+  RunResult result;
+  RunResult recomputed;  // summarize() over the per-shard Metrics
+  std::uint64_t events = 0;
+  std::vector<std::vector<std::pair<SimTime, double>>> avg_tput;  // per shard
+  /// Per shard, per incident: node, crashed, detected, takeover,
+  /// restarted, rejoined, remarked-up.
+  std::vector<std::vector<std::vector<SimTime>>> incidents;
+};
+
+ClusterRun run_cluster(int threads, bool faults) {
   SimConfig cfg;
   cfg.num_mds = 4;
   cfg.num_clients = 40;
@@ -194,26 +210,87 @@ RunResult run_cluster(int threads, std::uint64_t* events) {
   cfg.fs.nodes_per_user = 200;
   cfg.duration = 400 * kMillisecond;
   cfg.warmup = 100 * kMillisecond;
+  cfg.sample_period = 50 * kMillisecond;
   cfg.shards = 2;
   cfg.threads = threads;
+  if (faults) {
+    // Heartbeats fast enough to detect the crash within the run.
+    cfg.mds.heartbeat_period = 50 * kMillisecond;
+    cfg.duration = 1200 * kMillisecond;
+  }
   ShardedClusterSim cluster(cfg);
+  if (faults) {
+    FaultPlan().crash(kCrashAt, 1).restart(kRestartAt, 1).arm(
+        cluster.shard(1));
+  }
   cluster.run();
-  *events = cluster.engine().events_executed();
-  return cluster.result();
+
+  ClusterRun r;
+  r.result = cluster.result();
+  r.events = cluster.engine().events_executed();
+  std::vector<const Metrics*> metrics;
+  for (int s = 0; s < cluster.num_shards(); ++s) {
+    ClusterSim& shard = cluster.shard(s);
+    metrics.push_back(&shard.metrics());
+    r.avg_tput.emplace_back();
+    for (const auto& p : shard.metrics().avg_throughput().points()) {
+      r.avg_tput.back().emplace_back(p.time, p.value);
+    }
+    r.incidents.emplace_back();
+    for (const FaultIncident& inc : shard.fault_log().incidents()) {
+      r.incidents.back().push_back(
+          {static_cast<SimTime>(inc.node), inc.crashed_at, inc.detected_at,
+           inc.takeover_at, inc.restarted_at, inc.rejoined_at,
+           inc.remarked_up_at});
+    }
+  }
+  r.recomputed = summarize(cfg, metrics, cluster.shard(0).sim().now());
+  return r;
+}
+
+void expect_same_result(const RunResult& a, const RunResult& b) {
+  EXPECT_EQ(a.replies, b.replies);
+  EXPECT_EQ(a.failures, b.failures);
+  EXPECT_EQ(a.avg_mds_throughput, b.avg_mds_throughput);
+  EXPECT_EQ(a.hit_rate, b.hit_rate);
+  EXPECT_EQ(a.prefix_fraction, b.prefix_fraction);
+  EXPECT_EQ(a.forward_fraction, b.forward_fraction);
+  EXPECT_EQ(a.mean_latency_ms, b.mean_latency_ms);
 }
 
 TEST(ShardedSim, ClusterResultsIdenticalAcrossThreadCounts) {
-  std::uint64_t ev1 = 0, ev2 = 0;
-  const RunResult r1 = run_cluster(1, &ev1);
-  const RunResult r2 = run_cluster(2, &ev2);
-  EXPECT_EQ(ev1, ev2);
-  EXPECT_EQ(r1.replies, r2.replies);
-  EXPECT_EQ(r1.failures, r2.failures);
-  EXPECT_EQ(r1.avg_mds_throughput, r2.avg_mds_throughput);
-  EXPECT_EQ(r1.hit_rate, r2.hit_rate);
-  EXPECT_EQ(r1.forward_fraction, r2.forward_fraction);
-  EXPECT_EQ(r1.mean_latency_ms, r2.mean_latency_ms);
-  EXPECT_GT(r1.replies, 0u);
+  const ClusterRun r1 = run_cluster(1, /*faults=*/false);
+  const ClusterRun r4 = run_cluster(4, /*faults=*/false);
+  EXPECT_EQ(r1.events, r4.events);
+  expect_same_result(r1.result, r4.result);
+  EXPECT_GT(r1.result.replies, 0u);
+
+  // Every shard samples the standalone engine's time series, and the
+  // series do not depend on the thread count either.
+  ASSERT_EQ(r1.avg_tput.size(), 2u);
+  for (const auto& series : r1.avg_tput) EXPECT_FALSE(series.empty());
+  EXPECT_EQ(r1.avg_tput, r4.avg_tput);
+
+  // The run's summary is exactly summarize() over the shards' Metrics.
+  expect_same_result(r1.result, r1.recomputed);
+
+  // A FaultPlan armed on shard 1 crashes and restarts that shard's MDS 1:
+  // the incident lands in shard 1's FaultLog only, detected by its peer,
+  // and the faulted run is as thread-count invariant as a healthy one.
+  const ClusterRun f1 = run_cluster(1, /*faults=*/true);
+  const ClusterRun f4 = run_cluster(4, /*faults=*/true);
+  EXPECT_TRUE(f1.incidents[0].empty());
+  ASSERT_EQ(f1.incidents[1].size(), 1u);
+  const std::vector<SimTime>& inc = f1.incidents[1][0];
+  EXPECT_EQ(inc[0], 1);  // node
+  EXPECT_EQ(inc[1], kCrashAt);
+  EXPECT_GT(inc[2], kCrashAt);  // detected
+  EXPECT_LT(inc[2], kRestartAt);
+  EXPECT_EQ(inc[4], kRestartAt);
+  EXPECT_EQ(f1.incidents, f4.incidents);
+  EXPECT_EQ(f1.events, f4.events);
+  expect_same_result(f1.result, f4.result);
+  EXPECT_EQ(f1.avg_tput, f4.avg_tput);
 }
 
 }  // namespace
