@@ -1,5 +1,6 @@
 #include "cache/metadata_cache.h"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 #include <unordered_map>
@@ -355,6 +356,20 @@ void MetadataCache::for_each(const std::function<void(CacheEntry&)>& fn) {
   for (const IndexSlot& s : index_) {
     if (s.key != kInvalidInode && s.entry != kNullSlot) fn(entries_[s.entry]);
   }
+}
+
+void MetadataCache::sort_in_scan_order(
+    std::vector<CacheEntry*>& entries) const {
+  if (entries.size() < 2) return;
+  std::vector<std::pair<std::size_t, CacheEntry*>> keyed;
+  keyed.reserve(entries.size());
+  for (CacheEntry* e : entries) {
+    assert(index_find(e->node->ino()) != nullptr);
+    keyed.emplace_back(index_probe(e->node->ino()), e);
+  }
+  std::sort(keyed.begin(), keyed.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (std::size_t i = 0; i < keyed.size(); ++i) entries[i] = keyed[i].second;
 }
 
 // --------------------------------------------------------------------------

@@ -232,6 +232,12 @@ class MetadataCache {
   /// Iterate all entries (migration export, diagnostics). The callback
   /// must not insert or erase entries (collect first, then mutate).
   void for_each(const std::function<void(CacheEntry&)>& fn);
+  /// Reorder resident `entries` into the order for_each visits them
+  /// (index position; repeats of one entry end up adjacent). Callers that
+  /// gather entries some other way then hand an order-sensitive step, such
+  /// as an unstable sort, exactly the sequence a for_each scan would have
+  /// produced.
+  void sort_in_scan_order(std::vector<CacheEntry*>& entries) const;
 
   // ---- protocol sidecar (EntryAux) ---------------------------------------
   /// Sidecar for `ino`, or nullptr if none exists.

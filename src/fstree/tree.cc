@@ -186,7 +186,7 @@ bool FsTree::remove(FsNode* node) {
   adjust_subtree_sizes(dir, -1);
   auto it = dir->children_.find(node->name_);
   assert(it != dir->children_.end());
-  graveyard_.push_back(std::move(it->second));
+  graveyard_[dir].push_back(std::move(it->second));
   dir->children_.erase(it);
   dir->child_list_.erase(list_pos(dir->child_list_, node->name_));
   bump_version(dir, dir->inode_.ctime);

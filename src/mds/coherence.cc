@@ -41,6 +41,32 @@ void MdsNode::invalidate_replicas(InodeId ino, bool removed) {
   cache_.aux_gc(ino);
 }
 
+std::uint64_t MdsNode::collect_cached_descendants(
+    const FsNode* root, std::vector<CacheEntry*>& out) {
+  std::uint64_t visited = 0;
+  ctx_.tree.for_each_descendant(root, [&](FsNode* n) {
+    ++visited;
+    CacheEntry* e = cache_.peek(n->ino());
+    if (e != nullptr && e->node == n) out.push_back(e);
+  });
+  return visited;
+}
+
+std::uint64_t MdsNode::collect_move_victims(const FsNode* moved,
+                                            std::vector<CacheEntry*>& victims) {
+  // Walk the moved subtree (tombstones included: a cached removed node
+  // still sits below its former directory), then restore the cache's scan
+  // order so the unstable depth sort below sees the same input — and so
+  // produces the same erase order — as a whole-cache scan would.
+  const std::uint64_t visited = collect_cached_descendants(moved, victims);
+  cache_.sort_in_scan_order(victims);
+  std::sort(victims.begin(), victims.end(),
+            [](const CacheEntry* a, const CacheEntry* b) {
+              return a->node->depth() > b->node->depth();
+            });
+  return visited;
+}
+
 void MdsNode::handle_invalidate(const CacheInvalidateMsg& m) {
   if (m.epoch < view_epoch_) {
     // Coherence traffic from a superseded regime (a sender fenced across a
@@ -59,15 +85,8 @@ void MdsNode::handle_invalidate(const CacheInvalidateMsg& m) {
     FsNode* moved = ctx_.tree.by_ino(m.ino);
     if (moved == nullptr) return;
     std::vector<CacheEntry*> victims;
-    cache_.for_each([&](CacheEntry& e) {
-      if (e.node != moved && FsTree::is_ancestor_of(moved, e.node)) {
-        victims.push_back(&e);
-      }
-    });
-    std::sort(victims.begin(), victims.end(),
-              [](const CacheEntry* a, const CacheEntry* b) {
-                return a->node->depth() > b->node->depth();
-              });
+    ++stats_.move_sweeps;
+    stats_.move_sweep_nodes += collect_move_victims(moved, victims);
     for (CacheEntry* v : victims) {
       const bool was_replica = !v->authoritative;
       const InodeId vino = v->node->ino();

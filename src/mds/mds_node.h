@@ -93,6 +93,8 @@ struct MdsStats {
   std::uint64_t attr_local_updates = 0;   // setattrs absorbed at replicas
   std::uint64_t attr_flushes_applied = 0; // delta batches applied as auth
   std::uint64_t attr_callbacks = 0;       // reads that called deltas in
+  std::uint64_t move_sweeps = 0;          // directory-move invalidations run
+  std::uint64_t move_sweep_nodes = 0;     // tree nodes those sweeps visited
 
   // Partition tolerance (leases, epochs, quorum takeover).
   std::uint64_t fence_events = 0;           // lease expiries (self-fencing)
@@ -181,6 +183,13 @@ class MdsNode final : public NetEndpoint {
   std::uint32_t fetch_cost_probe(FsNode* node) { return fetch_cost_nodes(node); }
   /// Run the post-transition dentry shed directly (tests).
   void drop_foreign_dentries_probe(FsNode* dir) { drop_foreign_dentries(dir); }
+  /// Entries a directory-move invalidation of `moved` would erase, in
+  /// erase order (tests; nothing is erased or counted).
+  std::vector<CacheEntry*> move_victims_probe(const FsNode* moved) {
+    std::vector<CacheEntry*> victims;
+    collect_move_victims(moved, victims);
+    return victims;
+  }
   std::uint64_t dirfrag_seen_gen() const { return dirfrag_seen_gen_; }
   // ---- failure lifecycle (mds_node.cc, recovery.cc) -----------------------
   /// Mark the node failed (it is also taken off the network by the
@@ -487,6 +496,15 @@ class MdsNode final : public NetEndpoint {
   void unregister_replica(InodeId ino, MdsId holder);
   void invalidate_replicas(InodeId ino, bool removed);
   void handle_invalidate(const CacheInvalidateMsg& m);
+  /// Append the resident entries of the nodes strictly below `root` (live
+  /// and tombstoned; FsTree::for_each_descendant), in walk order. Returns
+  /// the number of tree nodes visited.
+  std::uint64_t collect_cached_descendants(const FsNode* root,
+                                           std::vector<CacheEntry*>& out);
+  /// Victims of a directory-move invalidation of `moved`, deepest first.
+  /// Returns the number of tree nodes visited.
+  std::uint64_t collect_move_victims(const FsNode* moved,
+                                     std::vector<CacheEntry*>& victims);
   void handle_replica_drop(NetAddr from, const ReplicaDropMsg& m);
   void on_cache_evict(const CacheEntry& e);
 

@@ -59,21 +59,26 @@ void MdsNode::begin_migration(FsNode* root, MdsId target,
   // (Ordinary balancing ships one subtree; a self-degraded volunteer rides
   // several non-overlapping roots on the same transaction so the intent
   // append below — queued on the very disk that made it sick — is paid
-  // once per batch.)
+  // once per batch.) Each root's subtree is walked, not the cache; scan
+  // order is then restored (dropping any repeat from overlapping roots)
+  // so the unstable depth sort — and with it the importer's insert order
+  // — is what a whole-cache scan would give.
   std::vector<CacheEntry*> collected;
-  cache_.for_each([&](CacheEntry& e) {
-    if (!e.authoritative) return;
-    if (FsTree::is_ancestor_of(root, e.node)) {
-      collected.push_back(&e);
-      return;
-    }
-    for (FsNode* r : extra_roots) {
-      if (FsTree::is_ancestor_of(r, e.node)) {
-        collected.push_back(&e);
-        return;
-      }
-    }
-  });
+  auto gather = [&](FsNode* r) {
+    CacheEntry* e = cache_.peek(r->ino());
+    if (e != nullptr && e->node == r) collected.push_back(e);
+    collect_cached_descendants(r, collected);
+  };
+  gather(root);
+  for (FsNode* r : extra_roots) gather(r);
+  collected.erase(std::remove_if(collected.begin(), collected.end(),
+                                 [](const CacheEntry* e) {
+                                   return !e->authoritative;
+                                 }),
+                  collected.end());
+  cache_.sort_in_scan_order(collected);
+  collected.erase(std::unique(collected.begin(), collected.end()),
+                  collected.end());
   if (collected.size() < ctx_.params.min_migration_items) return;
   std::sort(collected.begin(), collected.end(),
             [](const CacheEntry* a, const CacheEntry* b) {

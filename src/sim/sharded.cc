@@ -70,8 +70,7 @@ void ShardedSimulation::drain_mailboxes() {
   }
 }
 
-void ShardedSimulation::worker_loop(int worker_id) {
-  (void)worker_id;
+void ShardedSimulation::worker_loop() {
   std::uint64_t seen_round = 0;
   for (;;) {
     SimTime bound;
@@ -109,8 +108,7 @@ void ShardedSimulation::run_window(SimTime bound) {
   }
   const int want = threads_ - 1;  // the coordinator participates too
   while (static_cast<int>(pool_.size()) < want) {
-    pool_.emplace_back(&ShardedSimulation::worker_loop, this,
-                       static_cast<int>(pool_.size()));
+    pool_.emplace_back(&ShardedSimulation::worker_loop, this);
   }
   next_shard_.store(0, std::memory_order_relaxed);
   {

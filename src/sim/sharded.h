@@ -91,9 +91,7 @@ class ShardedSimulation {
 
   void drain_mailboxes();
   void run_window(SimTime bound);
-  void worker_loop(int worker_id);
-  void wake_workers();
-  void wait_workers();
+  void worker_loop();
 
   SimTime lookahead_;
   std::vector<std::unique_ptr<Simulation>> shards_;

@@ -2,10 +2,12 @@
 // registry's hashing properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
 #include "test_util.h"
+#include "workload/general.h"
 
 namespace mdsim {
 namespace {
@@ -192,6 +194,197 @@ TEST_F(CoherenceTest, UnlinkInvalidationRemovesChildlessReplicas) {
   ASSERT_TRUE(client.last().success);
   for (int i = 0; i < cluster->num_mds(); ++i) {
     EXPECT_EQ(cluster->mds(i).cache().peek(ino), nullptr) << i;
+  }
+}
+
+// --- directory-move invalidation ------------------------------------------
+
+/// The whole-cache scan a directory-move invalidation is specified by:
+/// every cached strict descendant of `moved` (is_ancestor_of), in
+/// for_each order, put deepest-first by the same unstable sort.
+std::vector<CacheEntry*> scan_move_victims(MetadataCache& cache,
+                                           const FsNode* moved) {
+  std::vector<CacheEntry*> v;
+  cache.for_each([&](CacheEntry& e) {
+    if (e.node != moved && FsTree::is_ancestor_of(moved, e.node)) {
+      v.push_back(&e);
+    }
+  });
+  std::sort(v.begin(), v.end(), [](const CacheEntry* a, const CacheEntry* b) {
+    return a->node->depth() > b->node->depth();
+  });
+  return v;
+}
+
+/// Send `rounds` rounds of a restructure-heavy op stream (one op per
+/// virtual client per round, 5 ms apart) at each target's authority, as
+/// the target's owner so most ops pass the permission checks.
+void drive_restructure(ClusterSim& c, TestClient& tc, GeneralWorkload& w,
+                       Rng& rng, int rounds) {
+  Operation op;
+  for (int r = 0; r < rounds; ++r) {
+    for (ClientId id = 0; id < 16; ++id) {
+      if (w.next(id, c.sim().now(), rng, &op) == kNever) continue;
+      if (op.target == nullptr || !c.tree().alive(op.target)) continue;
+      tc.send(c.mds(0).authority_for(op.target), op.op, op.target, op.name,
+              op.secondary, op.target->inode().perms.uid);
+    }
+    c.run_until(c.sim().now() + 5 * kMillisecond);
+  }
+}
+
+/// For every MDS: the subtree walk's victims equal the scan's for the
+/// root, every `stride`-th live directory and every cached directory
+/// (tombstoned ones included). Returns the number of comparisons that had
+/// victims to order.
+std::size_t expect_walk_matches_scan(ClusterSim& c, std::size_t stride) {
+  std::size_t checked = 0;
+  for (int i = 0; i < c.num_mds(); ++i) {
+    MdsNode& n = c.mds(i);
+    std::vector<const FsNode*> sample;
+    for (std::size_t d = 0; d < c.tree().dirs().size(); d += stride) {
+      sample.push_back(c.tree().dirs()[d]);
+    }
+    n.cache().for_each([&](CacheEntry& e) {
+      if (e.node->is_dir()) sample.push_back(e.node);
+    });
+    for (const FsNode* dir : sample) {
+      const auto walked = n.move_victims_probe(dir);
+      const auto scanned = scan_move_victims(n.cache(), dir);
+      EXPECT_TRUE(walked == scanned)
+          << "mds " << i << " dir " << dir->path() << ": walk found "
+          << walked.size() << ", scan " << scanned.size();
+      if (!scanned.empty()) ++checked;
+    }
+  }
+  return checked;
+}
+
+class MoveSweepEquivalence : public ::testing::TestWithParam<StrategyKind> {};
+
+TEST_P(MoveSweepEquivalence, SubtreeWalkEqualsCacheScan) {
+  SimConfig cfg = manual_config(GetParam(), /*num_mds=*/4, /*seed=*/11);
+  cfg.mds.cache_capacity = 600;
+  ClusterSim cluster(cfg);
+  TestClient tc;
+  tc.attach(cluster);
+  GeneralWorkload w(cluster.tree(), cluster.namespace_info().user_roots,
+                    OpMix::restructure_heavy());
+  Rng rng(5);
+
+  std::size_t checked = 0;
+  for (int phase = 0; phase < 3; ++phase) {
+    drive_restructure(cluster, tc, w, rng, 150);
+    checked += expect_walk_matches_scan(cluster, 7);
+  }
+
+  // Pin a cached file at one node, unlink it, and keep restructuring: the
+  // pin holds the tombstone in that cache through later move sweeps.
+  CacheEntry* pinned = nullptr;
+  int holder = -1;
+  for (int i = 0; i < cluster.num_mds() && pinned == nullptr; ++i) {
+    cluster.mds(i).cache().for_each([&](CacheEntry& e) {
+      if (pinned == nullptr && !e.node->is_dir() &&
+          cluster.tree().alive(e.node) && e.node->inode().nlink == 1) {
+        pinned = &e;
+      }
+    });
+    if (pinned != nullptr) holder = i;
+  }
+  ASSERT_NE(pinned, nullptr);
+  FsNode* victim = pinned->node;
+  FsNode* dir = victim->parent();
+  cluster.mds(holder).cache().pin(pinned);
+  const std::uint64_t req =
+      tc.send(cluster.mds(0).authority_for(victim), OpType::kUnlink, victim,
+              "", nullptr, dir->inode().perms.uid);
+  cluster.run_until(cluster.sim().now() + kSecond);
+  ASSERT_NE(tc.reply_for(req), nullptr);
+  ASSERT_TRUE(tc.reply_for(req)->success);
+  ASSERT_FALSE(cluster.tree().alive(victim));
+  drive_restructure(cluster, tc, w, rng, 150);
+  checked += expect_walk_matches_scan(cluster, 7);
+  ASSERT_EQ(cluster.mds(holder).cache().peek(victim->ino()), pinned);
+  const auto under_dir = cluster.mds(holder).move_victims_probe(dir);
+  EXPECT_NE(std::find(under_dir.begin(), under_dir.end(), pinned),
+            under_dir.end());
+  cluster.mds(holder).cache().unpin(pinned);
+
+  // The stream really restructured: sweeps ran, and plenty was compared.
+  std::uint64_t sweeps = 0;
+  for (int i = 0; i < cluster.num_mds(); ++i) {
+    sweeps += cluster.mds(i).stats().move_sweeps;
+  }
+  EXPECT_GT(sweeps, 0u);
+  EXPECT_GT(checked, 100u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Strategies, MoveSweepEquivalence,
+                         ::testing::Values(StrategyKind::kDynamicSubtree,
+                                           StrategyKind::kDirHash));
+
+TEST_F(CoherenceTest, MoveSweepVisitsOnlyTheMovedSubtree) {
+  build(StrategyKind::kDynamicSubtree);
+  // Warm every cache well past the size of the subtree we will move.
+  int sent = 0;
+  for (FsNode* f : cluster->tree().files()) {
+    client.send(cluster->mds(0).authority_for(f), OpType::kStat, f, "",
+                nullptr, f->inode().perms.uid);
+    if (++sent >= 600) break;
+  }
+  run_for(2 * kSecond);
+
+  // A small directory two or more levels below a home, holding files.
+  FsNode* home = nullptr;
+  FsNode* dir = nullptr;
+  for (FsNode* h : cluster->namespace_info().user_roots) {
+    for (FsNode* d : cluster->tree().dirs()) {
+      if (d->depth() >= h->depth() + 2 && FsTree::is_ancestor_of(h, d) &&
+          d->subtree_size() >= 3 && d->subtree_size() <= 40) {
+        dir = d;
+        break;
+      }
+    }
+    if (dir != nullptr) {
+      home = h;
+      break;
+    }
+  }
+  ASSERT_NE(dir, nullptr);
+  FsNode* file = nullptr;
+  for (FsNode* c : dir->children_list()) {
+    if (!c->is_dir() && c->inode().nlink == 1) file = c;
+  }
+  ASSERT_NE(file, nullptr);
+  const std::uint32_t uid = dir->inode().perms.uid;
+  const MdsId auth = cluster->mds(0).authority_for(dir);
+
+  // One tombstone below the directory, then the move.
+  client.send(cluster->mds(0).authority_for(file), OpType::kUnlink, file, "",
+              nullptr, uid);
+  run_for(kSecond);
+  ASSERT_TRUE(client.last().success);
+  std::vector<MdsStats> before;
+  std::size_t largest_cache = 0;
+  for (int i = 0; i < cluster->num_mds(); ++i) {
+    before.push_back(cluster->mds(i).stats());
+    largest_cache = std::max(largest_cache, cluster->mds(i).cache().size());
+  }
+  client.send(auth, OpType::kRename, dir, "moved_here", home, uid);
+  run_for(kSecond);
+  ASSERT_TRUE(client.last().success);
+  ASSERT_EQ(dir->parent(), home);
+
+  // Each node swept once, visiting the live subtree below the directory
+  // plus its one tombstone — never its cache.
+  // (subtree_size() counts the directory itself; the tombstone takes its
+  // place in the tally.)
+  const std::uint64_t walk = dir->subtree_size();
+  EXPECT_GT(largest_cache, 2 * walk);
+  for (int i = 0; i < cluster->num_mds(); ++i) {
+    const MdsStats& s = cluster->mds(i).stats();
+    EXPECT_EQ(s.move_sweeps - before[i].move_sweeps, 1u) << i;
+    EXPECT_EQ(s.move_sweep_nodes - before[i].move_sweep_nodes, walk) << i;
   }
 }
 
