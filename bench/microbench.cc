@@ -96,6 +96,44 @@ void BM_EventCancelHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_EventCancelHeavy);
 
+void BM_EventLongTimeoutChurn(benchmark::State& state) {
+  // The client request-timeout pattern at steady state, as a hold model:
+  // 1250 actors each keep one reply ~1 ms away and one 5 s timeout
+  // pending (2.5 k live events). Every reply cancels its actor's timeout,
+  // arms a fresh one and schedules the next reply. BM_EventCancelHeavy
+  // drains each batch, so its tombstones never outnumber live events;
+  // here they would pile up for 5 simulated seconds without compaction.
+  constexpr int kActors = 1250;
+  Simulation sim;
+  struct Actor {
+    Simulation* sim;
+    EventHandle timeout;
+    std::uint32_t x;
+    void fire() {
+      timeout.cancel();
+      timeout = sim->schedule(5 * kSecond, [] {});
+      x = x * 1664525u + 1013904223u;
+      sim->schedule(kMillisecond / 2 + (x >> 8) % kMillisecond,
+                    [this] { fire(); });
+    }
+  };
+  std::vector<Actor> actors(kActors);
+  for (int i = 0; i < kActors; ++i) {
+    Actor& a = actors[static_cast<std::size_t>(i)];
+    a = Actor{&sim, EventHandle{}, static_cast<std::uint32_t>(i) + 1};
+    a.fire();
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(sim.step(~SimTime{0}));
+  const Simulation::Counters c = sim.counters();
+  state.counters["task_heap_fallbacks"] =
+      static_cast<double>(c.task_heap_fallbacks);
+  state.counters["live_events"] = static_cast<double>(sim.events_pending());
+  state.counters["queued_peak"] = static_cast<double>(c.queued_peak);
+  state.counters["compactions"] = static_cast<double>(c.compactions);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventLongTimeoutChurn);
+
 namespace {
 struct CountingEndpoint final : NetEndpoint {
   std::uint64_t received = 0;

@@ -71,6 +71,7 @@ void Simulation::free_slot(std::uint32_t slot) {
 void Simulation::heap_push(HeapKey key) {
   if (heap_end_ == heap_cap_end_) heap_grow();
   std::size_t i = heap_end_++;
+  if (heap_end_ > heap_peak_end_) heap_peak_end_ = heap_end_;
   while (i > kHeapRoot) {
     const std::size_t parent = heap_parent(i);
     if (!key_before(key, heap_[parent])) break;
@@ -80,12 +81,9 @@ void Simulation::heap_push(HeapKey key) {
   heap_[i] = key;
 }
 
-void Simulation::heap_pop_root() {
-  const HeapKey key = heap_[--heap_end_];
+void Simulation::sift_down(std::size_t i, HeapKey key) {
   const std::size_t end = heap_end_;
-  if (end == kHeapRoot) return;
   HeapKey* h = heap_;
-  std::size_t i = kHeapRoot;
   for (;;) {
     const std::size_t first = heap_first_child(i);
     std::size_t best;
@@ -110,6 +108,37 @@ void Simulation::heap_pop_root() {
     i = best;
   }
   h[i] = key;
+}
+
+void Simulation::heap_pop_root() {
+  const HeapKey key = heap_[--heap_end_];
+  if (heap_end_ == kHeapRoot) return;
+  sift_down(kHeapRoot, key);
+}
+
+void Simulation::compact_heap() {
+  // One pass drops every tombstone (freeing its slot, which bumps the
+  // generation so its handles go inert), then a bottom-up heapify
+  // rebuilds the 4-ary heap over the survivors in O(n). The executing
+  // event, if any, was popped before its callback ran, so it is never
+  // seen here. Since (time, seq) is a strict total order, the new heap
+  // shape cannot change which event fires next.
+  std::size_t out = kHeapRoot;
+  for (std::size_t i = kHeapRoot; i < heap_end_; ++i) {
+    const HeapKey key = heap_[i];
+    if (slot_ref(key.slot).cancelled) {
+      free_slot(key.slot);
+    } else {
+      heap_[out++] = key;
+    }
+  }
+  heap_end_ = out;
+  if (out - kHeapRoot > 1) {
+    for (std::size_t i = heap_parent(out - 1); i >= kHeapRoot; --i) {
+      sift_down(i, heap_[i]);
+    }
+  }
+  ++compactions_;
 }
 
 EventHandle Simulation::schedule(SimTime delay, InlineTask fn) {
@@ -141,6 +170,12 @@ void Simulation::cancel_event(std::uint32_t slot, std::uint32_t gen) {
   s.fn = InlineTask{};  // release captures eagerly
   ++cancelled_;
   --live_pending_;
+  // Keep tombstones (heap keys minus live events) at most live + floor:
+  // without this, a 5 s timeout cancelled 1 ms after arming holds its key
+  // and slot for the full 5 s, and the heap grows with the cancel rate
+  // instead of the live event count.
+  const std::size_t tombstones = heap_end_ - kHeapRoot - live_pending_;
+  if (tombstones > live_pending_ + kCompactFloor) compact_heap();
 }
 
 bool Simulation::event_pending(std::uint32_t slot, std::uint32_t gen) const {
@@ -194,7 +229,12 @@ std::uint64_t Simulation::run() {
 }
 
 Simulation::Counters Simulation::counters() const {
-  return Counters{scheduled_, executed_, cancelled_, task_heap_fallbacks_};
+  return Counters{scheduled_,
+                  executed_,
+                  cancelled_,
+                  task_heap_fallbacks_,
+                  compactions_,
+                  heap_peak_end_ - kHeapRoot};
 }
 
 void Simulation::every(SimTime period, SimTime start,

@@ -9,7 +9,11 @@
 // `InlineTask` slots inside a free-listed event slab, the priority queue
 // is a 4-ary implicit heap over 16-byte {time, seq, slot} keys (sifts move
 // keys, never callbacks), and handles are generation-tagged slot indices —
-// no shared_ptr control block per event. See DESIGN.md §5b.
+// no shared_ptr control block per event. Cancellation flags the slot and
+// leaves a tombstone key in the heap; once tombstones outnumber live
+// events by more than a fixed floor, the heap is compacted, so its size
+// (and the slab's) follows the live event count rather than the cancel
+// rate. See DESIGN.md §5b.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +64,10 @@ class Simulation {
     /// unlike the old scheme of snapshotting the process-wide
     /// thread-local construction counter at engine creation.
     std::uint64_t task_heap_fallbacks = 0;
+    /// Times the heap was rebuilt without its cancelled keys.
+    std::uint64_t compactions = 0;
+    /// High-water mark of heap keys, cancelled ones (tombstones) included.
+    std::uint64_t queued_peak = 0;
   };
 
   Simulation();
@@ -122,10 +130,17 @@ class Simulation {
 
   /// No pending event (next_event_time() when the queue is empty).
   static constexpr SimTime kNoEvent = ~SimTime{0};
+  /// Cancelled keys (tombstones) the heap may carry beyond the live event
+  /// count before a cancel compacts it, so heap keys stay at most about
+  /// 2 × live + kCompactFloor. The floor keeps tiny queues from
+  /// compacting every few cancels.
+  static constexpr std::size_t kCompactFloor = 256;
   /// Timestamp of the earliest queued event, or kNoEvent. May be
-  /// conservatively early when the head entry was cancelled (cancelled
-  /// slots stay in the heap until popped) — callers using this as a
-  /// window lower bound stay correct, at worst running an empty window.
+  /// conservatively early when the head entry was cancelled (a tombstone
+  /// stays in the heap until popped or compacted away; compaction bounds
+  /// how many there are, not whether one sits at the head) — callers
+  /// using this as a window lower bound stay correct, at worst running an
+  /// empty window.
   SimTime next_event_time() const {
     return heap_end_ > kHeapRoot ? heap_[kHeapRoot].time : kNoEvent;
   }
@@ -199,8 +214,10 @@ class Simulation {
                               std::uint32_t gen);
   void free_slot(std::uint32_t slot);
   void heap_push(HeapKey key);
+  void sift_down(std::size_t i, HeapKey key);
   void heap_pop_root();
   void heap_grow();
+  void compact_heap();
 
   void cancel_event(std::uint32_t slot, std::uint32_t gen);
   bool event_pending(std::uint32_t slot, std::uint32_t gen) const;
@@ -208,6 +225,7 @@ class Simulation {
   HeapKey* heap_ = nullptr;     // aligned; keys at [kHeapRoot, heap_end_)
   std::size_t heap_end_ = kHeapRoot;
   std::size_t heap_cap_end_ = kHeapRoot;
+  std::size_t heap_peak_end_ = kHeapRoot;
   std::vector<std::unique_ptr<EventSlot[]>> slot_chunks_;
   std::uint32_t slot_count_ = 0;
   std::uint32_t occupied_ = 0;  // allocated and not yet freed
@@ -220,6 +238,7 @@ class Simulation {
   std::uint64_t cancelled_ = 0;
   std::size_t live_pending_ = 0;
   std::uint64_t task_heap_fallbacks_ = 0;
+  std::uint64_t compactions_ = 0;
 };
 
 }  // namespace mdsim

@@ -170,5 +170,28 @@ TEST(Workloads, ScientificClusterRuns) {
   }
 }
 
+TEST(EngineCostModel, EventHeapTracksLiveEventsNotCancelRate) {
+  // Figure 2's shape at two MDSs, run past the 5 s request timeout that
+  // every op arms and nearly every op cancels. Heap keys, tombstones
+  // included, must stay within a small multiple of the actors that own
+  // live events (clients and MDSs); carrying each cancelled timeout for
+  // its full 5 s instead grows the heap with the op rate (~100 k keys,
+  // over 300x the actor count, here).
+  SimConfig cfg = scaled_system_config(StrategyKind::kDynamicSubtree, 2);
+  cfg.fs.nodes_per_user = 150;
+  cfg.duration = 8 * kSecond;
+  cfg.warmup = 2 * kSecond;
+  ASSERT_GT(cfg.duration - cfg.warmup, cfg.client_retry.request_timeout);
+  ClusterSim cluster(cfg);
+  cluster.run();
+  const Simulation::Counters c = cluster.metrics().engine_counters();
+  const std::uint64_t actors =
+      static_cast<std::uint64_t>(cfg.num_clients + cfg.num_mds);
+  EXPECT_GT(c.cancelled, 20 * actors);
+  EXPECT_GT(c.compactions, 0u);
+  EXPECT_LE(c.queued_peak, 4 * actors + Simulation::kCompactFloor)
+      << "actors " << actors << ", compactions " << c.compactions;
+}
+
 }  // namespace
 }  // namespace mdsim

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <random>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -279,6 +283,213 @@ TEST(Simulation, SchedulingFromCallbackReusesSlabSafely) {
   sim.run();
   EXPECT_EQ(sum, 600 * 601 / 2);
   EXPECT_EQ(sim.counters().fired, 600u);
+}
+
+// --- Tombstone compaction -----------------------------------------------
+// Cancelled events leave tombstone keys in the heap; once they outnumber
+// live events by more than Simulation::kCompactFloor, a cancel rebuilds
+// the heap without them. None of this may be visible in fire order.
+
+TEST(SimulationCompaction, RandomCancelStreamMatchesTimeSeqOracle) {
+  // Schedules (many at shared instants), cancels and steps drawn at
+  // random, checked against a (time, schedule-order) oracle after every
+  // step. Long-delay events that are mostly cancelled keep the tombstone
+  // count high, so the heap compacts many times along the way.
+  Simulation sim;
+  std::mt19937 rng(12345);
+  struct Ev {
+    SimTime time;
+    int id;
+    EventHandle h;
+  };
+  std::vector<Ev> live;  // unordered; swap-removed
+  std::set<std::pair<SimTime, int>> oracle;
+  int next_id = 0;
+  int last_fired = -1;
+  std::uint64_t fired = 0;
+  std::uint64_t cancelled = 0;
+  auto remove_live = [&](int id) {
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (live[i].id == id) {
+        live[i] = live.back();
+        live.pop_back();
+        return;
+      }
+    }
+    FAIL() << "event " << id << " not live";
+  };
+  for (int round = 0; round < 60000; ++round) {
+    const std::uint32_t r = rng() % 100;
+    if (r < 45) {
+      // Few distinct instants: same-time ties are common.
+      const bool long_timer = rng() % 2 == 0;
+      const SimTime delay =
+          long_timer ? 5000 + 10 * (rng() % 8) : 5 * (rng() % 6);
+      const int id = next_id++;
+      const SimTime when = sim.now() + delay;
+      EventHandle h = sim.schedule(delay, [&, id, when] {
+        ASSERT_FALSE(oracle.empty());
+        EXPECT_EQ(*oracle.begin(), std::make_pair(when, id));
+        EXPECT_EQ(sim.now(), when);
+        oracle.erase(oracle.begin());
+        remove_live(id);
+        last_fired = id;
+        ++fired;
+      });
+      live.push_back(Ev{when, id, h});
+      oracle.emplace(when, id);
+    } else if (r < 80) {
+      if (live.empty()) continue;
+      const std::size_t i = rng() % live.size();
+      EXPECT_TRUE(live[i].h.pending());
+      live[i].h.cancel();
+      EXPECT_FALSE(live[i].h.pending());
+      oracle.erase({live[i].time, live[i].id});
+      live[i] = live.back();
+      live.pop_back();
+      ++cancelled;
+    } else if (r < 95) {
+      // Time creeps forward, so long timers stay queued (and, once
+      // cancelled, stay tombstones) for thousands of rounds.
+      const int before = last_fired;
+      if (sim.step(sim.now() + 30)) {
+        EXPECT_NE(last_fired, before);
+      }
+    } else {
+      sim.run_until(sim.now() + 10);
+    }
+    ASSERT_EQ(sim.events_pending(), oracle.size());
+  }
+  sim.run();
+  EXPECT_TRUE(oracle.empty());
+  const auto c = sim.counters();
+  EXPECT_EQ(c.fired, fired);
+  EXPECT_EQ(c.cancelled, cancelled);
+  EXPECT_EQ(c.scheduled, static_cast<std::uint64_t>(next_id));
+  EXPECT_GE(c.compactions, 20u);
+}
+
+TEST(SimulationCompaction, CancelsInsideCallbackCompactMidStep) {
+  Simulation sim;
+  std::vector<EventHandle> timeouts;
+  int timeouts_fired = 0;
+  for (int i = 0; i < 1000; ++i) {
+    timeouts.push_back(sim.schedule(5000 + i, [&] { ++timeouts_fired; }));
+  }
+  std::vector<int> order;
+  EventHandle self;
+  std::uint64_t compactions_inside = 0;
+  self = sim.schedule(10, [&] {
+    for (EventHandle& h : timeouts) h.cancel();
+    compactions_inside = sim.counters().compactions;
+    // The running event was off the heap when it compacted: its handle
+    // still reads not-pending, and new events fire in (time, seq) order.
+    EXPECT_FALSE(self.pending());
+    sim.schedule(5, [&] { order.push_back(2); });
+    sim.schedule(0, [&] { order.push_back(1); });
+    sim.schedule(5, [&] { order.push_back(3); });
+  });
+  sim.schedule(10, [&] { order.push_back(0); });
+  sim.run();
+  EXPECT_GE(compactions_inside, 1u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(timeouts_fired, 0);
+  EXPECT_EQ(sim.events_pending(), 0u);
+  EXPECT_EQ(sim.counters().fired, 5u);
+}
+
+TEST(SimulationCompaction, CompactedSlotHandleIsInertForNextOccupant) {
+  Simulation sim;
+  std::vector<EventHandle> doomed;
+  for (int i = 0; i < 600; ++i) doomed.push_back(sim.schedule(100, [] {}));
+  for (EventHandle& h : doomed) h.cancel();
+  ASSERT_GE(sim.counters().compactions, 1u);
+  for (const EventHandle& h : doomed) EXPECT_FALSE(h.pending());
+  // Refill the freed slots, then replay every stale cancel: none may
+  // reach a new occupant.
+  int fired = 0;
+  std::vector<EventHandle> fresh;
+  for (int i = 0; i < 600; ++i) {
+    fresh.push_back(sim.schedule(50, [&] { ++fired; }));
+  }
+  const std::uint64_t cancelled_before = sim.counters().cancelled;
+  for (EventHandle& h : doomed) h.cancel();
+  EXPECT_EQ(sim.counters().cancelled, cancelled_before);
+  for (const EventHandle& h : fresh) EXPECT_TRUE(h.pending());
+  sim.run();
+  EXPECT_EQ(fired, 600);
+}
+
+TEST(SimulationCompaction, EveryChainAndNextEventTimeSurviveCompaction) {
+  Simulation sim;
+  std::vector<SimTime> ticks;
+  sim.every(10, 10, [&] {
+    ticks.push_back(sim.now());
+    return true;
+  });
+  // Early tombstones sit ahead of the first tick; late ones behind it.
+  std::vector<EventHandle> early, late;
+  for (int i = 0; i < 300; ++i) early.push_back(sim.schedule(5, [] {}));
+  for (int i = 0; i < 300; ++i) late.push_back(sim.schedule(1000000, [] {}));
+  EXPECT_EQ(sim.next_event_time(), 5u);
+  for (EventHandle& h : early) h.cancel();
+  for (EventHandle& h : late) h.cancel();
+  ASSERT_GE(sim.counters().compactions, 1u);
+  // The compaction ran after every early cancel, so the head is live.
+  EXPECT_EQ(sim.next_event_time(), 10u);
+  sim.run_until(55);
+  EXPECT_EQ(ticks, (std::vector<SimTime>{10, 20, 30, 40, 50}));
+  EXPECT_EQ(sim.next_event_time(), 60u);
+  EXPECT_EQ(sim.events_pending(), 1u);
+}
+
+TEST(SimulationCompaction, ClientTimeoutPatternKeepsHeapNearLive) {
+  // The client hold model: each client arms a 5 s request timeout,
+  // receives its reply ~1 ms later, cancels the timeout and issues the
+  // next request. Lazy cancellation alone would carry every timeout
+  // armed in the last 5 s (~500 k keys here); compaction keeps the heap
+  // within 2 × live + floor.
+  constexpr int kClients = 100;
+  constexpr SimTime kTimeout = 5 * kSecond;
+  Simulation sim;
+  struct ClientModel {
+    Simulation* sim;
+    EventHandle timeout;
+    std::uint64_t ops = 0;
+    int timeouts = 0;
+    void issue(SimTime reply_after) {
+      timeout = sim->schedule(kTimeout, [this] { ++timeouts; });
+      sim->schedule(reply_after, [this] { on_reply(); });
+    }
+    void on_reply() {
+      timeout.cancel();
+      ++ops;
+      issue(kMillisecond + (ops * 7919) % 500 * kMicrosecond);
+    }
+  };
+  std::vector<ClientModel> clients(kClients, ClientModel{&sim, {}, 0, 0});
+  for (int i = 0; i < kClients; ++i) {
+    clients[static_cast<std::size_t>(i)].issue(
+        kMillisecond + static_cast<SimTime>(i) * kMicrosecond);
+  }
+  std::size_t max_live = 0;
+  sim.every(10 * kMillisecond, 0, [&] {
+    max_live = std::max(max_live, sim.events_pending());
+    return true;
+  });
+  sim.run_until(kTimeout + kSecond);
+  std::uint64_t ops = 0;
+  for (const ClientModel& c : clients) {
+    EXPECT_EQ(c.timeouts, 0);
+    ops += c.ops;
+  }
+  EXPECT_GT(ops, 400000u);
+  const auto c = sim.counters();
+  EXPECT_GT(c.compactions, 0u);
+  // Live events: one timeout and one reply per client, plus the sampler.
+  EXPECT_LE(max_live, 2u * kClients + 1);
+  EXPECT_LE(c.queued_peak,
+            2u * (2 * kClients + 1) + Simulation::kCompactFloor);
 }
 
 // --- QueueServer --------------------------------------------------------
