@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "core/cluster.h"
 #include "fstree/generator.h"
+#include "fstree/tree.h"
 #include "net/network.h"
 #include "sim/queue_server.h"
 #include "sim/simulation.h"
@@ -340,6 +341,28 @@ void BM_NamespaceGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NamespaceGeneration)->Unit(benchmark::kMillisecond);
+
+void BM_FsTreeRenameInDir(benchmark::State& state) {
+  // Rename a random child of one directory to a random new name: an
+  // ordered erase plus an ordered insert at unrelated positions. The
+  // directory keeps its size and nothing is tombstoned, so the case
+  // measures the child container at a fixed directory size.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  FsTree tree;
+  FsNode* dir = tree.mkdir(tree.root(), "d");
+  std::vector<FsNode*> kids;
+  for (std::size_t i = 0; i < n; ++i) {
+    kids.push_back(tree.create_file(dir, "k" + std::to_string(i * 7919)));
+  }
+  Rng rng(11);
+  for (auto _ : state) {
+    FsNode* node = kids[rng.uniform(n)];
+    benchmark::DoNotOptimize(
+        tree.rename(node, dir, "k" + std::to_string(rng.next() >> 20)));
+  }
+  state.counters["children"] = static_cast<double>(dir->child_count());
+}
+BENCHMARK(BM_FsTreeRenameInDir)->Arg(1000)->Arg(50000);
 
 void BM_FullSimulationSecond(benchmark::State& state) {
   // End-to-end cost of one simulated second of a small busy cluster.

@@ -104,8 +104,8 @@ void ClusterSim::build() {
     case WorkloadKind::kScientific: {
       std::vector<FsNode*> runs;
       for (FsNode* proj : ns_info_.project_roots) {
-        for (const auto& [_, child] : proj->children()) {
-          if (child->is_dir()) runs.push_back(child.get());
+        for (FsNode* child : proj->children_list()) {
+          if (child->is_dir()) runs.push_back(child);
         }
       }
       if (runs.empty()) runs = ns_info_.user_roots;  // degenerate config

@@ -27,21 +27,88 @@ std::uint64_t child_path_hash(const FsNode* dir, const std::string& name) {
   return chain_hash(dir->path_hash(), name);
 }
 
-namespace {
-/// Keep the flat child mirror in the map's name order. Names are unique
-/// within a directory, so lower_bound lands exactly on the child (erase)
-/// or its insertion point (insert).
-auto list_pos(std::vector<FsNode*>& v, const std::string& name) {
-  return std::lower_bound(v.begin(), v.end(), name,
-                          [](const FsNode* a, const std::string& n) {
-                            return a->name() < n;
-                          });
+ChildList::Slot ChildList::locate(const std::string& name) const {
+  Slot slot;
+  if (blocks_.empty()) return slot;
+  // The first block whose last name is not below `name` holds it or its
+  // insertion point; past every block, it appends to the last one.
+  const auto blk = std::partition_point(
+      blocks_.begin(), blocks_.end(),
+      [&](const Block& b) { return b.back()->name() < name; });
+  if (blk == blocks_.end()) {
+    slot.block = blocks_.size() - 1;
+    slot.pos = blocks_.back().size();
+    return slot;
+  }
+  const auto it = std::partition_point(
+      blk->begin(), blk->end(),
+      [&](const std::unique_ptr<FsNode>& c) { return c->name() < name; });
+  slot.block = static_cast<std::size_t>(blk - blocks_.begin());
+  slot.pos = static_cast<std::size_t>(it - blk->begin());
+  slot.found = (*it)->name() == name;
+  return slot;
 }
-}  // namespace
 
-FsNode* FsNode::child(const std::string& name) const {
-  auto it = children_.find(name);
-  return it == children_.end() ? nullptr : it->second.get();
+FsNode* ChildList::find(const std::string& name) const {
+  const Slot slot = locate(name);
+  return slot.found ? blocks_[slot.block][slot.pos].get() : nullptr;
+}
+
+void ChildList::insert(const Slot& slot, std::unique_ptr<FsNode> node) {
+  assert(!slot.found);
+  ++size_;
+  if (blocks_.empty()) {
+    blocks_.emplace_back().push_back(std::move(node));
+    return;
+  }
+  std::size_t b = slot.block;
+  std::size_t pos = slot.pos;
+  if (blocks_[b].size() < kBlock) {
+    blocks_[b].insert(blocks_[b].begin() + pos, std::move(node));
+    return;
+  }
+  // Split the full block in half; the node goes into the half that holds
+  // its position. A half may then fit with its outer neighbour: fold it
+  // in so no two adjacent blocks fit in one.
+  constexpr std::size_t kHalf = kBlock / 2;
+  Block upper(std::make_move_iterator(blocks_[b].begin() + kHalf),
+              std::make_move_iterator(blocks_[b].end()));
+  blocks_[b].erase(blocks_[b].begin() + kHalf, blocks_[b].end());
+  blocks_.insert(blocks_.begin() + b + 1, std::move(upper));
+  const std::size_t lower = b;
+  if (pos > kHalf) {
+    ++b;
+    pos -= kHalf;
+  }
+  blocks_[b].insert(blocks_[b].begin() + pos, std::move(node));
+  merge_if_fits(lower + 1);
+  if (lower > 0) merge_if_fits(lower - 1);
+}
+
+std::unique_ptr<FsNode> ChildList::erase(const FsNode* node) {
+  const Slot slot = locate(node->name());
+  assert(slot.found && blocks_[slot.block][slot.pos].get() == node);
+  Block& blk = blocks_[slot.block];
+  std::unique_ptr<FsNode> owned = std::move(blk[slot.pos]);
+  blk.erase(blk.begin() + slot.pos);
+  --size_;
+  if (blk.empty()) {
+    blocks_.erase(blocks_.begin() + slot.block);
+  } else {
+    merge_if_fits(slot.block);
+  }
+  if (slot.block > 0) merge_if_fits(slot.block - 1);
+  return owned;
+}
+
+void ChildList::merge_if_fits(std::size_t i) {
+  if (i + 1 >= blocks_.size()) return;
+  Block& into = blocks_[i];
+  Block& from = blocks_[i + 1];
+  if (into.size() + from.size() > kBlock) return;
+  into.insert(into.end(), std::make_move_iterator(from.begin()),
+              std::make_move_iterator(from.end()));
+  blocks_.erase(blocks_.begin() + i + 1);
 }
 
 std::string FsNode::path() const {
@@ -130,49 +197,40 @@ void FsTree::bump_version(FsNode* node, SimTime now) {
   node->inode_.ctime = now;
 }
 
-FsNode* FsTree::attach(FsNode* dir, std::unique_ptr<FsNode> node) {
+FsNode* FsTree::create(FsNode* dir, const std::string& name, FileType type,
+                       const Perms& perms, SimTime now) {
   assert(dir != nullptr && dir->is_dir());
+  // One search finds both a duplicate and the insertion slot; a duplicate
+  // returns before an inode number is spent.
+  const ChildList::Slot slot = dir->children_.locate(name);
+  if (slot.found) return nullptr;
+  auto node = std::make_unique<FsNode>();
+  node->name_ = name;
+  node->inode_.ino = next_ino_++;
+  node->inode_.type = type;
+  node->inode_.perms = perms;
+  if (type == FileType::kDirectory) node->inode_.nlink = 2;
+  node->inode_.mtime = now;
+  node->inode_.ctime = now;
+  node->parent_ = dir;
+  node->depth_ = dir->depth_ + 1;
+  node->path_hash_ = chain_hash(dir->path_hash_, name);
   FsNode* raw = node.get();
-  raw->parent_ = dir;
-  raw->depth_ = dir->depth_ + 1;
-  raw->path_hash_ = chain_hash(dir->path_hash_, raw->name_);
-  auto [it, inserted] = dir->children_.emplace(raw->name_, std::move(node));
-  if (!inserted) return nullptr;
-  dir->child_list_.insert(list_pos(dir->child_list_, raw->name_), raw);
+  dir->children_.insert(slot, std::move(node));
   index_node(raw);
   adjust_subtree_sizes(dir, +1);
+  bump_version(dir, now);
   return raw;
 }
 
 FsNode* FsTree::create_file(FsNode* dir, const std::string& name,
                             const Perms& perms, SimTime now) {
-  if (dir->child(name) != nullptr) return nullptr;
-  auto node = std::make_unique<FsNode>();
-  node->name_ = name;
-  node->inode_.ino = next_ino_++;
-  node->inode_.type = FileType::kFile;
-  node->inode_.perms = perms;
-  node->inode_.mtime = now;
-  node->inode_.ctime = now;
-  FsNode* raw = attach(dir, std::move(node));
-  if (raw != nullptr) bump_version(dir, now);
-  return raw;
+  return create(dir, name, FileType::kFile, perms, now);
 }
 
 FsNode* FsTree::mkdir(FsNode* dir, const std::string& name,
                       const Perms& perms, SimTime now) {
-  if (dir->child(name) != nullptr) return nullptr;
-  auto node = std::make_unique<FsNode>();
-  node->name_ = name;
-  node->inode_.ino = next_ino_++;
-  node->inode_.type = FileType::kDirectory;
-  node->inode_.perms = perms;
-  node->inode_.nlink = 2;
-  node->inode_.mtime = now;
-  node->inode_.ctime = now;
-  FsNode* raw = attach(dir, std::move(node));
-  if (raw != nullptr) bump_version(dir, now);
-  return raw;
+  return create(dir, name, FileType::kDirectory, perms, now);
 }
 
 bool FsTree::remove(FsNode* node) {
@@ -184,11 +242,7 @@ bool FsTree::remove(FsNode* node) {
   FsNode* dir = node->parent_;
   unindex_node(node);
   adjust_subtree_sizes(dir, -1);
-  auto it = dir->children_.find(node->name_);
-  assert(it != dir->children_.end());
-  graveyard_[dir].push_back(std::move(it->second));
-  dir->children_.erase(it);
-  dir->child_list_.erase(list_pos(dir->child_list_, node->name_));
+  graveyard_[dir].push_back(dir->children_.erase(node));
   bump_version(dir, dir->inode_.ctime);
   return true;
 }
@@ -201,28 +255,24 @@ bool FsTree::rename(FsNode* node, FsNode* new_parent,
   if (new_parent->child(new_name) != nullptr) return false;
 
   FsNode* old_parent = node->parent_;
-  auto it = old_parent->children_.find(node->name_);
-  assert(it != old_parent->children_.end());
-  std::unique_ptr<FsNode> owned = std::move(it->second);
-  old_parent->children_.erase(it);
-  old_parent->child_list_.erase(
-      list_pos(old_parent->child_list_, node->name_));
+  std::unique_ptr<FsNode> owned = old_parent->children_.erase(node);
   const auto moved = static_cast<std::int64_t>(node->subtree_size_);
   adjust_subtree_sizes(old_parent, -moved);
 
   owned->name_ = new_name;
   owned->parent_ = new_parent;
   FsNode* raw = owned.get();
-  new_parent->children_.emplace(new_name, std::move(owned));
-  new_parent->child_list_.insert(list_pos(new_parent->child_list_, new_name),
-                                 raw);
+  // Located after the erase: in a same-directory rename it may have
+  // reshaped the blocks.
+  new_parent->children_.insert(new_parent->children_.locate(new_name),
+                               std::move(owned));
   adjust_subtree_sizes(new_parent, +moved);
 
   // Depths and path hashes of the whole moved subtree change.
   std::function<void(FsNode*)> fix_subtree = [&](FsNode* n) {
     n->depth_ = n->parent_->depth_ + 1;
     n->path_hash_ = chain_hash(n->parent_->path_hash_, n->name_);
-    for (auto& [_, c] : n->children_) fix_subtree(c.get());
+    for (FsNode* c : n->children_) fix_subtree(c);
   };
   fix_subtree(raw);
 
@@ -277,7 +327,7 @@ void FsTree::visit(const std::function<void(FsNode*)>& fn) const {
     FsNode* n = stack.back();
     stack.pop_back();
     fn(n);
-    for (auto& [_, c] : n->children()) stack.push_back(c.get());
+    for (FsNode* c : n->children_) stack.push_back(c);
   }
 }
 

@@ -10,9 +10,10 @@
 // inode but carry no embedded copy; they resolve through the anchor table.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -23,6 +24,104 @@
 namespace mdsim {
 
 class FsTree;
+class FsNode;
+
+/// A directory's children in name order: one owning container, split into
+/// blocks of at most kBlock child pointers so an ordered insert or erase
+/// shifts one block, not the whole directory: O(log n + kBlock). Lookup is
+/// a binary search over block boundaries, then one inside a block;
+/// iteration walks contiguous pointer arrays. Occupancy bound: no block is
+/// empty and no two adjacent blocks fit in one, so a directory that shrinks
+/// never decays into near-empty blocks. Node addresses never move: caches,
+/// requests and the graveyard hold FsNode* while only the owning pointers
+/// move between blocks. Mutations go through FsTree.
+class ChildList {
+ public:
+  static constexpr std::size_t kBlock = 256;
+  using Block = std::vector<std::unique_ptr<FsNode>>;
+
+  /// Forward iterator yielding FsNode* in name order.
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = FsNode*;
+    using difference_type = std::ptrdiff_t;
+    using pointer = FsNode* const*;
+    using reference = FsNode*;
+
+    const_iterator() = default;
+    FsNode* operator*() const { return cur_->get(); }
+    const_iterator& operator++() {
+      if (++cur_ == blk_end_) {
+        ++blk_;
+        set_block();
+      }
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++*this;
+      return old;
+    }
+    bool operator==(const const_iterator& o) const { return cur_ == o.cur_; }
+    bool operator!=(const const_iterator& o) const { return cur_ != o.cur_; }
+
+   private:
+    friend class ChildList;
+    const_iterator(const Block* blk, const Block* last)
+        : blk_(blk), last_(last) {
+      set_block();
+    }
+    void set_block() {
+      if (blk_ == last_) {
+        cur_ = blk_end_ = nullptr;
+      } else {
+        cur_ = blk_->data();
+        blk_end_ = cur_ + blk_->size();
+      }
+    }
+    const Block* blk_ = nullptr;
+    const Block* last_ = nullptr;
+    const std::unique_ptr<FsNode>* cur_ = nullptr;
+    const std::unique_ptr<FsNode>* blk_end_ = nullptr;
+  };
+
+  const_iterator begin() const {
+    return {blocks_.data(), blocks_.data() + blocks_.size()};
+  }
+  const_iterator end() const {
+    const Block* last = blocks_.data() + blocks_.size();
+    return {last, last};
+  }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  FsNode* front() const { return blocks_.front().front().get(); }
+  FsNode* find(const std::string& name) const;
+
+  /// Blocks in order; exposed so tests can check the occupancy bound
+  /// (no empty block, and no two adjacent blocks fit in one).
+  const std::vector<Block>& blocks() const { return blocks_; }
+
+ private:
+  friend class FsTree;
+  /// Where `name` is, or would be inserted: block index and position in
+  /// that block.
+  struct Slot {
+    std::size_t block = 0;
+    std::size_t pos = 0;
+    bool found = false;
+  };
+  Slot locate(const std::string& name) const;
+  /// `slot` must come from locate() of the node's name with no mutation
+  /// in between, and must not be `found`.
+  void insert(const Slot& slot, std::unique_ptr<FsNode> node);
+  std::unique_ptr<FsNode> erase(const FsNode* node);
+  /// Fold block i+1 into block i if both fit in one block.
+  void merge_if_fits(std::size_t i);
+
+  std::vector<Block> blocks_;
+  std::size_t size_ = 0;
+};
 
 /// A node is a (dentry, embedded inode) pair in the hierarchy.
 class FsNode {
@@ -40,18 +139,11 @@ class FsNode {
   /// strategies, where metadata location follows the path name.
   std::uint64_t path_hash() const { return path_hash_; }
 
-  /// Children, ordered by name (directory order on "disk").
-  const std::map<std::string, std::unique_ptr<FsNode>>& children() const {
-    return children_;
-  }
-  /// The same children in the same name order as a flat pointer array,
-  /// maintained by FsTree on attach/remove/rename. The workload and MDS
-  /// request paths scan a directory's children once per generated op;
-  /// walking this array touches a few contiguous cache lines where the
-  /// map walk chases one rb-tree node (plus a string) per child.
-  const std::vector<FsNode*>& children_list() const { return child_list_; }
+  /// Children, ordered by name (directory order on "disk"). The list owns
+  /// them; range-for yields FsNode*.
+  const ChildList& children_list() const { return children_; }
   std::size_t child_count() const { return children_.size(); }
-  FsNode* child(const std::string& name) const;
+  FsNode* child(const std::string& name) const { return children_.find(name); }
 
   /// Number of nodes in the subtree rooted here (including this node);
   /// maintained incrementally.
@@ -75,8 +167,7 @@ class FsNode {
   Inode inode_;
   std::uint32_t depth_ = 0;
   std::uint64_t path_hash_ = 0;
-  std::map<std::string, std::unique_ptr<FsNode>> children_;
-  std::vector<FsNode*> child_list_;  // name-ordered mirror of children_
+  ChildList children_;
   std::uint64_t subtree_size_ = 1;
   // Positions in FsTree's sampling vectors (SIZE_MAX = not present).
   std::size_t file_index_ = SIZE_MAX;
@@ -153,7 +244,7 @@ class FsTree {
   template <typename Fn>
   void for_each_descendant(const FsNode* root, Fn&& fn) const {
     if (!root->is_dir()) return;  // only directories parent anything
-    for (FsNode* c : root->child_list_) {
+    for (FsNode* c : root->children_) {
       fn(c);
       for_each_descendant(c, fn);
     }
@@ -177,7 +268,8 @@ class FsTree {
   void visit(const std::function<void(FsNode*)>& fn) const;
 
  private:
-  FsNode* attach(FsNode* dir, std::unique_ptr<FsNode> node);
+  FsNode* create(FsNode* dir, const std::string& name, FileType type,
+                 const Perms& perms, SimTime now);
   void index_node(FsNode* node);
   void unindex_node(FsNode* node);
   void adjust_subtree_sizes(FsNode* from, std::int64_t delta);

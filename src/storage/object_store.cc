@@ -14,9 +14,9 @@ DirBTree& ObjectStore::materialize(FsNode* dir) {
   auto it = objects_.find(dir->ino());
   if (it != objects_.end()) return *it->second;
   auto tree = std::make_unique<DirBTree>(btree_order_);
-  for (const auto& [name, child] : dir->children()) {
+  for (const FsNode* child : dir->children_list()) {
     DirRecord rec{child->ino(), child->inode().version, child->is_dir()};
-    tree->insert(name, rec, nullptr);
+    tree->insert(child->name(), rec, nullptr);
   }
   DirBTree& ref = *tree;
   objects_.emplace(dir->ino(), std::move(tree));

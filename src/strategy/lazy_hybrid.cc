@@ -14,10 +14,10 @@ std::uint64_t LazyHybridManager::invalidate_subtree(FsNode* dir) {
   while (!stack.empty()) {
     FsNode* n = stack.back();
     stack.pop_back();
-    for (const auto& [_, c] : n->children()) {
+    for (FsNode* c : n->children_list()) {
       queue_.push_back(c->ino());
       ++affected;
-      if (c->is_dir()) stack.push_back(c.get());
+      if (c->is_dir()) stack.push_back(c);
     }
   }
   total_invalidations_ += affected;

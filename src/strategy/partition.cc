@@ -168,8 +168,8 @@ void SubtreePartition::initialize_by_hashing_top_dirs(const FsTree& tree,
     if (d >= depth && frontier.size() >= want) break;
     std::vector<const FsNode*> next;
     for (const FsNode* n : frontier) {
-      for (const auto& [_, c] : n->children()) {
-        if (c->is_dir()) next.push_back(c.get());
+      for (const FsNode* c : n->children_list()) {
+        if (c->is_dir()) next.push_back(c);
       }
     }
     if (next.empty()) break;

@@ -58,7 +58,7 @@ FsNode* GeneralWorkload::random_dir_in_region(ClientState& s, Rng& rng) {
 }
 
 FsNode* GeneralWorkload::random_file_in(FsNode* dir, Rng& rng) {
-  if (dir->children().empty()) return nullptr;
+  if (dir->children_list().empty()) return nullptr;
   // Reservoir-pick a file child; directories are skipped.
   FsNode* pick = nullptr;
   std::uint64_t seen = 0;

@@ -41,11 +41,11 @@ SimTime ScientificWorkload::next(ClientId c, SimTime now, Rng& rng,
     if (s.n_to_1) {
       // Deterministic shared file within the run dir.
       FsNode* shared = nullptr;
-      if (!dir->children().empty()) {
-        std::uint64_t idx = b % dir->children().size();
-        for (const auto& [_, child] : dir->children()) {
+      if (!dir->children_list().empty()) {
+        std::uint64_t idx = b % dir->children_list().size();
+        for (FsNode* child : dir->children_list()) {
           if (idx-- == 0) {
-            shared = child.get();
+            shared = child;
             break;
           }
         }

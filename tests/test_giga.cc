@@ -186,8 +186,8 @@ TEST_F(GigaTest, IncrementalSplitStormNeverMovesWholeDirectory) {
 
   // Dentry authorities scatter across several nodes.
   std::set<MdsId> auths;
-  for (const auto& [_, c] : dir->children()) {
-    auths.insert(cluster.mds(0).authority_for(c.get()));
+  for (FsNode* c : dir->children_list()) {
+    auths.insert(cluster.mds(0).authority_for(c));
   }
   EXPECT_GT(auths.size(), 1u);
 
@@ -429,17 +429,18 @@ TEST_F(GigaTest, DropForeignDentriesKeepsPinnedAndAnchoringEntries) {
   for (FsNode* d : cluster.namespace_info().user_roots) {
     auth = cluster.mds(0).authority_for(d);
     subdir = pinned_child = plain_child = nullptr;
-    for (const auto& [name, c] : d->children()) {
+    for (FsNode* c : d->children_list()) {
+      const std::string& name = c->name();
       const MdsId frag_auth = static_cast<MdsId>(
           giga_name_hash(d->ino(), name) %
           static_cast<std::uint64_t>(cluster.num_mds()));
       if (frag_auth == auth) continue;  // stays local: uninteresting
       if (c->is_dir() && c->child_count() > 0 && subdir == nullptr) {
-        subdir = c.get();
+        subdir = c;
       } else if (pinned_child == nullptr) {
-        pinned_child = c.get();
+        pinned_child = c;
       } else if (plain_child == nullptr) {
-        plain_child = c.get();
+        plain_child = c;
       }
     }
     if (subdir != nullptr && pinned_child != nullptr &&

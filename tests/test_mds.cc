@@ -12,7 +12,7 @@ FsNode* find_file_under(FsNode* root) {
     FsNode* n = stack.back();
     stack.pop_back();
     if (!n->is_dir()) return n;
-    for (const auto& [_, c] : n->children()) stack.push_back(c.get());
+    for (FsNode* c : n->children_list()) stack.push_back(c);
   }
   return nullptr;
 }
@@ -161,15 +161,15 @@ TEST_F(MdsProtocolTest, ReaddirPrefetchesEmbeddedInodes) {
   ASSERT_TRUE(client.last().success);
   // Every child this node is responsible for is now cached.
   MdsNode& node = cluster->mds(auth);
-  for (const auto& [_, child] : dir->children()) {
-    if (node.authority_for(child.get()) == auth) {
+  for (FsNode* child : dir->children_list()) {
+    if (node.authority_for(child) == auth) {
       EXPECT_NE(node.cache().peek(child->ino()), nullptr) << child->path();
     }
   }
   // Subsequent stats are pure cache hits — no further disk reads.
   const std::uint64_t reads_before = node.disk().reads();
-  for (const auto& [_, child] : dir->children()) {
-    client.send(auth, OpType::kStat, child.get());
+  for (FsNode* child : dir->children_list()) {
+    client.send(auth, OpType::kStat, child);
   }
   run_for(kSecond);
   EXPECT_EQ(node.disk().reads(), reads_before);
@@ -186,10 +186,9 @@ TEST_F(MdsProtocolTest, FileGranularityPaysPerInodeFetch) {
     reads_before += cluster->mds(i).disk().reads();
   }
   int files_statted = 0;
-  for (const auto& [_, child] : dir->children()) {
+  for (FsNode* child : dir->children_list()) {
     if (child->is_dir()) continue;
-    client.send(cluster->mds(0).authority_for(child.get()), OpType::kStat,
-                child.get());
+    client.send(cluster->mds(0).authority_for(child), OpType::kStat, child);
     ++files_statted;
   }
   run_for(2 * kSecond);

@@ -27,7 +27,7 @@ class MigrationTest : public ::testing::Test {
       client.send(cluster->mds(0).authority_for(n),
                   n->is_dir() ? OpType::kReaddir : OpType::kStat, n);
       if (n->is_dir()) {
-        for (const auto& [_, c] : n->children()) stack.push_back(c.get());
+        for (FsNode* c : n->children_list()) stack.push_back(c);
       }
     }
     run_for(5 * kSecond);
@@ -61,8 +61,8 @@ TEST_F(MigrationTest, ForcedMigrationTransfersAuthorityAndState) {
 
   // Authority flipped cluster-wide.
   EXPECT_EQ(cluster->mds(0).authority_for(home), dst);
-  for (const auto& [_, c] : home->children()) {
-    EXPECT_EQ(cluster->mds(0).authority_for(c.get()), dst);
+  for (FsNode* c : home->children_list()) {
+    EXPECT_EQ(cluster->mds(0).authority_for(c), dst);
   }
   // All transferred state landed in the importer's cache — no disk I/O
   // lost items (the point of transferring active state, section 4.3).
@@ -106,8 +106,8 @@ TEST_F(MigrationTest, RequestsDeferredWhileFrozenThenServed) {
   build();
   FsNode* home = cluster->namespace_info().user_roots[2];
   FsNode* file = nullptr;
-  for (const auto& [_, c] : home->children()) {
-    if (!c->is_dir()) file = c.get();
+  for (FsNode* c : home->children_list()) {
+    if (!c->is_dir()) file = c;
   }
   if (file == nullptr) GTEST_SKIP() << "home has no top-level file";
   const MdsId src = cluster->mds(0).authority_for(home);

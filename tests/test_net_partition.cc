@@ -199,11 +199,11 @@ FsNode* home_owned_by(ClusterSim& cluster, MdsId owner) {
 
 /// First file child of `dir` (setattr target), else nullptr.
 FsNode* file_child(FsNode* dir) {
-  for (const auto& [_, c] : dir->children()) {
-    if (!c->is_dir()) return c.get();
+  for (FsNode* c : dir->children_list()) {
+    if (!c->is_dir()) return c;
   }
-  for (const auto& [_, c] : dir->children()) {
-    if (FsNode* f = file_child(c.get())) return f;
+  for (FsNode* c : dir->children_list()) {
+    if (FsNode* f = file_child(c)) return f;
   }
   return nullptr;
 }
@@ -447,7 +447,7 @@ TEST_F(ClusterPartitionTest, CutDuringMigrationBeforeAckRollsBackImporter) {
     stack.pop_back();
     maj_client.send(src, n->is_dir() ? OpType::kReaddir : OpType::kStat, n);
     if (n->is_dir()) {
-      for (const auto& [_, c] : n->children()) stack.push_back(c.get());
+      for (FsNode* c : n->children_list()) stack.push_back(c);
     }
   }
   run_until(cluster->sim().now() + 5 * kSecond);
@@ -503,7 +503,7 @@ TEST_F(ClusterPartitionTest, CutAfterCommitPointMajorityReclaimsSubtree) {
     stack.pop_back();
     maj_client.send(src, n->is_dir() ? OpType::kReaddir : OpType::kStat, n);
     if (n->is_dir()) {
-      for (const auto& [_, c] : n->children()) stack.push_back(c.get());
+      for (FsNode* c : n->children_list()) stack.push_back(c);
     }
   }
   run_until(cluster->sim().now() + 5 * kSecond);
@@ -583,7 +583,7 @@ TEST_F(ClusterPartitionTest, DuplicatedPrepareDoesNotDoubleImport) {
     stack.pop_back();
     maj_client.send(src, n->is_dir() ? OpType::kReaddir : OpType::kStat, n);
     if (n->is_dir()) {
-      for (const auto& [_, c] : n->children()) stack.push_back(c.get());
+      for (FsNode* c : n->children_list()) stack.push_back(c);
     }
   }
   run_until(cluster->sim().now() + 5 * kSecond);

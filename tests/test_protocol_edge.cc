@@ -120,8 +120,8 @@ TEST_F(ProtocolEdgeTest, ChmodTogglesAccessibility) {
   FsNode* dir = cluster->namespace_info().user_roots[5];
   if (dir->inode().perms.mode != 0755) GTEST_SKIP() << "home is private";
   FsNode* f = nullptr;
-  for (const auto& [_, c] : dir->children()) {
-    if (!c->is_dir()) f = c.get();
+  for (FsNode* c : dir->children_list()) {
+    if (!c->is_dir()) f = c;
   }
   if (f == nullptr) GTEST_SKIP() << "no top-level file";
   // A stranger can stat while the dir is world-traversable...

@@ -32,7 +32,7 @@ class RecoveryTest : public ::testing::Test {
       client.send(cluster->mds(0).authority_for(n),
                   n->is_dir() ? OpType::kReaddir : OpType::kStat, n);
       if (n->is_dir()) {
-        for (const auto& [_, c] : n->children()) stack.push_back(c.get());
+        for (FsNode* c : n->children_list()) stack.push_back(c);
       }
     }
     run_for(5 * kSecond);
@@ -176,8 +176,8 @@ TEST_F(RecoveryTest, RestartReplaysJournalWithRealDiskLatency) {
   warm_subtree(home);
   // Dirty some metadata so the bounded journal has a working set to
   // replay on restart.
-  for (const auto& [_, c] : home->children()) {
-    client.send(src, OpType::kSetattr, c.get());
+  for (FsNode* c : home->children_list()) {
+    client.send(src, OpType::kSetattr, c);
   }
   run_for(2 * kSecond);
   ASSERT_GT(cluster->mds(src).journal().live_entries(), 0u);

@@ -72,8 +72,8 @@ TEST_F(PartitionTest, SubtreeDelegationNesting) {
   p.delegate(u0, 2);
   EXPECT_EQ(p.authority_of(u0), 2);
   EXPECT_EQ(p.authority_of(u1), 1);
-  for (const auto& [_, child] : u0->children()) {
-    EXPECT_EQ(p.authority_of(child.get()), 2);
+  for (FsNode* child : u0->children_list()) {
+    EXPECT_EQ(p.authority_of(child), 2);
   }
 
   p.undelegate(u0);
@@ -121,15 +121,15 @@ TEST_F(PartitionTest, DirHashGroupsSiblings) {
   FsNode* u0 = info.user_roots[0];
   // All children of a directory share an authority (dentries grouped).
   std::set<MdsId> auths;
-  for (const auto& [_, child] : u0->children()) {
-    auths.insert(p.authority_of(child.get()));
+  for (FsNode* child : u0->children_list()) {
+    auths.insert(p.authority_of(child));
   }
   EXPECT_EQ(auths.size(), 1u);
   // But different directories scatter across the cluster.
   std::set<MdsId> dir_auths;
   for (FsNode* u : info.user_roots) {
-    if (!u->children().empty()) {
-      dir_auths.insert(p.authority_of(u->children().begin()->second.get()));
+    if (!u->children_list().empty()) {
+      dir_auths.insert(p.authority_of(u->children_list().front()));
     }
   }
   EXPECT_GT(dir_auths.size(), 3u);
@@ -143,8 +143,8 @@ TEST_F(PartitionTest, FileHashScattersSiblings) {
     if (big == nullptr || u->child_count() > big->child_count()) big = u;
   }
   ASSERT_GE(big->child_count(), 4u);
-  for (const auto& [_, child] : big->children()) {
-    auths.insert(p.authority_of(child.get()));
+  for (FsNode* child : big->children_list()) {
+    auths.insert(p.authority_of(child));
   }
   EXPECT_GT(auths.size(), 1u);
 }

@@ -139,8 +139,8 @@ TEST_F(TrafficControlTest, CreateStormFragmentsDirectoryThenMerges) {
 
   // Fragmented: dentry authorities scatter across the cluster.
   std::set<MdsId> auths;
-  for (const auto& [_, c] : dir->children()) {
-    auths.insert(cluster.mds(0).authority_for(c.get()));
+  for (FsNode* c : dir->children_list()) {
+    auths.insert(cluster.mds(0).authority_for(c));
   }
   EXPECT_GT(auths.size(), 1u);
 
@@ -149,8 +149,8 @@ TEST_F(TrafficControlTest, CreateStormFragmentsDirectoryThenMerges) {
   EXPECT_FALSE(cluster.dirfrag().is_fragmented(dir->ino()));
   EXPECT_GE(cluster.dirfrag().merge_events, 1u);
   std::set<MdsId> auths_after;
-  for (const auto& [_, c] : dir->children()) {
-    auths_after.insert(cluster.mds(0).authority_for(c.get()));
+  for (FsNode* c : dir->children_list()) {
+    auths_after.insert(cluster.mds(0).authority_for(c));
   }
   EXPECT_EQ(auths_after.size(), 1u);
 }

@@ -201,8 +201,8 @@ TEST(ScientificWorkload, BurstsConvergeOnSharedTargets) {
   params.project_dir_files = 50;
   NamespaceInfo info = generate_namespace(tree, params);
   std::vector<FsNode*> runs;
-  for (const auto& [_, c] : info.project_roots[0]->children()) {
-    runs.push_back(c.get());
+  for (FsNode* c : info.project_roots[0]->children_list()) {
+    runs.push_back(c);
   }
   ScientificWorkload wl(tree, runs);
   Rng rng(29);
@@ -225,8 +225,8 @@ TEST(ScientificWorkload, CheckpointStormCreatesDistinctFiles) {
   params.num_projects = 1;
   NamespaceInfo info = generate_namespace(tree, params);
   std::vector<FsNode*> runs;
-  for (const auto& [_, c] : info.project_roots[0]->children()) {
-    runs.push_back(c.get());
+  for (FsNode* c : info.project_roots[0]->children_list()) {
+    runs.push_back(c);
   }
   ScientificWorkloadParams sp;
   sp.n_to_1_fraction = 0.0;  // all bursts are N-to-N create storms
