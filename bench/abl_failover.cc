@@ -73,9 +73,7 @@ Outcome run_mode(bool warm, CsvWriter& csv, bool quick) {
   o.post_kill_hit =
       dh + dm > 0 ? static_cast<double>(dh) / static_cast<double>(dh + dm)
                   : 0.0;
-  for (int c = 0; c < cluster.num_clients(); ++c) {
-    o.retries += cluster.client(c).stats().retries;
-  }
+  o.retries = cluster.cohort().totals().retries;
   const char* mode = warm ? "warm_takeover" : "cold_takeover";
   for (const auto& p : m.avg_throughput().points()) {
     csv.field(mode).field(to_seconds(p.time)).field(p.value);

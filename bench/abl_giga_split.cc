@@ -72,14 +72,6 @@ SimConfig storm_config(bool giga, bool quick) {
   return cfg;
 }
 
-std::uint64_t sum_redirects(ClusterSim& cluster) {
-  std::uint64_t n = 0;
-  for (int i = 0; i < cluster.num_clients(); ++i) {
-    n += cluster.client(i).stats().giga_redirects;
-  }
-  return n;
-}
-
 void sum_latency(ClusterSim& cluster, double* sum_s, std::uint64_t* count) {
   *sum_s = 0.0;
   *count = 0;
@@ -117,7 +109,7 @@ VariantResult run_variant(const std::string& label, bool giga, bool chaos,
     row.t_s = to_seconds(t);
     row.splits = reg.split_events - prev_splits;
     row.pair_merges = reg.pair_merge_events - prev_merges;
-    const std::uint64_t redirects = sum_redirects(cluster);
+    const std::uint64_t redirects = cluster.cohort().totals().giga_redirects;
     row.redirects = redirects - prev_redirects;
     double lat_sum;
     std::uint64_t lat_count;
@@ -142,7 +134,7 @@ VariantResult run_variant(const std::string& label, bool giga, bool chaos,
   r.merge_events = reg.merge_events;
   r.max_event_moved = reg.max_event_moved;
   r.total_event_moved = reg.total_event_moved;
-  r.redirects_total = sum_redirects(cluster);
+  r.redirects_total = cluster.cohort().totals().giga_redirects;
 
   // Redirects observed after the bitmap went quiet: everything strictly
   // after the interval holding the last split/pair-merge, plus one

@@ -86,13 +86,10 @@ int run_crash(bool quick) {
 
   Metrics& m = cluster.metrics();
 
-  std::uint64_t retries = 0, stale = 0, failed = 0;
-  for (int c = 0; c < cluster.num_clients(); ++c) {
-    const ClientStats& s = cluster.client(c).stats();
-    retries += s.retries;
-    stale += s.stale_replies;
-    failed += s.ops_failed;
-  }
+  const ClientStats clients = cluster.cohort().totals();
+  const std::uint64_t retries = clients.retries;
+  const std::uint64_t stale = clients.stale_replies;
+  const std::uint64_t failed = clients.ops_failed;
   std::uint64_t detections = 0, takeovers = 0, warm_items = 0;
   for (int i = 0; i < cluster.num_mds(); ++i) {
     const MdsStats& s = cluster.mds(i).stats();
@@ -151,13 +148,10 @@ int run_partition(bool quick) {
 
   Metrics& m = cluster.metrics();
 
-  std::uint64_t retries = 0, stale = 0, failed = 0;
-  for (int c = 0; c < cluster.num_clients(); ++c) {
-    const ClientStats& s = cluster.client(c).stats();
-    retries += s.retries;
-    stale += s.stale_replies;
-    failed += s.ops_failed;
-  }
+  const ClientStats clients = cluster.cohort().totals();
+  const std::uint64_t retries = clients.retries;
+  const std::uint64_t stale = clients.stale_replies;
+  const std::uint64_t failed = clients.ops_failed;
   std::uint64_t fences = 0, unfences = 0, parked = 0, stale_rejects = 0;
   std::uint64_t deferred = 0, takeovers = 0, reconciled = 0;
   for (int i = 0; i < cluster.num_mds(); ++i) {

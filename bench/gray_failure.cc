@@ -147,14 +147,6 @@ struct Outcome {
   std::uint64_t victim_migrations_out = 0;
 };
 
-std::uint64_t total_ok(ClusterSim& cluster) {
-  std::uint64_t ok = 0;
-  for (int c = 0; c < cluster.num_clients(); ++c) {
-    ok += cluster.client(c).stats().ops_ok;
-  }
-  return ok;
-}
-
 Outcome run_arm(const SimConfig& cfg, const FaultPlan* plan) {
   ClusterSim cluster(cfg);
   cluster.run_until(0);
@@ -164,20 +156,19 @@ Outcome run_arm(const SimConfig& cfg, const FaultPlan* plan) {
   // Steady-state window: drop the healthy plateau and the mitigation
   // transient from the latency histograms.
   cluster.tracer()->reset();
-  const std::uint64_t ok0 = total_ok(cluster);
+  const std::uint64_t ok0 = cluster.cohort().totals().ops_ok;
   cluster.run_until(cfg.duration);
 
+  const ClientStats clients = cluster.cohort().totals();
   Outcome out;
   out.lat = tail_latency(cluster);
-  out.goodput = static_cast<double>(total_ok(cluster) - ok0) /
+  out.goodput = static_cast<double>(clients.ops_ok - ok0) /
                 to_seconds(cfg.duration - m0);
   Metrics& m = cluster.metrics();
-  out.hedges = m.total_hedges_fired();
-  out.hedge_wins = m.total_hedge_wins();
-  out.wasted = m.total_wasted_hedges();
-  for (int c = 0; c < cluster.num_clients(); ++c) {
-    out.stale += cluster.client(c).stats().stale_replies;
-  }
+  out.hedges = clients.hedges_fired;
+  out.hedge_wins = clients.hedge_wins;
+  out.wasted = clients.wasted_hedges;
+  out.stale = clients.stale_replies;
   out.gray_seconds = m.gray_degraded_seconds();
   out.gray_incidents = cluster.fault_log().gray_incidents().size();
   out.victim_migrations_out = cluster.mds(kVictim).stats().migrations_out;

@@ -95,29 +95,6 @@ SimConfig base_config(bool quick, bool protect) {
   return cfg;
 }
 
-struct ClientTotals {
-  std::uint64_t ok = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t stale = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t suppressed = 0;
-};
-
-ClientTotals client_totals(ClusterSim& cluster) {
-  ClientTotals t;
-  for (int c = 0; c < cluster.num_clients(); ++c) {
-    const ClientStats& s = cluster.client(c).stats();
-    t.ok += s.ops_ok;
-    t.failed += s.ops_failed;
-    t.retries += s.retries;
-    t.stale += s.stale_replies;
-    t.rejected += s.rejected_replies;
-    t.suppressed += s.retries_suppressed;
-  }
-  return t;
-}
-
 /// p99 (ms) over the op types this bench issues, from the trace
 /// collector. Only *served* requests have traces, so this is the latency
 /// of admitted work — exactly what the bounded queue is meant to bound.
@@ -167,12 +144,12 @@ int run_ladder(bool quick) {
 
       ClusterSim cluster(cfg);
       cluster.run_until(cfg.warmup);
-      const ClientTotals base = client_totals(cluster);
+      const ClientStats base = cluster.cohort().totals();
       cluster.run_until(cfg.duration);
-      const ClientTotals end = client_totals(cluster);
+      const ClientStats end = cluster.cohort().totals();
       const double secs = to_seconds(cfg.duration - cfg.warmup);
       const double goodput =
-          static_cast<double>(end.ok - base.ok) / secs;
+          static_cast<double>(end.ops_ok - base.ops_ok) / secs;
       if (protect == 0 && mult == multipliers.front()) reference = goodput;
 
       Metrics& m = cluster.metrics();
@@ -185,8 +162,8 @@ int run_ladder(bool quick) {
       csv.field(p99).field(shed_rate).field(m.total_rejects());
       csv.field(m.cpu_queue_highwater()).field(qmean);
       csv.field(end.retries - base.retries);
-      csv.field(end.suppressed - base.suppressed);
-      csv.field(end.failed - base.failed);
+      csv.field(end.retries_suppressed - base.retries_suppressed);
+      csv.field(end.ops_failed - base.ops_failed);
       csv.end_row();
 
       table.add_row({protect ? "on" : "off", fmt_double(mult, 0),
@@ -222,7 +199,7 @@ struct SpikeOutcome {
   std::uint64_t sheds = 0;
   double max_cpu_wait_s = 0.0;  // worst queue wait of any *served* job
   std::size_t queue_hw = 0;
-  ClientTotals totals;
+  ClientStats totals;
   Summary episodes;
 };
 
@@ -244,13 +221,13 @@ SpikeOutcome run_spike_once(const SimConfig& cfg, SimTime spike_end,
 
   for (SimTime t = kSlice; t <= cfg.duration; t += kSlice) {
     cluster.run_until(t);
-    const ClientTotals ct = client_totals(cluster);
+    const ClientStats ct = cluster.cohort().totals();
     const std::uint64_t sheds = cluster.metrics().total_sheds();
     const double goodput =
-        static_cast<double>(ct.ok - prev_ok) / to_seconds(kSlice);
+        static_cast<double>(ct.ops_ok - prev_ok) / to_seconds(kSlice);
     const double shed_rate =
         static_cast<double>(sheds - prev_shed) / to_seconds(kSlice);
-    prev_ok = ct.ok;
+    prev_ok = ct.ops_ok;
     prev_shed = sheds;
     if (t <= cfg.warmup) continue;  // client counters reset never; metrics at warmup
     if (csv != nullptr) {
@@ -295,7 +272,7 @@ SpikeOutcome run_spike_once(const SimConfig& cfg, SimTime spike_end,
         std::max(out.max_cpu_wait_s, cluster.mds(i).cpu().wait_times().max());
   }
   out.queue_hw = cluster.metrics().cpu_queue_highwater();
-  out.totals = client_totals(cluster);
+  out.totals = cluster.cohort().totals();
   out.episodes = cluster.fault_log().overload_episode_seconds(
       cluster.sim().now());
   return out;
@@ -319,10 +296,11 @@ void print_spike_outcome(const char* label, const SpikeOutcome& o) {
             << " ms; CPU queue high-water " << o.queue_hw << "\n"
             << "  sheds " << o.sheds << " (queue " << o.shed_queue
             << ", bucket " << o.shed_bucket << ", deadline "
-            << o.shed_deadline << "); rejected replies " << o.totals.rejected
-            << "; retries " << o.totals.retries << "; suppressed "
-            << o.totals.suppressed << "; stale " << o.totals.stale
-            << "; ops failed " << o.totals.failed << "\n";
+            << o.shed_deadline << "); rejected replies "
+            << o.totals.rejected_replies << "; retries " << o.totals.retries
+            << "; suppressed " << o.totals.retries_suppressed << "; stale "
+            << o.totals.stale_replies << "; ops failed "
+            << o.totals.ops_failed << "\n";
   if (o.episodes.count() > 0) {
     std::cout << "  overload episodes: " << o.episodes.count()
               << ", mean length " << fmt_double(o.episodes.mean(), 1)

@@ -49,8 +49,9 @@ struct Timing {
   }
 };
 
-/// One rung of the ladder: fig2 shape at n = 8 MDS per shard, client
-/// population and horizon scaled. Bigger rungs run shorter simulated
+/// One rung of the ladder: the fig2 shape at 8 MDS, client population and
+/// horizon scaled. The 8 MDS are split over the rung's shards, so an
+/// 8-shard rung runs 1 MDS per shard. Bigger rungs run shorter simulated
 /// horizons — the point is wall-clock per simulated op at scale, not a
 /// long steady state.
 SimConfig rung_config(int clients, int shards, int threads,

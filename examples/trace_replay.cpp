@@ -43,25 +43,21 @@ ReplayResult replay_on(StrategyKind strategy, const Trace& trace) {
   cluster.run_until(0);  // build the matching snapshot (same seed)
   TraceWorkload replay(cluster.tree(), trace);
 
-  std::vector<std::unique_ptr<Client>> clients;
-  for (ClientId c = 0; c < trace.num_clients(); ++c) {
-    clients.push_back(std::make_unique<Client>(
-        cluster.sim(), cluster.network(), cluster.tree(), replay,
-        cluster.partition(), cluster.dirfrag(), c, cluster.num_mds(),
-        kSeed));
-    clients.back()->set_uid(100 + static_cast<std::uint32_t>(c % 32));
-    clients.back()->start();
+  ClientCohort clients(cluster.sim(), cluster.network(), cluster.tree(),
+                       replay, cluster.partition(), cluster.dirfrag(),
+                       trace.num_clients(), /*first_id=*/0, cluster.num_mds(),
+                       kSeed);
+  for (int c = 0; c < trace.num_clients(); ++c) {
+    clients.set_uid(c, 100 + static_cast<std::uint32_t>(c % 32));
   }
+  clients.start();
   cluster.sim().run_until(10 * 60 * kSecond);  // run the trace dry
 
+  const ClientStats totals = clients.totals();
   ReplayResult r;
-  Summary lat;
-  for (auto& c : clients) {
-    r.completed += c->stats().ops_completed;
-    r.failed += c->stats().ops_failed;
-    lat.merge(c->stats().latency_seconds);
-  }
-  r.mean_latency_ms = lat.mean() * 1e3;
+  r.completed = totals.ops_completed;
+  r.failed = totals.ops_failed;
+  r.mean_latency_ms = totals.latency_seconds.mean() * 1e3;
   r.skipped = replay.skipped();
   return r;
 }

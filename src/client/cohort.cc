@@ -4,6 +4,24 @@
 
 namespace mdsim {
 
+ClientStats& ClientStats::operator+=(const ClientStats& o) {
+  ops_issued += o.ops_issued;
+  ops_completed += o.ops_completed;
+  ops_ok += o.ops_ok;
+  ops_failed += o.ops_failed;
+  forwarded_replies += o.forwarded_replies;
+  retries += o.retries;
+  stale_replies += o.stale_replies;
+  rejected_replies += o.rejected_replies;
+  retries_suppressed += o.retries_suppressed;
+  giga_redirects += o.giga_redirects;
+  hedges_fired += o.hedges_fired;
+  hedge_wins += o.hedge_wins;
+  wasted_hedges += o.wasted_hedges;
+  latency_seconds.merge(o.latency_seconds);
+  return *this;
+}
+
 ClientCohort::ClientCohort(Simulation& sim, Network& net, FsTree& tree,
                            Workload& workload, const Partitioner& partition,
                            const DirFragRegistry& dirfrag, int count,
@@ -16,44 +34,30 @@ ClientCohort::ClientCohort(Simulation& sim, Network& net, FsTree& tree,
       partition_(partition),
       dirfrag_(dirfrag),
       first_id_(first_id),
-      num_mds_(num_mds),
-      // Millisecond buckets: client timescales are 15 ms think times and
-      // multi-second timeouts, so <1 ms of quantization is noise, and the
-      // coarser tick batches an order of magnitude more clients per wheel
-      // wakeup (one engine event services the whole bucket).
-      wheel_(
-          sim,
-          [this](std::uint32_t idx, std::uint32_t stamp) {
-            on_timer(idx, stamp);
-          },
-          kMillisecond) {
-  assert(count > 0);
-  wheel_.set_bucket_end_hook([this]() { flush_turn_stats(); });
+      num_mds_(num_mds) {
+  assert(count >= 0);
   const std::size_t n = static_cast<std::size_t>(count);
   ports_.resize(n);  // never resized again: Port addresses must be stable
   uids_.resize(n);
   rngs_.reserve(n);
+  stats_.resize(n);
+  timers_.resize(n);
   next_req_.assign(n, 1);
   inflight_.assign(n, 0);
   issued_at_.assign(n, 0);
   attempts_.assign(n, 0);
-  stamps_.assign(n, 0);
   last_epoch_.assign(n, 1);
   pending_.resize(n);
   remote_.assign(n, 0);
   remote_idx_.assign(n, 0);
   budgets_.resize(n);
   locs_.resize(n);
-  // Same stream family as the standalone Client so cohort clients are
-  // statistically comparable, derived per client via substream() so the
-  // cohort needs one base seed.
-  const Rng base(seed, 0xc11e47000ULL);
   for (std::size_t i = 0; i < n; ++i) {
     const ClientId id = client_id(static_cast<int>(i));
     ports_[i].cohort = this;
     ports_[i].idx = static_cast<std::uint32_t>(i);
     uids_[i] = static_cast<std::uint32_t>(100 + id);
-    rngs_.push_back(base.substream(static_cast<std::uint64_t>(id)));
+    rngs_.emplace_back(seed, 0xc11e47000ULL + static_cast<std::uint64_t>(id));
   }
 }
 
@@ -68,6 +72,16 @@ void ClientCohort::set_remote_catalog(std::vector<RemoteTarget> catalog,
   remote_fraction_ = fraction;
 }
 
+ClientStats ClientCohort::totals() const {
+  ClientStats t;
+  for (const ClientStats& s : stats_) t += s;
+  return t;
+}
+
+void ClientCohort::reset_latency() {
+  for (ClientStats& s : stats_) s.latency_seconds = Summary{};
+}
+
 void ClientCohort::start() {
   for (Port& p : ports_) p.addr = net_.attach(&p);
   for (int i = 0; i < size(); ++i) {
@@ -75,36 +89,10 @@ void ClientCohort::start() {
   }
 }
 
-void ClientCohort::arm(std::uint32_t idx, Kind kind, SimTime due) {
-  // One live timer per client: a new stamp supersedes whatever is in the
-  // wheel (stale entries fire into on_timer and fail the stamp compare).
-  const std::uint32_t stamp = ((stamps_[idx] >> 2) + 1) << 2 | kind;
-  stamps_[idx] = stamp;
-  wheel_.arm(idx, stamp, due);
-}
-
-void ClientCohort::disarm(std::uint32_t idx) {
-  stamps_[idx] = ((stamps_[idx] >> 2) + 1) << 2 | kThink;
-}
-
-void ClientCohort::on_timer(std::uint32_t idx, std::uint32_t stamp) {
-  if (stamp != stamps_[idx]) return;  // superseded
-  switch (stamp & 3u) {
-    case kThink:
-      begin_turn(idx);
-      break;
-    case kTimeout:
-      on_timeout(idx);
-      break;
-    case kRetry:
-      on_retry(idx);
-      break;
-    case kHedge:
-      on_hedge(idx);
-      break;
-    default:
-      assert(false);
-  }
+void ClientCohort::arm(std::uint32_t idx, SimTime due, Fire fire) {
+  timers_[idx].cancel();
+  timers_[idx] =
+      sim_.schedule_at(due, [this, idx, fire]() { (this->*fire)(idx); });
 }
 
 void ClientCohort::schedule_next(std::uint32_t idx) {
@@ -113,11 +101,11 @@ void ClientCohort::schedule_next(std::uint32_t idx) {
       workload_.next(client_id(static_cast<int>(idx)), sim_.now(),
                      rngs_[idx], &op);
   if (delay == kNever) {
-    disarm(idx);  // this client is done
+    timers_[idx].cancel();  // this client is done
     return;
   }
   pending_[idx] = std::move(op);
-  arm(idx, kThink, sim_.now() + delay);
+  arm(idx, sim_.now() + delay, &ClientCohort::begin_turn);
 }
 
 void ClientCohort::begin_turn(std::uint32_t idx) {
@@ -135,16 +123,17 @@ void ClientCohort::begin_turn(std::uint32_t idx) {
       return;
     }
   }
-  attempts_[idx] = 0;
   issue(idx);
 }
 
 MdsId ClientCohort::pick_mds(std::uint32_t idx, const Operation& op) {
   const StrategyTraits traits = traits_for(partition_.kind());
   if (!traits.client_computes_location) {
-    // GIGA+ routing, mirroring Client::pick_mds branch for branch (and
-    // draw for draw: this path consumes no RNG) so cohort and standalone
-    // clients stay in lockstep.
+    // GIGA+: if the op's governing directory has a cached split bitmap,
+    // route straight to the owning partition (possibly stale — the
+    // server answers mis-routes with a redirect and forwards). The
+    // giga_empty() guard keeps the common no-fragmentation path free of
+    // this block entirely, RNG draws included.
     if (!locs_[idx].giga_empty()) {
       const bool namespace_op = op.op == OpType::kCreate ||
                                 op.op == OpType::kMkdir ||
@@ -163,12 +152,14 @@ MdsId ClientCohort::pick_mds(std::uint32_t idx, const Operation& op) {
     }
     return locs_[idx].resolve(op.target, rngs_[idx], num_mds_);
   }
+  // Hash strategies: the client knows the placement function.
   const bool namespace_op = op.op == OpType::kCreate ||
                             op.op == OpType::kMkdir ||
                             op.op == OpType::kLink;
   if (namespace_op) {
     switch (partition_.kind()) {
       case StrategyKind::kDirHash:
+        // Dentries live with their directory.
         return partition_.authority_of(op.target) == kInvalidMds
                    ? 0
                    : static_cast<MdsId>(
@@ -189,8 +180,9 @@ void ClientCohort::issue(std::uint32_t idx) {
   auto msg = std::make_unique<ClientRequestMsg>();
   msg->req_id = next_req_[idx]++;
   msg->client = client_id(static_cast<int>(idx));
-  // Overload-admission context, as in Client::issue: stamped always,
-  // read by servers only when protection is on.
+  // Overload-admission context: retry number and the client-side
+  // deadline. Stamped unconditionally (pure field writes); servers only
+  // read them when overload protection is on.
   msg->attempt = attempts_[idx] < 255
                      ? static_cast<std::uint8_t>(attempts_[idx])
                      : 255;
@@ -198,9 +190,7 @@ void ClientCohort::issue(std::uint32_t idx) {
   inflight_[idx] = msg->req_id;
   issued_at_[idx] = sim_.now();
   if (!hedge_out_.empty()) hedge_out_[idx] = 0;
-  // Wheel-scope counter: every issue happens inside a bucket service
-  // (think or retry fire), so the bucket-end hook folds it into stats_.
-  ++pending_stats_.issued;
+  ++stats_[idx].ops_issued;
 
   if (remote_[idx] != 0) {
     // Cross-shard stat: the catalog entry names a remote MDS by global
@@ -230,11 +220,14 @@ void ClientCohort::issue(std::uint32_t idx) {
       if (attempts_[idx] == 0) {
         rec.begin(msg->req_id, msg->client, op.op, sim_.now());
       } else {
+        // Re-issue: the timeout + backoff gap is attributed to kStallWait
+        // and the old request instance loses the right to attribute.
         rec.rearm(msg->req_id, sim_.now());
       }
       msg->trace = &rec;
     }
-    // Retries distrust cached knowledge: spray somewhere random.
+    // Retries distrust cached knowledge: a silent node may be down or the
+    // partition may have moved on, so spray somewhere random and re-learn.
     const MdsId mds =
         attempts_[idx] == 0
             ? pick_mds(idx, op)
@@ -243,28 +236,27 @@ void ClientCohort::issue(std::uint32_t idx) {
     assert(mds >= 0 && mds < num_mds_);
     if (!primary_.empty()) primary_[idx] = mds;
     net_.send(addr(static_cast<int>(idx)), mds, std::move(msg));
-    // Hedge trigger, mirroring Client::issue: a warmed-up read-only first
-    // attempt arms the kHedge timer at the op class's ~p99 delay instead
-    // of the timeout. Remote turns never hedge (the backup pick is over
-    // *this* shard's nodes; the remote target is another shard's).
+    // Hedge trigger: a warmed-up read-only first attempt arms the hedge
+    // timer at the op class's ~p99 delay instead of the timeout. Remote
+    // turns never hedge (the backup pick is over *this* shard's nodes;
+    // the remote target is another shard's).
     if (hedge_.enabled && num_mds_ > 1 && hedge_eligible(op.op, attempts_[idx])) {
       const SimTime hd = hedge_ests_[idx].delay(op.op, hedge_,
                                                 retry_.request_timeout);
       if (hd > 0) {
-        arm(idx, kHedge, sim_.now() + hd);
+        arm(idx, sim_.now() + hd, &ClientCohort::on_hedge);
         return;
       }
     }
   }
-  arm(idx, kTimeout, sim_.now() + retry_.request_timeout);
+  arm(idx, sim_.now() + retry_.request_timeout, &ClientCohort::on_timeout);
 }
 
 void ClientCohort::on_hedge(std::uint32_t idx) {
-  if (inflight_[idx] == 0) return;  // raced with the reply
-  ++pending_stats_.hedged;
+  ++stats_[idx].hedges_fired;
   hedge_out_[idx] = 1;
-  // One backup copy, same req_id, as in Client::on_hedge_fire: the losing
-  // reply fails the req_id match and is discarded as stale. Never traced
+  // One backup copy, same req_id: whichever reply loses the race fails
+  // the req_id match in on_reply and is discarded as stale. Never traced
   // (two in-flight copies must not share one attribution record).
   const Operation& op = pending_[idx];
   auto msg = std::make_unique<ClientRequestMsg>();
@@ -283,33 +275,40 @@ void ClientCohort::on_hedge(std::uint32_t idx) {
   const MdsId backup = hedge_pick_backup(primary_[idx], num_mds_, rngs_[idx]);
   assert(backup >= 0 && backup < num_mds_ && backup != primary_[idx]);
   net_.send(addr(static_cast<int>(idx)), backup, std::move(msg));
-  // The retry clock keeps its original deadline.
-  arm(idx, kTimeout, issued_at_[idx] + retry_.request_timeout);
+  // The retry clock keeps its original deadline: arm the ordinary
+  // timeout for the remainder of the window.
+  arm(idx, issued_at_[idx] + retry_.request_timeout,
+      &ClientCohort::on_timeout);
 }
 
 void ClientCohort::give_up(std::uint32_t idx) {
   inflight_[idx] = 0;
   attempts_[idx] = 0;
-  ++pending_stats_.failed;  // reached only from timeout/retry fires
+  ++stats_[idx].ops_failed;
   schedule_next(idx);
 }
 
 void ClientCohort::on_timeout(std::uint32_t idx) {
-  ++pending_stats_.retries;
+  ++stats_[idx].retries;
   ++attempts_[idx];
   if (remote_[idx] == 0 && !tree_.alive(pending_[idx].target)) {
-    give_up(idx);
+    give_up(idx);  // target vanished while we were waiting
     return;
   }
-  // Retry budget, as in Client: dry budget fails the op fast.
+  // Retry budget: retries are throttled to a fraction of successes.
+  // A dry budget means the cluster is rejecting/timing out far faster
+  // than it serves — fail fast instead of feeding the storm.
   if (!budgets_[idx].try_spend(retry_.budget)) {
-    ++pending_stats_.suppressed;
+    ++stats_[idx].retries_suppressed;
     give_up(idx);
     return;
   }
-  // Exponential backoff with jitter in [d/2, d), as in Client.
+  // Exponential backoff with jitter: the whole herd stranded by a dead
+  // node times out together; spreading the re-issues over [d/2, d)
+  // keeps the survivors (and the node when it returns) from absorbing
+  // one synchronized stampede per timeout period.
   const SimTime delay = retry_backoff_delay(retry_, attempts_[idx], rngs_[idx]);
-  arm(idx, kRetry, sim_.now() + delay);
+  arm(idx, sim_.now() + delay, &ClientCohort::on_retry);
 }
 
 void ClientCohort::on_retry(std::uint32_t idx) {
@@ -320,83 +319,80 @@ void ClientCohort::on_retry(std::uint32_t idx) {
   issue(idx);
 }
 
-void ClientCohort::on_reply(std::uint32_t idx, NetAddr from, MessagePtr msg) {
-  (void)from;
+void ClientCohort::on_reply(std::uint32_t idx, MessagePtr msg) {
+  ClientStats& stats = stats_[idx];
   if (msg->type == MsgType::kGigaRedirect) {
-    // Reply-path context: stats_ updated directly, as in Client. A
-    // redirect for a *remote* turn names another shard's inode; like
-    // remote hints/epochs, it is never learned.
+    // Stale-bitmap correction for a mis-routed dentry op. The op itself
+    // is still in flight (the server forwarded it); just learn the fresh
+    // bitmap so the next op routes right. A redirect for a *remote* turn
+    // names another shard's inode; like remote hints and epochs, it is
+    // never learned.
     const auto& r = static_cast<GigaRedirectMsg&>(*msg);
-    ++stats_.giga_redirects;
+    ++stats.giga_redirects;
     if (remote_[idx] == 0) locs_[idx].learn_giga(r.dir, r.bitmap, r.home);
     return;
   }
   if (msg->type != MsgType::kClientReply) return;
   auto& reply = static_cast<ClientReplyMsg&>(*msg);
   if (reply.req_id != inflight_[idx]) {
-    ++stats_.stale_replies;
+    // Late reply to a retried request, or a network-duplicated reply to
+    // one already accepted: count and ignore (the op was settled once).
+    ++stats.stale_replies;
     return;
   }
   if (reply.rejected) {
-    // Overload rejection — mirror Client::on_message exactly (same
-    // counter order, same single RNG draw) so the two implementations
-    // stay in retry lockstep. Reply-path context: stats_ is updated
-    // directly, never through the wheel-scope pending counters.
-    ++stats_.rejected_replies;
+    // Overload rejection: the request never entered a queue. Honor the
+    // server's retry_after (plus jitter) if the budget allows a retry;
+    // otherwise fail fast. Mirrors the timeout path's bookkeeping but
+    // comes back much sooner than a full request timeout.
+    ++stats.rejected_replies;
     ++attempts_[idx];
     if (!hedge_out_.empty()) hedge_out_[idx] = 0;
     if (remote_[idx] == 0 && !tree_.alive(pending_[idx].target)) {
-      inflight_[idx] = 0;
-      attempts_[idx] = 0;
-      ++stats_.ops_failed;
-      schedule_next(idx);
+      give_up(idx);
       return;
     }
     if (!budgets_[idx].try_spend(retry_.budget)) {
-      ++stats_.retries_suppressed;
-      inflight_[idx] = 0;
-      attempts_[idx] = 0;
-      ++stats_.ops_failed;
-      schedule_next(idx);
+      ++stats.retries_suppressed;
+      give_up(idx);
       return;
     }
     const SimTime delay = rejected_retry_delay(reply.retry_after, rngs_[idx]);
-    // Mark idle so a duplicate of this rejection lands in the stale
-    // branch; the kRetry arm supersedes the pending timeout's stamp.
+    // Mark idle: a duplicate of this rejection (or a late reply to the
+    // shed request) must land in the stale branch, not re-arm a retry.
     inflight_[idx] = 0;
-    arm(idx, kRetry, sim_.now() + delay);
+    arm(idx, sim_.now() + delay, &ClientCohort::on_retry);
     return;
   }
   inflight_[idx] = 0;
   attempts_[idx] = 0;
-  // No timer cancellation needed: schedule_next below supersedes the
-  // pending timeout's stamp (via arm or disarm).
   if (!hedge_out_.empty() && hedge_out_[idx] != 0) {
-    // Two copies were racing; the `hedge` echo says which one settled the
-    // op (the loser lands in stale_replies). Reply-path context: stats_
-    // directly, as with the other reply counters.
+    // Two copies were racing; the `hedge` echo on the reply says which
+    // one settled the op. The loser's reply (if it ever arrives) fails
+    // the req_id match above and lands in stale_replies.
     if (reply.hedge != 0) {
-      ++stats_.hedge_wins;
+      ++stats.hedge_wins;
     } else {
-      ++stats_.wasted_hedges;
+      ++stats.wasted_hedges;
     }
     hedge_out_[idx] = 0;
   }
 
-  ++stats_.ops_completed;
+  ++stats.ops_completed;
   if (reply.success) {
-    ++stats_.ops_ok;
+    ++stats.ops_ok;
     budgets_[idx].earn(retry_.budget);
-    // Feed the tail estimator, as in Client (local turns only: a remote
-    // turn's latency describes another shard's cluster).
+    // Feed the tail estimator (integer-only, no RNG; a pure no-op for
+    // the hedge decision until the class reaches min_samples). Local
+    // turns only: a remote turn's latency describes another shard.
     if (hedge_.enabled && remote_[idx] == 0) {
       hedge_ests_[idx].observe(pending_[idx].op, sim_.now() - issued_at_[idx]);
     }
   } else {
-    ++stats_.ops_failed;
+    ++stats.ops_failed;
   }
-  if (reply.hops > 0) ++stats_.forwarded_replies;
-  stats_.latency_seconds.add(to_seconds(sim_.now() - issued_at_[idx]));
+  if (reply.hops > 0) ++stats.forwarded_replies;
+  stats.latency_seconds.add(to_seconds(sim_.now() - issued_at_[idx]));
   if (remote_[idx] == 0) {
     if (tracer_ != nullptr) {
       TraceRecord& rec = trace_recs_[idx];
@@ -419,6 +415,7 @@ void ClientCohort::on_reply(std::uint32_t idx, NetAddr from, MessagePtr msg) {
   // and partition map — both are meaningless against ours, so neither is
   // learned (inode ids collide across shard trees).
 
+  // The next think timer supersedes (cancels) the pending timeout.
   schedule_next(idx);
 }
 

@@ -1,19 +1,24 @@
-// Dense client population: struct-of-arrays cohort.
+// Simulated file-system clients, held as one dense cohort.
 //
-// The per-client `Client` object costs a heap allocation, a private event
-// per pending timer in the engine's global heap, and scattered state that
-// thrashes caches once populations reach the tens of thousands. A
-// ClientCohort holds the *same* closed-loop protocol (think → issue →
-// reply | timeout → backoff → retry) as parallel arrays indexed by a dense
-// client index, and replaces per-client heap events with a single shared
-// TimerWheel: each client has at most one live timer (closed-loop
-// invariant), identified by a (kind, generation) stamp so superseded
-// timers are dropped with one compare when they fire.
+// Clients are closed-loop: issue a metadata request, wait for the reply,
+// think, repeat (the workload generator controls both the op stream and
+// the pacing). For the subtree strategies, request routing uses each
+// client's location cache (initial ignorance + learned hints); for the
+// hashed strategies the client computes the authority directly, as those
+// systems allow ("clients can locate and contact the responsible MDS
+// directly", section 3.1.2).
 //
-// Each client still owns a real network address — a per-client Port
-// endpoint attaches to the Network — so MDS-side per-address logic
-// (reply routing, update dedup) sees exactly the shape it expects, and
-// request ids remain a plain per-client sequence.
+// The population is a struct-of-arrays indexed by a dense client index,
+// and both engines drive it. A client has at most one live timer at a time
+// (think, request timeout, retry backoff or hedge trigger: the closed-loop
+// invariant), and that timer is an exact engine event. Arming a client's
+// timer cancels the one it supersedes, so the event heap holds only live
+// timers.
+//
+// Each client owns a real network address — a per-client Port endpoint
+// attaches to the Network — so MDS-side per-address logic (reply routing,
+// update dedup) sees exactly the shape it expects, and request ids remain
+// a plain per-client sequence.
 //
 // In a sharded cluster the cohort also drives cross-shard traffic: a
 // catalog of remote targets (global MDS address, inode, owning uid) is
@@ -27,18 +32,40 @@
 #include <cstdint>
 #include <vector>
 
-#include "client/client.h"  // ClientStats
+#include "client/hedge_policy.h"
 #include "client/location_cache.h"
+#include "client/retry_policy.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/trace.h"
 #include "common/types.h"
 #include "mds/dirfrag.h"
 #include "net/network.h"
-#include "sim/timer_wheel.h"
+#include "sim/simulation.h"
 #include "strategy/partition.h"
 #include "workload/workload.h"
 
 namespace mdsim {
+
+struct ClientStats {
+  std::uint64_t ops_issued = 0;
+  std::uint64_t ops_completed = 0;
+  std::uint64_t ops_ok = 0;       // completed with success (goodput)
+  std::uint64_t ops_failed = 0;
+  std::uint64_t forwarded_replies = 0;  // replies that took >0 MDS hops
+  std::uint64_t retries = 0;            // timeouts (e.g. a failed MDS)
+  std::uint64_t stale_replies = 0;      // late/duplicate replies ignored
+  std::uint64_t rejected_replies = 0;   // overload Rejected{retry_after}
+  std::uint64_t retries_suppressed = 0; // retry budget dry: failed fast
+  std::uint64_t giga_redirects = 0;     // stale-bitmap corrections received
+  std::uint64_t hedges_fired = 0;       // backup requests sent
+  std::uint64_t hedge_wins = 0;         // ops settled by the backup copy
+  std::uint64_t wasted_hedges = 0;      // primary won after a hedge fired
+  Summary latency_seconds;
+
+  /// Add `o`'s counters and merge its latency summary.
+  ClientStats& operator+=(const ClientStats& o);
+};
 
 class ClientCohort {
  public:
@@ -49,6 +76,15 @@ class ClientCohort {
     std::uint32_t uid = 0;
   };
 
+  /// One client of the cohort, addressed by index.
+  struct Member {
+    const ClientCohort* cohort;
+    std::size_t idx;
+    const ClientStats& stats() const { return cohort->stats_[idx]; }
+  };
+
+  /// Clients `first_id` .. `first_id + count - 1`; client `id` draws from
+  /// Rng(seed, 0xc11e47000 + id).
   ClientCohort(Simulation& sim, Network& net, FsTree& tree,
                Workload& workload, const Partitioner& partition,
                const DirFragRegistry& dirfrag, int count, ClientId first_id,
@@ -62,22 +98,33 @@ class ClientCohort {
     return first_id_ + static_cast<ClientId>(idx);
   }
   NetAddr addr(int idx) const { return ports_[static_cast<std::size_t>(idx)].addr; }
+  Member client(int idx) const {
+    return {this, static_cast<std::size_t>(idx)};
+  }
 
   void set_uid(int idx, std::uint32_t uid) {
     uids_[static_cast<std::size_t>(idx)] = uid;
   }
-  /// Retry policy (timeout, backoff, budget) for every client in the
-  /// cohort; mirrors Client::set_retry_policy.
+
+  /// Retry policy: request timeout, exponential-backoff knobs, retry
+  /// budget. Unanswered requests are re-issued after the timeout (to a
+  /// random node, bypassing possibly-stale location knowledge) with
+  /// exponential backoff (base << attempt, capped) and deterministic
+  /// jitter in [d/2, d), so a crowd of clients stranded by a dead node
+  /// doesn't re-stampede it in lockstep on recovery. The rng is only
+  /// consulted on retries: healthy runs draw nothing.
   void set_retry_policy(const ClientRetryParams& p) {
     retry_ = p;
     for (RetryBudget& b : budgets_) b.init(p.budget);
   }
-  const ClientRetryParams& retry_policy() const { return retry_; }
 
-  /// Hedged reads for every client in the cohort; mirrors
-  /// Client::set_hedge_policy (same estimator, same trigger, same single
-  /// backup-pick draw). Per-client hedge arrays are allocated only when
-  /// the policy is enabled — disabled cohorts carry no extra state.
+  /// Hedged reads (hedge_policy.h): once an op class's tail estimator is
+  /// warm, a read-only first attempt that has not been answered after the
+  /// class's ~p99 delay fires one backup copy (same req_id) at a
+  /// different node; first reply wins, the loser is discarded as stale.
+  /// Off by default: the issue path arms the ordinary timeout and draws
+  /// no randomness. Per-client hedge arrays are allocated only when the
+  /// policy is enabled.
   void set_hedge_policy(const HedgeParams& p) {
     hedge_ = p;
     if (hedge_.enabled) {
@@ -86,53 +133,46 @@ class ClientCohort {
       primary_.assign(ports_.size(), 0);
     }
   }
-  const HedgeParams& hedge_policy() const { return hedge_; }
-  /// Estimator peek (tests): client idx's tail estimate for an op class.
-  SimTime hedge_estimate(int idx, OpType op) const {
-    return hedge_ests_.empty()
-               ? 0
-               : hedge_ests_[static_cast<std::size_t>(idx)]
-                     .q[static_cast<std::size_t>(op)];
-  }
+
+  /// Enable per-request tracing: each issued op carries a pointer to its
+  /// client's TraceRecord (a closed-loop client has exactly one op in
+  /// flight, so one reusable record each suffices) and completed ops are
+  /// ingested by the collector. Null (the default) disables tracing.
   void set_tracer(TraceCollector* tracer);
 
   /// Install cross-shard targets; each think-turn goes remote with
   /// probability `fraction` (when the catalog is non-empty).
   void set_remote_catalog(std::vector<RemoteTarget> catalog, double fraction);
 
-  /// Aggregate over every client in the cohort.
-  const ClientStats& stats() const { return stats_; }
-  ClientStats& stats() { return stats_; }
+  /// Every client's row summed, latency summaries merged in index order.
+  ClientStats totals() const;
+  /// Zero every client's latency summary (the warm-up reset).
+  void reset_latency();
   std::uint64_t remote_ops_issued() const { return remote_issued_; }
-  const TimerWheel& wheel() const { return wheel_; }
 
  private:
-  /// Timer kinds, encoded in the low bits of the wheel stamp.
-  enum Kind : std::uint32_t { kThink = 0, kTimeout = 1, kRetry = 2, kHedge = 3 };
-
   struct Port final : NetEndpoint {
     ClientCohort* cohort = nullptr;
     std::uint32_t idx = 0;
     NetAddr addr = kInvalidAddr;
-    void on_message(NetAddr from, MessagePtr msg) override {
-      cohort->on_reply(idx, from, std::move(msg));
+    void on_message(NetAddr, MessagePtr msg) override {
+      cohort->on_reply(idx, std::move(msg));
     }
   };
+  using Fire = void (ClientCohort::*)(std::uint32_t);
 
-  void on_timer(std::uint32_t idx, std::uint32_t stamp);
-  void on_reply(std::uint32_t idx, NetAddr from, MessagePtr msg);
+  void on_reply(std::uint32_t idx, MessagePtr msg);
   void schedule_next(std::uint32_t idx);
   void begin_turn(std::uint32_t idx);
   void issue(std::uint32_t idx);
   void on_timeout(std::uint32_t idx);
   void on_retry(std::uint32_t idx);
   void on_hedge(std::uint32_t idx);
+  /// Settle the in-flight op as failed and move on to the next one.
   void give_up(std::uint32_t idx);
   MdsId pick_mds(std::uint32_t idx, const Operation& op);
-  /// Arm this client's one live timer (superseding any previous one).
-  void arm(std::uint32_t idx, Kind kind, SimTime due);
-  /// Invalidate the live timer without arming a new one.
-  void disarm(std::uint32_t idx);
+  /// Arm this client's one live timer, cancelling the one it supersedes.
+  void arm(std::uint32_t idx, SimTime due, Fire fire);
 
   Simulation& sim_;
   Network& net_;
@@ -145,22 +185,26 @@ class ClientCohort {
   ClientRetryParams retry_;
   TraceCollector* tracer_ = nullptr;
 
-  TimerWheel wheel_;
   std::vector<Port> ports_;
 
   // Parallel per-client arrays, indexed by dense cohort index.
   std::vector<std::uint32_t> uids_;
-  std::vector<Rng> rngs_;             // substream(i) of the cohort seed
+  std::vector<Rng> rngs_;
+  std::vector<ClientStats> stats_;
+  std::vector<EventHandle> timers_;      // the one live timer
   std::vector<std::uint64_t> next_req_;
   std::vector<std::uint64_t> inflight_;  // req id, 0 = idle
   std::vector<SimTime> issued_at_;
   std::vector<std::int32_t> attempts_;
-  std::vector<std::uint32_t> stamps_;    // current valid wheel stamp
+  /// Highest partition-map epoch seen in replies. A jump means the
+  /// cluster reconfigured (takeover or partition heal): learned locations
+  /// may point at superseded authorities, so the cache is flushed.
+  /// Starts at 1 — healthy runs never see a jump and never flush.
   std::vector<std::uint64_t> last_epoch_;
-  std::vector<Operation> pending_;
+  std::vector<Operation> pending_;       // next op, then the in-flight one
   std::vector<std::uint8_t> remote_;     // this turn targets another shard
   std::vector<std::uint32_t> remote_idx_;  // catalog index when remote
-  std::vector<RetryBudget> budgets_;     // per-client retry budgets
+  std::vector<RetryBudget> budgets_;
   std::vector<LocationCache> locs_;
   std::vector<TraceRecord> trace_recs_;  // sized when a tracer is set
 
@@ -173,28 +217,6 @@ class ClientCohort {
   std::vector<RemoteTarget> catalog_;
   double remote_fraction_ = 0.0;
   std::uint64_t remote_issued_ = 0;
-
-  ClientStats stats_;
-  /// Turn counters accumulated during one wheel-bucket service and folded
-  /// into stats_ by the bucket-end hook: one stats update per bucket, not
-  /// one per timer. Reply-path counters (completions, latency) are driven
-  /// by network delivery, not the wheel, and update stats_ directly.
-  struct PendingTurnStats {
-    std::uint32_t issued = 0;
-    std::uint32_t retries = 0;
-    std::uint32_t failed = 0;
-    std::uint32_t suppressed = 0;  // budget-denied timeout retries
-    std::uint32_t hedged = 0;      // backup requests sent (hedge fires)
-  };
-  PendingTurnStats pending_stats_;
-  void flush_turn_stats() {
-    stats_.ops_issued += pending_stats_.issued;
-    stats_.retries += pending_stats_.retries;
-    stats_.ops_failed += pending_stats_.failed;
-    stats_.retries_suppressed += pending_stats_.suppressed;
-    stats_.hedges_fired += pending_stats_.hedged;
-    pending_stats_ = PendingTurnStats{};
-  }
 };
 
 }  // namespace mdsim

@@ -1,10 +1,9 @@
 // Client-side hedged reads: knobs, the adaptive per-op-class tail
 // estimator, and the hedge trigger/target computations.
 //
-// Like retry_policy.h, everything both the standalone Client and the SoA
-// Cohort need lives here in one place so the two implementations cannot
-// drift (test_hedge_parity asserts they stay in lockstep). The protocol:
-// after issuing a read-only op, the client arms a hedge timer at an
+// Like retry_policy.h, this holds the protocol's math; the client cohort
+// (client/cohort.h) drives it, and test_hedge_parity pins its races and
+// timing. The protocol: after issuing a read-only op, the client arms a hedge timer at an
 // adaptive delay tracking that op class's ~p99 latency (NOT the fixed
 // request_timeout — the whole point is to fire while the op is merely
 // slow, long before it is presumed lost). If the primary has not answered
@@ -42,7 +41,7 @@ struct HedgeParams {
 /// by q/16 when a sample exceeds it and down by q/2048 otherwise, so at
 /// equilibrium P(sample > q) ≈ (1/2048)/(1/16 + 1/2048) ≈ 0.008 — q sits
 /// near the class's p99. Integer-only, no RNG, no allocations: identical
-/// across Client and Cohort and across thread counts by construction.
+/// across thread counts by construction.
 struct HedgeEstimator {
   SimTime q[kNumOpTypes] = {};
   std::uint32_t n[kNumOpTypes] = {};
@@ -75,9 +74,8 @@ struct HedgeEstimator {
   }
 };
 
-/// Backup-target pick: uniform over the other nodes. Exactly one RNG draw
-/// — Client and Cohort must call this in identical situations to keep
-/// their streams aligned. (The backup may itself forward to the slow
+/// Backup-target pick: uniform over the other nodes. Exactly one RNG draw.
+/// (The backup may itself forward to the slow
 /// authority; that is fine — first reply wins either way, and a replica
 /// holder answers locally.)
 inline MdsId hedge_pick_backup(MdsId primary, int num_mds, Rng& rng) {

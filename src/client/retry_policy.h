@@ -1,12 +1,12 @@
 // Client-side retry policy: timeout/backoff knobs, the shared backoff
 // computation, and the per-client retry budget.
 //
-// Both the standalone Client and the SoA Cohort implement the same retry
-// protocol; the timeout, backoff, and jitter math lives here so the two
-// cannot drift (test_retry_parity asserts they stay in lockstep). The
-// budget implements gRPC-style retry throttling: successes earn fractional
-// tokens, each retry spends a whole one, and a dry budget fails the
-// operation fast instead of feeding a retry storm.
+// The client cohort (client/cohort.h) implements the retry protocol with
+// the timeout, backoff, and jitter math kept here (test_retry_parity pins
+// the resulting attempt patterns and pacing). The budget implements
+// gRPC-style retry throttling: successes earn fractional tokens, each
+// retry spends a whole one, and a dry budget fails the operation fast
+// instead of feeding a retry storm.
 #pragma once
 
 #include <algorithm>
@@ -30,7 +30,7 @@ struct RetryBudgetParams {
 };
 
 /// All client retry knobs, plumbed from SimConfig / MdsParams so benches
-/// can sweep them (previously hard-coded in client.h / cohort.h).
+/// can sweep them.
 struct ClientRetryParams {
   SimTime request_timeout = 5 * kSecond;
   SimTime backoff_base = 250 * kMillisecond;
@@ -40,8 +40,7 @@ struct ClientRetryParams {
 
 /// Backoff before retry number `attempts` (1-based): exponential in the
 /// attempt count, capped, with ±50% decorrelating jitter. Exactly one RNG
-/// draw — Client and Cohort must call this in identical situations to
-/// keep their streams aligned.
+/// draw.
 inline SimTime retry_backoff_delay(const ClientRetryParams& p, int attempts,
                                    Rng& rng) {
   const int shift = attempts - 1 < 6 ? attempts - 1 : 6;
@@ -60,7 +59,7 @@ inline SimTime rejected_retry_delay(SimTime retry_after, Rng& rng) {
 }
 
 /// Per-client retry budget. Pure arithmetic, no RNG, no time — identical
-/// across Client and Cohort and across thread counts by construction.
+/// across thread counts by construction.
 struct RetryBudget {
   double tokens = 0.0;
 

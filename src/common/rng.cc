@@ -20,18 +20,6 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-Rng Rng::substream(std::uint64_t stream) const {
-  // Fold the four state words into one fingerprint (SplitMix-style, no
-  // draws consumed), then expand exactly like the (seed, stream) ctor.
-  // Chaining each word through a full SplitMix64 step decorrelates the
-  // fingerprint from the raw xoshiro words, so substreams of nearby
-  // parent states (or sequential ids) do not start in nearby states.
-  std::uint64_t fp = SplitMix64(s_[0]).next() ^ s_[1];
-  fp = SplitMix64(fp).next() ^ s_[2];
-  fp = SplitMix64(fp).next() ^ s_[3];
-  return Rng(fp, stream);
-}
-
 std::uint64_t Rng::next() {
   const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
   const std::uint64_t t = s_[1] << 17;

@@ -36,15 +36,6 @@ class Rng {
   /// Derive an independent stream: seed ⊕ stream id through SplitMix64.
   Rng(std::uint64_t seed, std::uint64_t stream);
 
-  /// Derive an independent generator keyed by `stream` from this
-  /// generator's *current* state, consuming no draws (const: the parent's
-  /// future output is unchanged). Cheap — a few SplitMix64 steps — so
-  /// dense client cohorts can materialize a per-client generator per
-  /// event instead of storing 40 bytes of xoshiro state per client:
-  /// substream(i) for fixed state is deterministic, and distinct ids (or
-  /// distinct parent states) give statistically independent streams.
-  Rng substream(std::uint64_t stream) const;
-
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ULL; }
 

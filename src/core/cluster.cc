@@ -151,38 +151,22 @@ void ClusterSim::build() {
   const auto uid_of = [users = fs.num_users](ClientId c) {
     return 100 + static_cast<std::uint32_t>(c % users);
   };
-  std::vector<ClientStats*> client_stats;
-  if (slice_.link == nullptr) {
-    clients_.reserve(static_cast<std::size_t>(num_clients_));
-    for (ClientId c = 0; c < num_clients_; ++c) {
-      clients_.push_back(std::make_unique<Client>(
-          sim_, *net_, tree_, *workload_, *partition_, *dirfrag_, c, num_mds_,
-          config_.seed));
-      Client& client = *clients_.back();
-      if (fs.num_users > 0) client.set_uid(uid_of(c));
-      client.set_retry_policy(config_.client_retry);
-      client.set_hedge_policy(config_.hedge);
-      client.set_tracer(tracer_.get());
-      client_stats.push_back(&client.stats());
-    }
-  } else {
-    cohort_ = std::make_unique<ClientCohort>(
-        sim_, *net_, tree_, *workload_, *partition_, *dirfrag_, num_clients_,
-        slice_.first_client, num_mds_, config_.seed);
+  cohort_ = std::make_unique<ClientCohort>(
+      sim_, *net_, tree_, *workload_, *partition_, *dirfrag_, num_clients_,
+      slice_.first_client, num_mds_, config_.seed);
+  if (fs.num_users > 0) {
     for (int c = 0; c < num_clients_; ++c) {
       cohort_->set_uid(c, uid_of(slice_.first_client + c));
     }
-    cohort_->set_retry_policy(config_.client_retry);
-    cohort_->set_hedge_policy(config_.hedge);
-    cohort_->set_tracer(tracer_.get());
-    client_stats.push_back(&cohort_->stats());
   }
+  cohort_->set_retry_policy(config_.client_retry);
+  cohort_->set_hedge_policy(config_.hedge);
+  cohort_->set_tracer(tracer_.get());
 
   // --- metrics -------------------------------------------------------------
   std::vector<MdsNode*> node_ptrs;
   for (auto& n : mds_nodes_) node_ptrs.push_back(n.get());
-  metrics_ = std::make_unique<Metrics>(std::move(node_ptrs),
-                                       std::move(client_stats), &sim_);
+  metrics_ = std::make_unique<Metrics>(std::move(node_ptrs), *cohort_, &sim_);
   metrics_->set_fault_log(&fault_log_);
   metrics_->set_trace(tracer_.get());
 }
@@ -191,8 +175,7 @@ void ClusterSim::start() {
   build();
   if (started_) return;
   started_ = true;
-  if (cohort_) cohort_->start();
-  for (auto& c : clients_) c->start();
+  cohort_->start();
   sim_.every(config_.sample_period, config_.sample_period, [this]() {
     metrics_->sample(sim_.now());
     return true;

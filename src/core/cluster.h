@@ -13,7 +13,6 @@
 #include <memory>
 #include <vector>
 
-#include "client/client.h"
 #include "client/cohort.h"
 #include "common/fault_log.h"
 #include "core/config.h"
@@ -41,8 +40,7 @@ class ClusterSim {
   /// per-shard value derives from the slice: the namespace's users and
   /// seed, the network seed, the MDS count and cache capacity, the
   /// flash-crowd target, and the client count and uids. Shard 0 of 1
-  /// derives the standalone values; only the client population differs
-  /// (a ClientCohort rather than one Client per client).
+  /// derives the standalone values.
   ClusterSim(SimConfig config, Simulation& engine, const ShardSlice& slice);
   ~ClusterSim();
   ClusterSim(const ClusterSim&) = delete;
@@ -98,12 +96,11 @@ class ClusterSim {
 
   MdsNode& mds(int i) { return *mds_nodes_[static_cast<std::size_t>(i)]; }
   int num_mds() const { return num_mds_; }
-  /// Per-client objects exist on the standalone engine only; a shard's
-  /// clients live in its cohort().
-  Client& client(int i) { return *clients_[static_cast<std::size_t>(i)]; }
+  /// Client i of this unit's cohort (`client(i).stats()`).
+  ClientCohort::Member client(int i) const { return cohort_->client(i); }
   int num_clients() const { return num_clients_; }
-  /// The shard's client population (null when standalone).
-  ClientCohort* cohort() { return cohort_.get(); }
+  /// The unit's client population.
+  ClientCohort& cohort() { return *cohort_; }
 
   Metrics& metrics() { return *metrics_; }
   /// Per-request trace collector; null unless config.trace.enabled.
@@ -134,7 +131,6 @@ class ClusterSim {
   std::unique_ptr<ClusterContext> ctx_;
   std::vector<std::unique_ptr<MdsNode>> mds_nodes_;
   std::unique_ptr<Workload> workload_;
-  std::vector<std::unique_ptr<Client>> clients_;
   std::unique_ptr<ClientCohort> cohort_;
   std::unique_ptr<Metrics> metrics_;
   std::unique_ptr<TraceCollector> tracer_;

@@ -3,14 +3,14 @@
 #include <algorithm>
 #include <limits>
 
-#include "client/client.h"
+#include "client/cohort.h"
 #include "mds/mds_node.h"
 
 namespace mdsim {
 
-Metrics::Metrics(std::vector<MdsNode*> nodes,
-                 std::vector<ClientStats*> clients, const Simulation* sim)
-    : nodes_(std::move(nodes)), clients_(std::move(clients)), sim_(sim) {
+Metrics::Metrics(std::vector<MdsNode*> nodes, ClientCohort& clients,
+                 const Simulation* sim)
+    : nodes_(std::move(nodes)), clients_(clients), sim_(sim) {
   mds_tput_.resize(nodes_.size());
   mds_health_.resize(nodes_.size());
   base_.assign(nodes_.size(), Totals{});
@@ -88,7 +88,7 @@ void Metrics::reset(SimTime now) {
     s.shed_rate.sample(now);
     nodes_[i]->reset_cpu_depth_stats(now);
   }
-  for (ClientStats* c : clients_) c->latency_seconds = Summary{};
+  clients_.reset_latency();
   // Warmup traces are dropped together with the latency Summaries they
   // reconcile against.
   if (trace_ != nullptr) trace_->reset();
@@ -161,27 +161,7 @@ double Metrics::overall_forward_fraction() const {
 }
 
 Summary Metrics::client_latency() const {
-  Summary s;
-  for (const ClientStats* c : clients_) s.merge(c->latency_seconds);
-  return s;
-}
-
-std::uint64_t Metrics::total_hedges_fired() const {
-  std::uint64_t total = 0;
-  for (const ClientStats* c : clients_) total += c->hedges_fired;
-  return total;
-}
-
-std::uint64_t Metrics::total_hedge_wins() const {
-  std::uint64_t total = 0;
-  for (const ClientStats* c : clients_) total += c->hedge_wins;
-  return total;
-}
-
-std::uint64_t Metrics::total_wasted_hedges() const {
-  std::uint64_t total = 0;
-  for (const ClientStats* c : clients_) total += c->wasted_hedges;
-  return total;
+  return clients_.totals().latency_seconds;
 }
 
 std::uint64_t Metrics::total_replies() const { return totals().replies; }

@@ -14,14 +14,12 @@
 
 namespace mdsim {
 
+class ClientCohort;
 class MdsNode;
-struct ClientStats;
 
 class Metrics {
  public:
-  /// `clients` holds one ClientStats per client on the single engine, or
-  /// the one aggregate ClientStats of a shard's client cohort.
-  Metrics(std::vector<MdsNode*> nodes, std::vector<ClientStats*> clients,
+  Metrics(std::vector<MdsNode*> nodes, ClientCohort& clients,
           const Simulation* sim = nullptr);
 
   /// Take one sample (called by the cluster on its sampling cadence).
@@ -85,11 +83,6 @@ class Metrics {
   Summary client_latency() const;
   std::uint64_t total_replies() const;
   std::uint64_t total_failures() const;
-  /// Hedged-read counters summed over clients since their last reset
-  /// (all zero with hedging off).
-  std::uint64_t total_hedges_fired() const;
-  std::uint64_t total_hedge_wins() const;
-  std::uint64_t total_wasted_hedges() const;
   /// Requests shed at admission (queue bound + token bucket + deadline)
   /// and explicit rejection replies sent, since the last reset.
   std::uint64_t total_sheds() const;
@@ -159,7 +152,7 @@ class Metrics {
   }
 
   std::vector<MdsNode*> nodes_;
-  std::vector<ClientStats*> clients_;
+  ClientCohort& clients_;
   const Simulation* sim_ = nullptr;
   const FaultLog* faults_ = nullptr;
   TraceCollector* trace_ = nullptr;

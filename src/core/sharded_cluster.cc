@@ -64,7 +64,7 @@ void ShardedClusterSim::build_catalogs() {
             node->inode().perms.uid});
       }
     }
-    shard(s).cohort()->set_remote_catalog(std::move(catalog),
+    shard(s).cohort().set_remote_catalog(std::move(catalog),
                                           config_.shard_remote_fraction);
   }
 }
@@ -102,7 +102,7 @@ int ShardedClusterSim::total_clients() const {
 
 std::uint64_t ShardedClusterSim::remote_ops() const {
   std::uint64_t n = 0;
-  for (const auto& sh : shards_) n += sh->cohort()->remote_ops_issued();
+  for (const auto& sh : shards_) n += sh->cohort().remote_ops_issued();
   return n;
 }
 

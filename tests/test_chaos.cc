@@ -116,16 +116,10 @@ TEST_P(ChaosSweep, ScriptedFaultsNeverCorruptState) {
   // every issued op either completed or failed — none vanished.
   const auto& fc = cluster.network().fault_counters();
   EXPECT_GT(fc.dropped + fc.duplicated + fc.spiked, 0u);
-  std::uint64_t issued = 0, completed = 0, failed = 0;
-  for (int c = 0; c < cluster.num_clients(); ++c) {
-    const ClientStats& s = cluster.client(c).stats();
-    issued += s.ops_issued;
-    completed += s.ops_completed;
-    failed += s.ops_failed;
-  }
-  EXPECT_GT(completed, 0u);
-  EXPECT_LE(completed, issued);
-  EXPECT_LE(failed, issued);
+  const ClientStats s = cluster.cohort().totals();
+  EXPECT_GT(s.ops_completed, 0u);
+  EXPECT_LE(s.ops_completed, s.ops_issued);
+  EXPECT_LE(s.ops_failed, s.ops_issued);
   // Post-recovery the cluster still serves at a healthy clip.
   EXPECT_GT(cluster.metrics().avg_throughput().mean_in(26 * kSecond,
                                                        30 * kSecond),
@@ -202,19 +196,11 @@ TEST(Chaos, SameSeedRandomizedPlanIsBitForBitReproducible) {
     FaultPlan::randomize(11, cfg.num_mds, cfg.duration).arm(cluster);
     cluster.run_until(cfg.duration);
 
-    std::uint64_t completed = 0, failed = 0, retries = 0, stale = 0,
-                  hedges = 0;
-    for (int c = 0; c < cluster.num_clients(); ++c) {
-      const ClientStats& s = cluster.client(c).stats();
-      completed += s.ops_completed;
-      failed += s.ops_failed;
-      retries += s.retries;
-      stale += s.stale_replies;
-      hedges += s.hedges_fired;
-    }
+    const ClientStats s = cluster.cohort().totals();
     const auto& fc = cluster.network().fault_counters();
     return std::make_tuple(
-        completed, failed, retries, stale, hedges, fc.dropped,
+        s.ops_completed, s.ops_failed, s.retries, s.stale_replies,
+        s.hedges_fired, fc.dropped,
         fc.duplicated, fc.spiked, fc.degrade_dropped,
         cluster.fault_log().gray_incidents().size(),
         cluster.fault_log().gray_degraded_seconds(cfg.duration),
@@ -236,17 +222,11 @@ TEST(Chaos, SameSeedSamePlanIsBitForBitReproducible) {
     for (const auto& p : cluster.metrics().avg_throughput().points()) {
       tput.push_back(p.value);
     }
-    std::uint64_t completed = 0, failed = 0, retries = 0, stale = 0;
-    for (int c = 0; c < cluster.num_clients(); ++c) {
-      const ClientStats& s = cluster.client(c).stats();
-      completed += s.ops_completed;
-      failed += s.ops_failed;
-      retries += s.retries;
-      stale += s.stale_replies;
-    }
+    const ClientStats s = cluster.cohort().totals();
     const auto& fc = cluster.network().fault_counters();
     return std::make_tuple(
-        tput, completed, failed, retries, stale, fc.dropped, fc.duplicated,
+        tput, s.ops_completed, s.ops_failed, s.retries, s.stale_replies,
+        fc.dropped, fc.duplicated,
         fc.spiked, cluster.metrics().detection_latency_seconds().mean(),
         cluster.metrics().recovery_time_seconds().mean(),
         cluster.metrics().total_replies());

@@ -236,20 +236,13 @@ TEST(GrayZeroCost, InertLayerIsByteIdenticalToDisabled) {
     for (const auto& p : cluster.metrics().avg_throughput().points()) {
       tput.push_back(p.value);
     }
-    std::uint64_t issued = 0, ok = 0, retries = 0, stale = 0, hedges = 0;
-    for (int c = 0; c < cluster.num_clients(); ++c) {
-      const ClientStats& s = cluster.client(c).stats();
-      issued += s.ops_issued;
-      ok += s.ops_ok;
-      retries += s.retries;
-      stale += s.stale_replies;
-      hedges += s.hedges_fired;
-    }
+    const ClientStats s = cluster.cohort().totals();
     std::uint64_t migrations = 0;
     for (int i = 0; i < cluster.num_mds(); ++i) {
       migrations += cluster.mds(i).stats().migrations_out;
     }
-    return std::make_tuple(tput, issued, ok, retries, stale, hedges,
+    return std::make_tuple(tput, s.ops_issued, s.ops_ok, s.retries,
+                           s.stale_replies, s.hedges_fired,
                            migrations, cluster.metrics().total_replies(),
                            cluster.network().total_messages());
   };

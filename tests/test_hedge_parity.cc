@@ -1,9 +1,7 @@
-// Hedge parity: the standalone Client and the SoA ClientCohort implement
-// one hedged-read protocol (client/hedge_policy.h). Against identical
-// scripted servers — a slow primary with a slower backup, a slow primary
-// with a fast backup — a cohort of one must fire the same hedges, settle
-// each race the same way, and discard the loser's reply as stale exactly
-// like a standalone client, within the timer wheel's quantization.
+// Client hedged-read protocol (client/hedge_policy.h), driven through a
+// cohort of one against scripted servers — a slow primary with a slower
+// backup, a slow primary with a fast backup: hedges fire on time, each
+// race settles the right way, and the loser's reply is discarded as stale.
 //
 // The scripted world: two server endpoints take addresses 0 and 1 (a
 // num_mds=2 client's whole universe). Replies are keyed purely on the
@@ -19,7 +17,6 @@
 #include <tuple>
 #include <vector>
 
-#include "client/client.h"
 #include "client/cohort.h"
 #include "client/hedge_policy.h"
 #include "client/retry_policy.h"
@@ -37,7 +34,7 @@ constexpr std::uint64_t kSeed = 7;
 constexpr SimTime kLatency = from_micros(100);
 
 /// Stat the same file forever with a fixed think time: no RNG draws, so
-/// the op stream is identical for both client implementations.
+/// the op stream is a pure function of the protocol.
 struct FixedWorkload final : Workload {
   FsNode* target = nullptr;
   SimTime think = 10 * kMillisecond;
@@ -55,7 +52,7 @@ struct Arrival {
   std::uint64_t req_id = 0;
 };
 
-/// Reply schedule shared by both server replicas. The first `warm_count`
+/// Reply schedule shared by both servers. The first `warm_count`
 /// primary requests answer fast (to warm the estimator); after that,
 /// primaries answer at `primary_delay` and hedged copies at
 /// `hedge_delay` — slower than the primary for the primary-wins case,
@@ -125,8 +122,7 @@ ClientRetryParams no_retry() {
   return rp;
 }
 
-RunOutcome run_world(bool cohort, Script& script, const HedgeParams& hp,
-                     SimTime horizon) {
+RunOutcome run_world(Script& script, const HedgeParams& hp, SimTime horizon) {
   Simulation sim;
   NetworkParams np;
   np.base_latency = kLatency;
@@ -153,114 +149,82 @@ RunOutcome run_world(bool cohort, Script& script, const HedgeParams& hp,
     EXPECT_EQ(servers[i].addr, i);
   }
 
-  RunOutcome out;
-  if (cohort) {
-    ClientCohort co(sim, net, tree, workload, *partition, dirfrag,
-                    /*count=*/1, /*first_id=*/0, /*num_mds=*/2, kSeed);
-    co.set_retry_policy(no_retry());
-    co.set_hedge_policy(hp);
-    co.start();
-    sim.run_until(horizon);
-    out.stats = co.stats();
-  } else {
-    Client c(sim, net, tree, workload, *partition, dirfrag, /*id=*/0,
-             /*num_mds=*/2, kSeed);
-    c.set_retry_policy(no_retry());
-    c.set_hedge_policy(hp);
-    c.start();
-    sim.run_until(horizon);
-    out.stats = c.stats();
-  }
-  out.arrivals = script.arrivals;
-  return out;
+  ClientCohort co(sim, net, tree, workload, *partition, dirfrag,
+                  /*count=*/1, /*first_id=*/0, /*num_mds=*/2, kSeed);
+  co.set_retry_policy(no_retry());
+  co.set_hedge_policy(hp);
+  co.start();
+  sim.run_until(horizon);
+  return {co.client(0).stats(), script.arrivals};
 }
 
 std::uint64_t absdiff(std::uint64_t a, std::uint64_t b) {
   return a > b ? a - b : b - a;
 }
 
-/// Wheel quantization stretches the cohort's cycles by < 1 ms each, so
-/// the horizon cuts the two runs a few ops apart; every per-op decision
-/// is identical, so all counters must agree within that cutoff slop.
-void expect_counters_close(const RunOutcome& a, const RunOutcome& b) {
-  EXPECT_LE(absdiff(a.stats.hedges_fired, b.stats.hedges_fired), 4u);
-  EXPECT_LE(absdiff(a.stats.hedge_wins, b.stats.hedge_wins), 4u);
-  EXPECT_LE(absdiff(a.stats.wasted_hedges, b.stats.wasted_hedges), 4u);
-  EXPECT_LE(absdiff(a.stats.stale_replies, b.stats.stale_replies), 4u);
-  EXPECT_LE(absdiff(a.stats.ops_ok, b.stats.ops_ok), 4u);
-}
-
 TEST(HedgeParity, HedgeFiresButPrimaryWins) {
   // Backup replies land 60 ms after the hedge — well after the primary's
   // 30 ms reply. Every hedge is wasted and every backup reply is stale.
-  const SimTime horizon = 2 * kSecond;
-  auto run = [&](bool cohort) {
-    Script script;
-    script.hedge_delay = 60 * kMillisecond;
-    return run_world(cohort, script, test_hedge(), horizon);
-  };
-  const RunOutcome standalone = run(false);
-  const RunOutcome cohort = run(true);
+  Script script;
+  script.hedge_delay = 60 * kMillisecond;
+  const HedgeParams hp = test_hedge();
+  const RunOutcome r = run_world(script, hp, 2 * kSecond);
 
-  for (const RunOutcome* r : {&standalone, &cohort}) {
-    EXPECT_GT(r->stats.ops_ok, 20u);
-    EXPECT_GT(r->stats.hedges_fired, 10u);
-    EXPECT_EQ(r->stats.hedge_wins, 0u);
-    // Every settled race was settled by the primary; at most one hedge
-    // is still racing at the horizon.
-    EXPECT_LE(absdiff(r->stats.wasted_hedges, r->stats.hedges_fired), 1u);
-    // The losing backup replies arrive after the op completed and fail
-    // the req_id match: one stale reply per wasted hedge, minus any
-    // still in flight.
-    EXPECT_LE(r->stats.stale_replies, r->stats.hedges_fired);
-    EXPECT_GE(r->stats.stale_replies + 3, r->stats.wasted_hedges);
-    EXPECT_EQ(r->stats.retries, 0u);
-    EXPECT_EQ(r->stats.ops_failed, 0u);
-    // Arrivals interleave primaries and hedged copies; each hedged copy
-    // carries the req_id of a primary already on the wire.
-    std::uint64_t hedged_arrivals = 0;
-    for (const Arrival& a : r->arrivals) hedged_arrivals += a.hedge;
-    EXPECT_EQ(hedged_arrivals, r->stats.hedges_fired);
+  EXPECT_GT(r.stats.ops_ok, 20u);
+  EXPECT_GT(r.stats.hedges_fired, 10u);
+  EXPECT_EQ(r.stats.hedge_wins, 0u);
+  // Every settled race was settled by the primary; at most one hedge
+  // is still racing at the horizon.
+  EXPECT_LE(absdiff(r.stats.wasted_hedges, r.stats.hedges_fired), 1u);
+  // The losing backup replies arrive after the op completed and fail
+  // the req_id match: one stale reply per wasted hedge, minus any
+  // still in flight.
+  EXPECT_LE(r.stats.stale_replies, r.stats.hedges_fired);
+  EXPECT_GE(r.stats.stale_replies + 3, r.stats.wasted_hedges);
+  EXPECT_EQ(r.stats.retries, 0u);
+  EXPECT_EQ(r.stats.ops_failed, 0u);
+  // Arrivals interleave primaries and hedged copies; each hedged copy
+  // carries the req_id of a primary already on the wire.
+  std::uint64_t hedged_arrivals = 0;
+  for (const Arrival& a : r.arrivals) hedged_arrivals += a.hedge;
+  EXPECT_EQ(hedged_arrivals, r.stats.hedges_fired);
+  // The first hedge fires at the min_delay floor (the freshly warmed
+  // estimate is below it), exactly min_delay after its primary.
+  for (std::size_t i = 1; i < r.arrivals.size(); ++i) {
+    if (r.arrivals[i].hedge == 0) continue;
+    EXPECT_EQ(r.arrivals[i].req_id, r.arrivals[i - 1].req_id);
+    EXPECT_EQ(r.arrivals[i].at - r.arrivals[i - 1].at, hp.min_delay);
+    break;
   }
-  expect_counters_close(standalone, cohort);
 }
 
 TEST(HedgeParity, BackupWinsAndPrimaryReplyIsDiscardedAsStale) {
   // Backup replies land 2 ms after the hedge (~7 ms into the op) — far
   // ahead of the primary's 30 ms reply. Every hedge wins, and every
   // primary reply arrives after completion and lands in stale_replies.
-  const SimTime horizon = 2 * kSecond;
-  auto run = [&](bool cohort) {
-    Script script;
-    script.hedge_delay = 2 * kMillisecond;
-    return run_world(cohort, script, test_hedge(), horizon);
-  };
-  const RunOutcome standalone = run(false);
-  const RunOutcome cohort = run(true);
+  Script script;
+  script.hedge_delay = 2 * kMillisecond;
+  const RunOutcome r = run_world(script, test_hedge(), 2 * kSecond);
 
-  for (const RunOutcome* r : {&standalone, &cohort}) {
-    EXPECT_GT(r->stats.ops_ok, 20u);
-    EXPECT_GT(r->stats.hedge_wins, 10u);
-    // The estimator tracks its own output here: each win completes at
-    // hedge_delay past the fire time, so the estimate ratchets upward
-    // until the fire time grazes the primary's reply and a few late
-    // races flip to the primary. Backup wins must still dominate.
-    EXPECT_LE(r->stats.wasted_hedges, 4u);
-    EXPECT_GT(r->stats.hedge_wins, 8 * r->stats.wasted_hedges);
-    EXPECT_LE(absdiff(r->stats.hedge_wins + r->stats.wasted_hedges,
-                      r->stats.hedges_fired),
-              1u);
-    // One stale primary reply per won race, minus those still in flight.
-    EXPECT_LE(r->stats.stale_replies, r->stats.hedges_fired);
-    EXPECT_GE(r->stats.stale_replies + 3, r->stats.hedge_wins);
-    EXPECT_EQ(r->stats.retries, 0u);
-    EXPECT_EQ(r->stats.ops_failed, 0u);
-  }
-  expect_counters_close(standalone, cohort);
+  EXPECT_GT(r.stats.ops_ok, 20u);
+  EXPECT_GT(r.stats.hedge_wins, 10u);
+  // The estimator tracks its own output here: each win completes at
+  // hedge_delay past the fire time, so the estimate ratchets upward
+  // until the fire time grazes the primary's reply and a few late
+  // races flip to the primary. Backup wins must still dominate.
+  EXPECT_LE(r.stats.wasted_hedges, 4u);
+  EXPECT_GT(r.stats.hedge_wins, 8 * r.stats.wasted_hedges);
+  EXPECT_LE(absdiff(r.stats.hedge_wins + r.stats.wasted_hedges,
+                    r.stats.hedges_fired),
+            1u);
+  // One stale primary reply per won race, minus those still in flight.
+  EXPECT_LE(r.stats.stale_replies, r.stats.hedges_fired);
+  EXPECT_GE(r.stats.stale_replies + 3, r.stats.hedge_wins);
+  EXPECT_EQ(r.stats.retries, 0u);
+  EXPECT_EQ(r.stats.ops_failed, 0u);
   // Winning hedges cap the op at ~7 ms instead of 30 ms: the mean must
   // sit well under the slow primary's floor.
-  EXPECT_LT(standalone.stats.latency_seconds.mean(), 0.020);
-  EXPECT_LT(cohort.stats.latency_seconds.mean(), 0.020);
+  EXPECT_LT(r.stats.latency_seconds.mean(), 0.020);
 }
 
 TEST(HedgeParity, ColdEstimatorIsByteIdenticalToDisabled) {
@@ -274,28 +238,26 @@ TEST(HedgeParity, ColdEstimatorIsByteIdenticalToDisabled) {
   cold.min_samples = std::numeric_limits<std::uint32_t>::max();
   HedgeParams off;  // defaults: disabled
 
-  for (bool cohort : {false, true}) {
-    Script sa;
-    sa.hedge_delay = 2 * kMillisecond;
-    const RunOutcome a = run_world(cohort, sa, cold, horizon);
-    Script sb;
-    sb.hedge_delay = 2 * kMillisecond;
-    const RunOutcome b = run_world(cohort, sb, off, horizon);
+  Script sa;
+  sa.hedge_delay = 2 * kMillisecond;
+  const RunOutcome a = run_world(sa, cold, horizon);
+  Script sb;
+  sb.hedge_delay = 2 * kMillisecond;
+  const RunOutcome b = run_world(sb, off, horizon);
 
-    EXPECT_EQ(a.stats.hedges_fired, 0u) << "cohort=" << cohort;
-    EXPECT_EQ(b.stats.hedges_fired, 0u) << "cohort=" << cohort;
-    const auto digest = [](const RunOutcome& r) {
-      return std::make_tuple(r.stats.ops_issued, r.stats.ops_completed,
-                             r.stats.ops_ok, r.stats.retries,
-                             r.stats.stale_replies);
-    };
-    EXPECT_EQ(digest(a), digest(b)) << "cohort=" << cohort;
-    ASSERT_EQ(a.arrivals.size(), b.arrivals.size()) << "cohort=" << cohort;
-    for (std::size_t i = 0; i < a.arrivals.size(); ++i) {
-      EXPECT_EQ(a.arrivals[i].at, b.arrivals[i].at) << i;
-      EXPECT_EQ(a.arrivals[i].hedge, b.arrivals[i].hedge) << i;
-      EXPECT_EQ(a.arrivals[i].req_id, b.arrivals[i].req_id) << i;
-    }
+  EXPECT_EQ(a.stats.hedges_fired, 0u);
+  EXPECT_EQ(b.stats.hedges_fired, 0u);
+  const auto digest = [](const RunOutcome& r) {
+    return std::make_tuple(r.stats.ops_issued, r.stats.ops_completed,
+                           r.stats.ops_ok, r.stats.retries,
+                           r.stats.stale_replies);
+  };
+  EXPECT_EQ(digest(a), digest(b));
+  ASSERT_EQ(a.arrivals.size(), b.arrivals.size());
+  for (std::size_t i = 0; i < a.arrivals.size(); ++i) {
+    EXPECT_EQ(a.arrivals[i].at, b.arrivals[i].at) << i;
+    EXPECT_EQ(a.arrivals[i].hedge, b.arrivals[i].hedge) << i;
+    EXPECT_EQ(a.arrivals[i].req_id, b.arrivals[i].req_id) << i;
   }
 }
 

@@ -698,13 +698,7 @@ TEST(PartitionDeterminism, SameSeedSameScheduleIsBitForBit) {
     for (const auto& p : cluster.metrics().avg_throughput().points()) {
       tput.push_back(p.value);
     }
-    std::uint64_t completed = 0, retries = 0, stale = 0;
-    for (int c = 0; c < cluster.num_clients(); ++c) {
-      const ClientStats& s = cluster.client(c).stats();
-      completed += s.ops_completed;
-      retries += s.retries;
-      stale += s.stale_replies;
-    }
+    const ClientStats clients = cluster.cohort().totals();
     std::uint64_t fences = 0, parked = 0, rejects = 0, deferred = 0;
     for (int i = 0; i < cluster.num_mds(); ++i) {
       const MdsStats& s = cluster.mds(i).stats();
@@ -714,7 +708,8 @@ TEST(PartitionDeterminism, SameSeedSameScheduleIsBitForBit) {
       deferred += s.takeovers_deferred;
     }
     auto* subtree = dynamic_cast<SubtreePartition*>(&cluster.partition());
-    return std::make_tuple(tput, completed, retries, stale, fences, parked,
+    return std::make_tuple(tput, clients.ops_completed, clients.retries,
+                           clients.stale_replies, fences, parked,
                            rejects, deferred, subtree->epoch(),
                            cluster.network().partition_dropped(),
                            cluster.metrics().total_replies());

@@ -1,22 +1,16 @@
-// Retry parity: the standalone Client and the SoA ClientCohort implement
-// one retry protocol (client/retry_policy.h). Against identical servers —
-// a black hole, an overload rejector, a too-slow replier — a cohort of
-// one must produce the same attempt pattern, the same budget accounting,
-// and the same pacing as a standalone client, within the timer wheel's
-// quantization (the cohort's only structural difference).
-//
-// The two implementations draw from different RNG substreams, so exact
-// event times differ by backoff jitter; everything asserted here is
-// jitter-independent (attempt sequences, budget counts) or bounded by
-// the jitter interval (inter-arrival gaps).
+// Client retry protocol (client/retry_policy.h), driven through a cohort
+// of one against scripted servers — a black hole, an overload rejector, a
+// too-slow replier, an instant echo — checking attempt patterns, budget
+// accounting and pacing. Client timers are exact engine events, so every
+// inter-arrival gap is pinned to the protocol's own delays: a think time,
+// a timeout plus its jittered backoff, or a retry_after plus its jitter,
+// plus the round trip.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "client/client.h"
 #include "client/cohort.h"
 #include "client/retry_policy.h"
 #include "fstree/generator.h"
@@ -31,18 +25,13 @@ namespace {
 
 constexpr std::uint64_t kSeed = 7;
 constexpr SimTime kLatency = from_micros(100);
-/// The cohort wheel uses millisecond buckets, rounding each timer up by
-/// < 1 ms; a retry chains two timers (timeout, then backoff), so 3 ms
-/// absorbs the quantization with margin without weakening the gap bounds.
-constexpr SimTime kSlack = 3 * kMillisecond;
+constexpr SimTime kThink = 10 * kMillisecond;
 
 /// Stat the same file forever with a fixed think time: no RNG draws, so
-/// the op stream is identical for both client implementations.
+/// the op stream is a pure function of the protocol.
 struct FixedWorkload final : Workload {
   FsNode* target = nullptr;
-  /// Large against the cohort wheel's 1 ms buckets, so quantization
-  /// stretches a cycle by a few percent, not a factor.
-  SimTime think = 10 * kMillisecond;
+  SimTime think = kThink;
   SimTime next(ClientId, SimTime, Rng&, Operation* out) override {
     out->op = OpType::kStat;
     out->target = target;
@@ -86,6 +75,16 @@ struct Rejector final : Blackhole {
   }
 };
 
+/// Succeeds at once.
+struct Echo final : Blackhole {
+  void answer(const ClientRequestMsg& m) override {
+    auto reply = std::make_unique<ClientReplyMsg>();
+    reply->req_id = m.req_id;
+    reply->success = true;
+    net->send(addr, m.client_addr, std::move(reply));
+  }
+};
+
 /// Succeeds, but only after the client has already timed out and
 /// re-issued: every reply must land in the stale branch.
 struct SlowReplier final : Blackhole {
@@ -107,11 +106,10 @@ struct RunOutcome {
 
 /// Build a one-client, one-server world around `server` and run it. The
 /// server attaches first, taking address 0 — where a num_mds=1 client
-/// sends everything — and `cohort` selects which implementation drives
-/// the traffic.
+/// sends everything.
 template <typename Server>
-RunOutcome run_world(bool cohort, const ClientRetryParams& rp,
-                     SimTime horizon) {
+RunOutcome run_world(const ClientRetryParams& rp, SimTime horizon,
+                     SimTime think = kThink) {
   Simulation sim;
   NetworkParams np;
   np.base_latency = kLatency;
@@ -128,6 +126,7 @@ RunOutcome run_world(bool cohort, const ClientRetryParams& rp,
   DirFragRegistry dirfrag(1, 6);
   FixedWorkload workload;
   workload.target = tree.files().front();
+  workload.think = think;
 
   Server server;
   server.sim = &sim;
@@ -135,24 +134,12 @@ RunOutcome run_world(bool cohort, const ClientRetryParams& rp,
   server.addr = net.attach(&server);
   EXPECT_EQ(server.addr, 0);
 
-  RunOutcome out;
-  if (cohort) {
-    ClientCohort co(sim, net, tree, workload, *partition, dirfrag,
-                    /*count=*/1, /*first_id=*/0, /*num_mds=*/1, kSeed);
-    co.set_retry_policy(rp);
-    co.start();
-    sim.run_until(horizon);
-    out.stats = co.stats();
-  } else {
-    Client c(sim, net, tree, workload, *partition, dirfrag, /*id=*/0,
-             /*num_mds=*/1, kSeed);
-    c.set_retry_policy(rp);
-    c.start();
-    sim.run_until(horizon);
-    out.stats = c.stats();
-  }
-  out.arrivals = server.arrivals;
-  return out;
+  ClientCohort co(sim, net, tree, workload, *partition, dirfrag,
+                  /*count=*/1, /*first_id=*/0, /*num_mds=*/1, kSeed);
+  co.set_retry_policy(rp);
+  co.start();
+  sim.run_until(horizon);
+  return {co.client(0).stats(), server.arrivals};
 }
 
 ClientRetryParams tight_policy() {
@@ -170,78 +157,58 @@ SimTime backoff_ceiling(const ClientRetryParams& rp, int attempt) {
   return d > rp.backoff_cap ? rp.backoff_cap : d;
 }
 
-/// The attempt sequences must agree exactly on their common prefix: the
-/// pattern is pure protocol state, independent of either RNG stream.
-void expect_same_attempt_pattern(const RunOutcome& a, const RunOutcome& b) {
-  const std::size_t n = std::min(a.arrivals.size(), b.arrivals.size());
-  ASSERT_GT(n, 0u);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(a.arrivals[i].attempt, b.arrivals[i].attempt) << "arrival " << i;
-  }
-  // Jitter and wheel quantization (< 1 ms per timer) stretch the
-  // cohort's cycles slightly, so the horizon cuts the two runs off a few
-  // percent apart — proportionally for fast cycles, a handful for slow.
-  const std::size_t diff = a.arrivals.size() > b.arrivals.size()
-                               ? a.arrivals.size() - b.arrivals.size()
-                               : b.arrivals.size() - a.arrivals.size();
-  EXPECT_LE(diff, std::max<std::size_t>(4, n / 2));
-}
-
 TEST(RetryParity, SustainedTimeoutsSpendTheBudgetIdentically) {
   ClientRetryParams rp = tight_policy();
   rp.budget.enabled = true;
   rp.budget.ratio = 0.1;
   rp.budget.cap = 3.0;
-  const SimTime horizon = 3 * kSecond;
-  const RunOutcome standalone = run_world<Blackhole>(false, rp, horizon);
-  const RunOutcome cohort = run_world<Blackhole>(true, rp, horizon);
+  const RunOutcome r = run_world<Blackhole>(rp, 3 * kSecond);
 
-  for (const RunOutcome* r : {&standalone, &cohort}) {
-    ASSERT_GE(r->arrivals.size(), 8u);
-    // One op burns the whole budget (attempts 1..3), then every fresh op
-    // fails fast on its first timeout: 0,1,2,3,0,0,0,...
-    for (std::size_t i = 0; i < r->arrivals.size(); ++i) {
-      EXPECT_EQ(r->arrivals[i].attempt, i < 4 ? i : 0u) << "arrival " << i;
-    }
-    // Re-issue pacing: timeout plus jittered backoff in [d/2, d).
-    for (std::size_t i = 1; i < 4; ++i) {
-      const SimTime gap = r->arrivals[i].at - r->arrivals[i - 1].at;
-      const SimTime d =
-          backoff_ceiling(rp, static_cast<int>(r->arrivals[i].attempt));
-      EXPECT_GE(gap, rp.request_timeout + d / 2);
-      EXPECT_LE(gap, rp.request_timeout + d + kSlack);
-    }
-    // Budget accounting: exactly cap tokens were ever spent; every later
-    // timeout was suppressed, and each suppression failed one op.
-    EXPECT_EQ(r->stats.retries - r->stats.retries_suppressed, 3u);
-    EXPECT_EQ(r->stats.ops_failed, r->stats.retries_suppressed);
-    EXPECT_GT(r->stats.retries_suppressed, 0u);
-    EXPECT_EQ(r->stats.ops_completed, 0u);
-    EXPECT_EQ(r->stats.stale_replies, 0u);
+  ASSERT_GE(r.arrivals.size(), 8u);
+  // One op burns the whole budget (attempts 1..3), then every fresh op
+  // fails fast on its first timeout: 0,1,2,3,0,0,0,...
+  for (std::size_t i = 0; i < r.arrivals.size(); ++i) {
+    EXPECT_EQ(r.arrivals[i].attempt, i < 4 ? i : 0u) << "arrival " << i;
   }
-  expect_same_attempt_pattern(standalone, cohort);
+  // Re-issue pacing: timeout plus jittered backoff in [d/2, d).
+  for (std::size_t i = 1; i < 4; ++i) {
+    const SimTime gap = r.arrivals[i].at - r.arrivals[i - 1].at;
+    const SimTime d =
+        backoff_ceiling(rp, static_cast<int>(r.arrivals[i].attempt));
+    EXPECT_GE(gap, rp.request_timeout + d / 2);
+    EXPECT_LT(gap, rp.request_timeout + d);
+  }
+  // A give-up moves straight on to the next op: its first attempt lands
+  // one timeout plus one think time after the abandoned op's.
+  for (std::size_t i = 4; i < r.arrivals.size(); ++i) {
+    EXPECT_EQ(r.arrivals[i].at - r.arrivals[i - 1].at,
+              rp.request_timeout + kThink)
+        << "arrival " << i;
+  }
+  // Budget accounting: exactly cap tokens were ever spent; every later
+  // timeout was suppressed, and each suppression failed one op.
+  EXPECT_EQ(r.stats.retries - r.stats.retries_suppressed, 3u);
+  EXPECT_EQ(r.stats.ops_failed, r.stats.retries_suppressed);
+  EXPECT_GT(r.stats.retries_suppressed, 0u);
+  EXPECT_EQ(r.stats.ops_completed, 0u);
+  EXPECT_EQ(r.stats.stale_replies, 0u);
 }
 
 TEST(RetryParity, WithoutBudgetBothRetryForever) {
-  ClientRetryParams rp = tight_policy();  // budget disabled
-  const SimTime horizon = 2 * kSecond;
-  const RunOutcome standalone = run_world<Blackhole>(false, rp, horizon);
-  const RunOutcome cohort = run_world<Blackhole>(true, rp, horizon);
+  const ClientRetryParams rp = tight_policy();  // budget disabled
+  const RunOutcome r = run_world<Blackhole>(rp, 2 * kSecond);
 
-  for (const RunOutcome* r : {&standalone, &cohort}) {
-    ASSERT_GE(r->arrivals.size(), 5u);
-    // One op, attempts strictly increasing: never abandoned.
-    for (std::size_t i = 0; i < r->arrivals.size(); ++i) {
-      EXPECT_EQ(r->arrivals[i].attempt, i);
-    }
-    EXPECT_EQ(r->stats.ops_failed, 0u);
-    EXPECT_EQ(r->stats.retries_suppressed, 0u);
-    // Each arrival after the first was preceded by one timeout; one more
-    // timeout may be pending its backoff at the horizon.
-    EXPECT_GE(r->stats.retries + 1, r->arrivals.size());
-    EXPECT_LE(r->stats.retries, r->arrivals.size());
+  ASSERT_GE(r.arrivals.size(), 5u);
+  // One op, attempts strictly increasing: never abandoned.
+  for (std::size_t i = 0; i < r.arrivals.size(); ++i) {
+    EXPECT_EQ(r.arrivals[i].attempt, i);
   }
-  expect_same_attempt_pattern(standalone, cohort);
+  EXPECT_EQ(r.stats.ops_failed, 0u);
+  EXPECT_EQ(r.stats.retries_suppressed, 0u);
+  // Each arrival after the first was preceded by one timeout; one more
+  // timeout may be pending its backoff at the horizon.
+  EXPECT_GE(r.stats.retries + 1, r.arrivals.size());
+  EXPECT_LE(r.stats.retries, r.arrivals.size());
 }
 
 TEST(RetryParity, RejectedRepliesHonorRetryAfterWithJitter) {
@@ -249,35 +216,30 @@ TEST(RetryParity, RejectedRepliesHonorRetryAfterWithJitter) {
   rp.budget.enabled = true;
   rp.budget.ratio = 0.1;
   rp.budget.cap = 3.0;
-  const SimTime horizon = 2 * kSecond;
-  const RunOutcome standalone = run_world<Rejector>(false, rp, horizon);
-  const RunOutcome cohort = run_world<Rejector>(true, rp, horizon);
+  const RunOutcome r = run_world<Rejector>(rp, 2 * kSecond);
   const SimTime retry_after = Rejector{}.retry_after;
 
-  for (const RunOutcome* r : {&standalone, &cohort}) {
-    ASSERT_GE(r->arrivals.size(), 8u);
-    // Same budget pattern as timeouts, but the cycle is driven by fast
-    // rejections, not timeout expiry: no retries, only rejected replies.
-    for (std::size_t i = 0; i < r->arrivals.size(); ++i) {
-      EXPECT_EQ(r->arrivals[i].attempt, i < 4 ? i : 0u) << "arrival " << i;
-    }
-    for (std::size_t i = 1; i < 4; ++i) {
-      // Round trip + server hint + up to 50% de-synchronizing jitter.
-      const SimTime gap = r->arrivals[i].at - r->arrivals[i - 1].at;
-      EXPECT_GE(gap, 2 * kLatency + retry_after);
-      EXPECT_LE(gap, 2 * kLatency + retry_after + retry_after / 2 + kSlack);
-    }
-    EXPECT_EQ(r->stats.retries, 0u);
-    EXPECT_GT(r->stats.rejected_replies, 0u);
-    const std::uint64_t diff =
-        r->stats.rejected_replies > r->arrivals.size()
-            ? r->stats.rejected_replies - r->arrivals.size()
-            : r->arrivals.size() - r->stats.rejected_replies;
-    EXPECT_LE(diff, 1u);  // at most one rejection still in flight
-    EXPECT_EQ(r->stats.ops_failed, r->stats.retries_suppressed);
-    EXPECT_EQ(r->stats.ops_ok, 0u);
+  ASSERT_GE(r.arrivals.size(), 8u);
+  // Same budget pattern as timeouts, but the cycle is driven by fast
+  // rejections, not timeout expiry: no retries, only rejected replies.
+  for (std::size_t i = 0; i < r.arrivals.size(); ++i) {
+    EXPECT_EQ(r.arrivals[i].attempt, i < 4 ? i : 0u) << "arrival " << i;
   }
-  expect_same_attempt_pattern(standalone, cohort);
+  for (std::size_t i = 1; i < 4; ++i) {
+    // Round trip + server hint + up to 50% de-synchronizing jitter.
+    const SimTime gap = r.arrivals[i].at - r.arrivals[i - 1].at;
+    EXPECT_GE(gap, 2 * kLatency + retry_after);
+    EXPECT_LT(gap, 2 * kLatency + retry_after + retry_after / 2);
+  }
+  EXPECT_EQ(r.stats.retries, 0u);
+  EXPECT_GT(r.stats.rejected_replies, 0u);
+  const std::uint64_t diff =
+      r.stats.rejected_replies > r.arrivals.size()
+          ? r.stats.rejected_replies - r.arrivals.size()
+          : r.arrivals.size() - r.stats.rejected_replies;
+  EXPECT_LE(diff, 1u);  // at most one rejection still in flight
+  EXPECT_EQ(r.stats.ops_failed, r.stats.retries_suppressed);
+  EXPECT_EQ(r.stats.ops_ok, 0u);
 }
 
 TEST(RetryParity, LateRepliesAfterReissueAreDiscardedAsStale) {
@@ -285,24 +247,37 @@ TEST(RetryParity, LateRepliesAfterReissueAreDiscardedAsStale) {
   rp.budget.enabled = true;
   rp.budget.ratio = 0.1;
   rp.budget.cap = 2.0;
-  const SimTime horizon = 3 * kSecond;
   // Replies arrive 250 ms after each request: past the timeout (100 ms)
   // plus any backoff (< 100 ms here), so the re-issue — under a fresh
   // req_id — always wins the race and the reply is stale on arrival.
-  const RunOutcome standalone = run_world<SlowReplier>(false, rp, horizon);
-  const RunOutcome cohort = run_world<SlowReplier>(true, rp, horizon);
+  const RunOutcome r = run_world<SlowReplier>(rp, 3 * kSecond);
 
-  for (const RunOutcome* r : {&standalone, &cohort}) {
-    EXPECT_GT(r->stats.stale_replies, 0u);
-    EXPECT_EQ(r->stats.ops_ok, 0u);
-    EXPECT_EQ(r->stats.ops_completed, 0u);
-    EXPECT_EQ(r->stats.retries - r->stats.retries_suppressed, 2u);
-    // Every delivered reply was stale (the last few may still be in
-    // flight at the horizon).
-    EXPECT_LE(r->stats.stale_replies, r->arrivals.size());
-    EXPECT_GE(r->stats.stale_replies + 3, r->arrivals.size());
+  EXPECT_GT(r.stats.stale_replies, 0u);
+  EXPECT_EQ(r.stats.ops_ok, 0u);
+  EXPECT_EQ(r.stats.ops_completed, 0u);
+  EXPECT_EQ(r.stats.retries - r.stats.retries_suppressed, 2u);
+  // Every delivered reply was stale (the last few may still be in
+  // flight at the horizon).
+  EXPECT_LE(r.stats.stale_replies, r.arrivals.size());
+  EXPECT_GE(r.stats.stale_replies + 3, r.arrivals.size());
+}
+
+TEST(RetryParity, ThinkTimerFiresExactlyOnTime) {
+  // A think time off any millisecond grid: the next request must reach
+  // the server exactly one think time plus one round trip after the
+  // last, never rounded to a timer granule.
+  const SimTime think = 10 * kMillisecond + from_micros(300);
+  const RunOutcome r = run_world<Echo>(tight_policy(), kSecond, think);
+
+  ASSERT_GE(r.arrivals.size(), 90u);
+  EXPECT_EQ(r.arrivals.front().at, think + kLatency);
+  for (std::size_t i = 1; i < r.arrivals.size(); ++i) {
+    EXPECT_EQ(r.arrivals[i].at - r.arrivals[i - 1].at, think + 2 * kLatency)
+        << "arrival " << i;
   }
-  expect_same_attempt_pattern(standalone, cohort);
+  EXPECT_LE(r.stats.ops_issued - r.stats.ops_ok, 1u);  // one in flight
+  EXPECT_EQ(r.stats.ops_failed, 0u);
+  EXPECT_EQ(r.stats.retries, 0u);
 }
 
 }  // namespace

@@ -188,53 +188,19 @@ TEST(AliasTable, UniformWeights) {
   for (int c : counts) EXPECT_NEAR(c, 10000, 600);
 }
 
-// --- substream derivation ----------------------------------------------
-
-TEST(RngSubstream, DeterministicForSameParentStateAndId) {
-  const Rng parent(123, 5);
-  Rng a = parent.substream(9);
-  Rng b = parent.substream(9);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
-}
-
-TEST(RngSubstream, DoesNotPerturbParent) {
-  Rng a(123, 5), b(123, 5);
-  (void)a.substream(1);
-  (void)a.substream(2);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
-}
-
-TEST(RngSubstream, DistinctIdsAreDecorrelated) {
-  const Rng parent(123, 5);
-  Rng a = parent.substream(0);
-  Rng b = parent.substream(1);
-  int same = 0;
-  for (int i = 0; i < 1000; ++i) same += a.next() == b.next() ? 1 : 0;
-  EXPECT_EQ(same, 0);
-}
-
-TEST(RngSubstream, DifferentParentStatesDiverge) {
-  Rng p1(123, 5);
-  Rng p2(123, 5);
-  (void)p2.next();  // advance one: substreams must key off current state
-  Rng a = p1.substream(3);
-  Rng b = p2.substream(3);
-  int same = 0;
-  for (int i = 0; i < 1000; ++i) same += a.next() == b.next() ? 1 : 0;
-  EXPECT_EQ(same, 0);
-}
+// --- per-client streams ------------------------------------------------
 
 TEST(RngSubstream, FirstDrawsAcrossManyStreamsLookUniform) {
-  // The cohort's usage pattern: one generator per client, all derived
-  // from one parent with sequential ids. The *ensemble* of first draws
-  // must itself be uniform — sequential ids must not leave a lattice.
-  const Rng parent(2024, 0xc11e47000ULL);
+  // The cohort's seeding pattern: one generator per client, keyed by one
+  // seed and sequential stream ids. The *ensemble* of first draws must
+  // itself be uniform — sequential ids must not leave a lattice.
+  constexpr std::uint64_t kSeed = 2024;
   constexpr int kStreams = 100000;
   constexpr int kBuckets = 16;
   std::vector<int> counts(kBuckets, 0);
   double mean = 0.0;
   for (int i = 0; i < kStreams; ++i) {
-    Rng s = parent.substream(static_cast<std::uint64_t>(i));
+    Rng s(kSeed, 0xc11e47000ULL + static_cast<std::uint64_t>(i));
     const double u = s.uniform_double();
     mean += u;
     ++counts[static_cast<int>(u * kBuckets)];

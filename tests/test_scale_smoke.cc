@@ -1,6 +1,6 @@
 // Large-cohort smoke: one hundred thousand clients through the sharded
 // engine on a short horizon. Not a benchmark — this guards the scale
-// path's invariants (dense per-client state, wheel-batched cohort stats,
+// path's invariants (dense per-client state, exact per-client timers,
 // delivery batching, catalog sampling) at a population two orders of
 // magnitude past the unit tests, and checks the run is bit-identical
 // across worker-thread counts.
@@ -21,7 +21,7 @@ struct ScaleRun {
 };
 
 ScaleRun run_100k(int threads) {
-  // Same dense shape as the bench/sim_scale ladder rungs (8 MDS per
+  // Same dense shape as the bench/sim_scale ladder rungs (1 MDS per
   // shard, 15 ms think time), population pushed to 1e5 on a horizon just
   // long enough to exercise steady state after warmup.
   SimConfig cfg = scaled_system_config(StrategyKind::kDynamicSubtree, 8);

@@ -258,6 +258,35 @@ void expect_same_result(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.mean_latency_ms, b.mean_latency_ms);
 }
 
+TEST(ShardedSim, OneShardMatchesSingleEngine) {
+  // One shard is the single engine with a cross-shard link attached and
+  // nothing to send over it: the same cluster, clients and client timers,
+  // so the run must match a plain ClusterSim event for event.
+  SimConfig cfg = scaled_system_config(StrategyKind::kDynamicSubtree, 4,
+                                       /*seed=*/3);
+  cfg.duration = 2 * kSecond;
+  cfg.warmup = kSecond / 2;
+
+  ClusterSim single(cfg);
+  single.run();
+  const RunResult a =
+      summarize(cfg, {&single.metrics()}, single.sim().now());
+
+  cfg.shards = 1;
+  ShardedClusterSim sharded(cfg);
+  sharded.run();
+  const RunResult& b = sharded.result();
+
+  EXPECT_GT(a.replies, 1000u);
+  EXPECT_EQ(a.replies, b.replies);
+  EXPECT_EQ(a.failures, b.failures);
+  EXPECT_EQ(a.hit_rate, b.hit_rate);
+  EXPECT_EQ(a.forward_fraction, b.forward_fraction);
+  EXPECT_EQ(a.mean_latency_ms, b.mean_latency_ms);
+  EXPECT_EQ(single.sim().events_executed(),
+            sharded.engine().events_executed());
+}
+
 TEST(ShardedSim, ClusterResultsIdenticalAcrossThreadCounts) {
   const ClusterRun r1 = run_cluster(1, /*faults=*/false);
   const ClusterRun r4 = run_cluster(4, /*faults=*/false);

@@ -153,18 +153,14 @@ TEST(TraceCluster, RecordedTraceDrivesACluster) {
       std::make_unique<TraceWorkload>(cluster.tree(), std::move(trace));
   TraceWorkload* replay_ptr = replay.get();
 
-  // Drive the replay through hand-attached clients.
-  std::vector<std::unique_ptr<Client>> clients;
-  for (ClientId c = 0; c < 20; ++c) {
-    clients.push_back(std::make_unique<Client>(
-        cluster.sim(), cluster.network(), cluster.tree(), *replay,
-        cluster.partition(), cluster.dirfrag(), c, cluster.num_mds(), 5));
-    clients.back()->start();
-  }
+  // Drive the replay through a hand-attached cohort.
+  ClientCohort clients(cluster.sim(), cluster.network(), cluster.tree(),
+                       *replay, cluster.partition(), cluster.dirfrag(),
+                       /*count=*/20, /*first_id=*/0, cluster.num_mds(), 5);
+  clients.start();
   cluster.sim().run_until(60 * kSecond);
 
-  std::uint64_t completed = 0;
-  for (auto& c : clients) completed += c->stats().ops_completed;
+  const std::uint64_t completed = clients.totals().ops_completed;
   EXPECT_GT(completed, 1500u);
   // Ops referencing inodes created during the *recording* run have no
   // counterpart in the fresh snapshot; those (and only those) skip.
