@@ -178,26 +178,43 @@ void MetadataCache::mark_demand(CacheEntry& e) {
   if (was_anchor && !is_anchor_dir(e)) --anchored_prefix_dirs_;
 }
 
-void MetadataCache::child_count_add(InodeId parent, int delta) {
-  IndexSlot* s = index_find(parent);
-  if (s == nullptr || s->entry == kNullSlot) {
-    // Insertion requires the parent resident; removal tolerates a parent
-    // that was already torn down (migration export order).
-    assert(delta < 0 && "tree invariant: parent must be cached before child");
-    return;
-  }
+void MetadataCache::anchor_link(CacheEntry& e) {
+  IndexSlot* s = index_find(e.anchor_parent);
+  assert(s != nullptr && s->entry != kNullSlot &&
+         "tree invariant: parent must be cached before child");
   CacheEntry& p = entries_[s->entry];
   const bool was_anchor = is_anchor_dir(p);
-  if (delta > 0) {
-    ++p.cached_children;
-  } else {
+  ++p.cached_children;
+  if (!was_anchor && is_anchor_dir(p)) ++anchored_prefix_dirs_;
+  e.sib_prev = kNullSlot;
+  e.sib_next = p.child_head;
+  if (p.child_head != kNullSlot) entries_[p.child_head].sib_prev = e.self;
+  p.child_head = e.self;
+}
+
+void MetadataCache::anchor_unlink(CacheEntry& e) {
+  if (e.sib_next != kNullSlot) entries_[e.sib_next].sib_prev = e.sib_prev;
+  if (e.sib_prev != kNullSlot) entries_[e.sib_prev].sib_next = e.sib_next;
+  IndexSlot* s = index_find(e.anchor_parent);
+  // Removal tolerates a parent that was already torn down (migration
+  // export order).
+  if (s != nullptr && s->entry != kNullSlot) {
+    CacheEntry& p = entries_[s->entry];
+    if (p.child_head == e.self) p.child_head = e.sib_next;
+    const bool was_anchor = is_anchor_dir(p);
     assert(p.cached_children > 0);
     --p.cached_children;
+    if (was_anchor && !is_anchor_dir(p)) --anchored_prefix_dirs_;
   }
-  const bool now_anchor = is_anchor_dir(p);
-  if (now_anchor != was_anchor) {
-    anchored_prefix_dirs_ += now_anchor ? 1 : std::size_t(-1);
-  }
+  e.sib_prev = e.sib_next = kNullSlot;
+}
+
+void MetadataCache::stray_remove(CacheEntry& e) {
+  const auto it = std::find(strays_.begin(), strays_.end(), e.self);
+  assert(it != strays_.end());
+  *it = strays_.back();
+  strays_.pop_back();
+  e.stray = false;
 }
 
 void MetadataCache::unpin(CacheEntry* e) {
@@ -248,7 +265,7 @@ CacheEntry* MetadataCache::insert(FsNode* node, InsertKind kind,
 
   if (enforce_tree_ && node->parent() != nullptr) {
     e.anchor_parent = node->parent()->ino();
-    child_count_add(e.anchor_parent, +1);
+    anchor_link(e);
   }
 
   if (kind == InsertKind::kPrefetch) {
@@ -302,9 +319,8 @@ void MetadataCache::enforce_capacity() {
 void MetadataCache::remove_entry(CacheEntry& e, bool evicted) {
   assert(e.cached_children == 0 && "cannot remove an entry with children");
   const InodeId ino = e.node->ino();
-  if (enforce_tree_ && e.anchor_parent != kInvalidInode) {
-    child_count_add(e.anchor_parent, -1);
-  }
+  if (enforce_tree_ && e.anchor_parent != kInvalidInode) anchor_unlink(e);
+  if (e.stray) stray_remove(e);
   if (is_anchor_dir(e)) --anchored_prefix_dirs_;
   if (e.prefix && e.node->is_dir()) {
     assert(prefix_count_ > 0);
@@ -350,6 +366,45 @@ bool MetadataCache::erase(InodeId ino) {
   if (e.cached_children > 0 || e.pins > 0) return false;
   remove_entry(e, /*evicted=*/false);
   return true;
+}
+
+void MetadataCache::note_moved(InodeId ino) {
+  if (!enforce_tree_) return;
+  CacheEntry* e = peek(ino);
+  if (e == nullptr) return;
+  const bool moved = e->node->parent()->ino() != e->anchor_parent;
+  if (moved && !e->stray) {
+    e->stray = true;
+    strays_.push_back(e->self);
+  } else if (!moved && e->stray) {
+    stray_remove(*e);
+  }
+}
+
+std::size_t MetadataCache::collect_children_of(
+    const FsNode* dir, std::vector<CacheEntry*>& out) {
+  assert(enforce_tree_);
+  std::size_t visits = 0;
+  // Every resident entry anchored under `dir` is on its entry's list, and
+  // the tree invariant keeps that entry resident while the list is
+  // non-empty. A listed entry still hangs under `dir` unless it is a
+  // stray (renamed away), so the walk need not touch the tree node.
+  if (const CacheEntry* d = peek(dir->ino())) {
+    for (CacheSlot s = d->child_head; s != kNullSlot;
+         s = entries_[s].sib_next) {
+      ++visits;
+      CacheEntry& c = entries_[s];
+      if (!c.stray) out.push_back(&c);
+    }
+  }
+  // The strays whose live parent is `dir` were renamed into it while
+  // cached.
+  for (CacheSlot s : strays_) {
+    ++visits;
+    CacheEntry& c = entries_[s];
+    if (c.node->parent() == dir) out.push_back(&c);
+  }
+  return visits;
 }
 
 void MetadataCache::for_each(const std::function<void(CacheEntry&)>& fn) {
@@ -588,6 +643,68 @@ std::string MetadataCache::check_invariants() const {
             << e.cached_children << " vs " << expect;
         return err.str();
       }
+      // The child list holds exactly the entries anchored here.
+      std::uint32_t listed = 0;
+      CacheSlot prev = kNullSlot;
+      for (CacheSlot c = e.child_head; c != kNullSlot;) {
+        const CacheEntry& k = entries_[c];
+        const IndexSlot* rec = index_find(k.node->ino());
+        if (rec == nullptr || rec->entry != c) {
+          err << "child list of ino " << s.key << " holds a freed entry";
+          return err.str();
+        }
+        if (k.anchor_parent != s.key) {
+          err << "child list of ino " << s.key << " holds ino "
+              << k.node->ino() << " anchored under " << k.anchor_parent;
+          return err.str();
+        }
+        if (k.sib_prev != prev) {
+          err << "child list back-link broken under ino " << s.key;
+          return err.str();
+        }
+        prev = c;
+        c = k.sib_next;
+        if (++listed > e.cached_children) break;
+      }
+      if (listed != e.cached_children) {
+        err << "child list length drift on ino " << s.key << ": " << listed
+            << " vs " << e.cached_children;
+        return err.str();
+      }
+    }
+  }
+
+  // Stray list: resident, flagged entries, each once.
+  std::size_t flagged = 0;
+  for (const IndexSlot& s : index_) {
+    if (s.key != kInvalidInode && s.entry != kNullSlot &&
+        entries_[s.entry].stray) {
+      ++flagged;
+    }
+  }
+  if (flagged != strays_.size()) {
+    err << "stray list drift: " << strays_.size() << " listed vs " << flagged
+        << " flagged";
+    return err.str();
+  }
+  std::vector<CacheSlot> sorted_strays = strays_;
+  std::sort(sorted_strays.begin(), sorted_strays.end());
+  if (std::adjacent_find(sorted_strays.begin(), sorted_strays.end()) !=
+      sorted_strays.end()) {
+    err << "stray list holds an entry twice";
+    return err.str();
+  }
+  for (CacheSlot st : strays_) {
+    const CacheEntry& e = entries_[st];
+    const IndexSlot* rec = e.node != nullptr ? index_find(e.node->ino())
+                                             : nullptr;
+    if (rec == nullptr || rec->entry != st || !e.stray) {
+      err << "stray list holds a freed entry (slot " << st << ")";
+      return err.str();
+    }
+    if (e.node->parent()->ino() == e.anchor_parent) {
+      err << "stray ino " << e.node->ino() << " is back under its anchor";
+      return err.str();
     }
   }
 

@@ -28,6 +28,10 @@
 // registry even after evicting its own copy) and may exist before one (a
 // fetch in flight coalesces waiters for a not-yet-resident inode).
 //
+// Each entry also heads an intrusive list of the entries anchored under
+// it, and entries renamed away from their anchor sit on a stray list, so
+// the cached children of one directory are found without a scan.
+//
 // The cache also keeps the accounting behind Figures 3 and 4 — which
 // entries are prefix inodes and replica-vs-authority counts — as
 // incrementally maintained counters, so metrics sampling is O(1).
@@ -120,8 +124,15 @@ struct CacheEntry {
   /// readdir be served without touching disk.
   bool complete = false;
   bool in_probation = false;
+  /// Entry is on the cache's stray list: its node was renamed to another
+  /// parent than `anchor_parent` while cached (note_moved).
+  bool stray = false;
   std::uint32_t pins = 0;     // in-flight requests referencing this entry
   std::uint32_t cached_children = 0;
+  /// This entry's links in its anchor parent's child list (next to the
+  /// fields a walk of that list filters on).
+  CacheSlot sib_prev = kNullSlot;
+  CacheSlot sib_next = kNullSlot;
   /// Parent inode at insertion time. Child accounting uses this, not the
   /// live tree: a rename may reparent the node while it is cached, and
   /// the increment/decrement pair must hit the same entry.
@@ -138,6 +149,9 @@ struct CacheEntry {
   CacheSlot lru_prev = kNullSlot;
   CacheSlot lru_next = kNullSlot;
   CacheSlot self = kNullSlot;
+  /// Head of the intrusive list of the entries anchored under this one
+  /// (their anchor_parent is this inode; cached_children long).
+  CacheSlot child_head = kNullSlot;
 
   bool evictable() const { return pins == 0 && cached_children == 0; }
 };
@@ -228,6 +242,21 @@ class MetadataCache {
                            static_cast<double>(size_)
                      : 0.0;
   }
+
+  /// `ino` was just renamed in the tree; every rename of a node this
+  /// cache may hold must be reported. If it is resident under an anchor
+  /// other than its new live parent, it joins the stray list so
+  /// collect_children_of still finds it under that parent; renamed back
+  /// under its anchor, it leaves. No-op without the tree invariant.
+  void note_moved(InodeId ino);
+  /// Append to `out` every resident entry whose live parent is `dir`: the
+  /// entries anchored under `dir`'s entry that are not strays, plus the
+  /// strays that moved there. Visiting order is unspecified (see
+  /// sort_in_scan_order). Returns the entries examined: `dir`'s
+  /// cached_children plus the stray count. Needs the tree invariant.
+  std::size_t collect_children_of(const FsNode* dir,
+                                  std::vector<CacheEntry*>& out);
+  std::size_t stray_count() const { return strays_.size(); }
 
   /// Iterate all entries (migration export, diagnostics). The callback
   /// must not insert or erase entries (collect first, then mutate).
@@ -359,7 +388,12 @@ class MetadataCache {
   static bool is_anchor_dir(const CacheEntry& e) {
     return e.node->is_dir() && (e.prefix || e.cached_children > 0);
   }
-  void child_count_add(InodeId parent, int delta);
+  /// Count `e` among its anchor parent's cached children and link it into
+  /// the parent's child list (the parent must be resident).
+  void anchor_link(CacheEntry& e);
+  /// Reverse of anchor_link; tolerates a parent already torn down.
+  void anchor_unlink(CacheEntry& e);
+  void stray_remove(CacheEntry& e);
   /// Evict the tail-most evictable entry of `l`; false if none qualifies.
   bool evict_one_from(LruList& l);
   void remove_entry(CacheEntry& e, bool evicted);
@@ -375,6 +409,9 @@ class MetadataCache {
 
   LruList main_;
   LruList probation_;
+  /// Slots of the entries with `stray` set; few (renames are rare), so
+  /// removal is a linear search.
+  std::vector<CacheSlot> strays_;
 
   CacheStats stats_;
   std::size_t size_ = 0;

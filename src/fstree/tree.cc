@@ -215,6 +215,7 @@ FsNode* FsTree::create(FsNode* dir, const std::string& name, FileType type,
   node->parent_ = dir;
   node->depth_ = dir->depth_ + 1;
   node->path_hash_ = chain_hash(dir->path_hash_, name);
+  node->dentry_hash_ = giga_name_hash(dir->ino(), name);
   FsNode* raw = node.get();
   dir->children_.insert(slot, std::move(node));
   index_node(raw);
@@ -261,6 +262,7 @@ bool FsTree::rename(FsNode* node, FsNode* new_parent,
 
   owned->name_ = new_name;
   owned->parent_ = new_parent;
+  owned->dentry_hash_ = giga_name_hash(new_parent->ino(), new_name);
   FsNode* raw = owned.get();
   // Located after the erase: in a same-directory rename it may have
   // reshaped the blocks.

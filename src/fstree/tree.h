@@ -26,6 +26,22 @@ namespace mdsim {
 class FsTree;
 class FsNode;
 
+/// FNV-1a over the name, seeded by the directory inode number, with an
+/// avalanche finalizer: the name hash that places a dentry of a
+/// fragmented directory (GIGA+, mds/dirfrag.h). Shared verbatim by MDS
+/// and client so routing parity holds by construction.
+inline std::uint64_t giga_name_hash(InodeId dir, const std::string& name) {
+  std::uint64_t h = 0xcbf29ce484222325ULL ^ dir;
+  for (unsigned char c : name) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  h ^= h >> 29;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 32;
+  return h;
+}
+
 /// A directory's children in name order: one owning container, split into
 /// blocks of at most kBlock child pointers so an ordered insert or erase
 /// shifts one block, not the whole directory: O(log n + kBlock). Lookup is
@@ -139,6 +155,12 @@ class FsNode {
   /// strategies, where metadata location follows the path name.
   std::uint64_t path_hash() const { return path_hash_; }
 
+  /// giga_name_hash(parent()->ino(), name()), computed once when the
+  /// dentry is created or renamed (0 for the root). Descendants of a
+  /// renamed directory keep their parent, so only the renamed node's
+  /// hash changes; a tombstone keeps the hash of its last dentry.
+  std::uint64_t dentry_hash() const { return dentry_hash_; }
+
   /// Children, ordered by name (directory order on "disk"). The list owns
   /// them; range-for yields FsNode*.
   const ChildList& children_list() const { return children_; }
@@ -167,6 +189,7 @@ class FsNode {
   Inode inode_;
   std::uint32_t depth_ = 0;
   std::uint64_t path_hash_ = 0;
+  std::uint64_t dentry_hash_ = 0;
   ChildList children_;
   std::uint64_t subtree_size_ = 1;
   // Positions in FsTree's sampling vectors (SIZE_MAX = not present).

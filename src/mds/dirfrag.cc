@@ -114,16 +114,14 @@ void DirFragRegistry::note_heat(InodeId dir, const std::string& name,
       now);
 }
 
-MdsId DirFragRegistry::dentry_authority(InodeId dir,
-                                        const std::string& name) const {
-  const std::uint64_t h = giga_name_hash(dir, name);
+MdsId DirFragRegistry::dentry_authority(const GigaDir* g,
+                                        std::uint64_t name_hash) const {
   MdsId a;
-  auto it = dirs_.find(dir);
-  if (it != dirs_.end() && it->second.giga) {
-    const std::uint32_t p = giga_partition(h, it->second.bitmap, max_depth_);
-    a = giga_node(it->second.home, p, num_mds_);
+  if (g != nullptr && g->giga) {
+    a = giga_node(g->home, giga_partition(name_hash, g->bitmap, max_depth_),
+                  num_mds_);
   } else {
-    a = static_cast<MdsId>(h % static_cast<std::uint64_t>(num_mds_));
+    a = static_cast<MdsId>(name_hash % static_cast<std::uint64_t>(num_mds_));
   }
   return probe_alive(a);
 }

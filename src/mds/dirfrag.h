@@ -35,23 +35,9 @@
 
 #include "common/stats.h"
 #include "common/types.h"
+#include "fstree/tree.h"
 
 namespace mdsim {
-
-/// FNV-1a over the name, seeded by the directory inode number, with an
-/// avalanche finalizer. Shared verbatim by MDS and client so routing
-/// parity holds by construction. (Bit-identical to the pre-GIGA+ hash.)
-inline std::uint64_t giga_name_hash(InodeId dir, const std::string& name) {
-  std::uint64_t h = 0xcbf29ce484222325ULL ^ dir;
-  for (unsigned char c : name) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  h ^= h >> 29;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 32;
-  return h;
-}
 
 /// Partition index for a name hash under a split bitmap: take the low
 /// `max_depth` bits, then clear the most-significant set bit until the
@@ -111,7 +97,9 @@ class DirFragRegistry {
     return !dirs_.empty() && dirs_.count(dir) != 0;
   }
 
+  /// The directory's entry, or nullptr when it is not fragmented.
   const GigaDir* find(InodeId dir) const {
+    if (dirs_.empty()) return nullptr;
     auto it = dirs_.find(dir);
     return it == dirs_.end() ? nullptr : &it->second;
   }
@@ -130,7 +118,7 @@ class DirFragRegistry {
                 SimTime half_life);
 
   /// Split partition `p` into `p` and `p + 2^depth(p)`. The caller
-  /// rehashes the partition's current dentries and passes the exact
+  /// recounts the partition's current dentries and passes the exact
   /// post-split counts; only `child_count` entries move.
   /// Returns the child partition index.
   std::uint32_t split(InodeId dir, std::uint32_t p,
@@ -159,7 +147,13 @@ class DirFragRegistry {
   /// hash over all nodes. Either way the result is probed past nodes
   /// currently known dead (crashed or fenced), consistent with the
   /// epoch/takeover rules, instead of routing dentries into a black hole.
-  MdsId dentry_authority(InodeId dir, const std::string& name) const;
+  MdsId dentry_authority(InodeId dir, const std::string& name) const {
+    return dentry_authority(find(dir), giga_name_hash(dir, name));
+  }
+  /// The same from the dentry's name hash (FsNode::dentry_hash()) and its
+  /// directory's entry as find() returned it, so a caller routing many
+  /// dentries of one directory resolves the entry once.
+  MdsId dentry_authority(const GigaDir* g, std::uint64_t name_hash) const;
 
   /// Liveness as converged cluster knowledge: failure detection and
   /// heartbeat-observed recovery feed this mask so dentry routing skips

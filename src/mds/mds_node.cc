@@ -55,9 +55,10 @@ void MdsNode::bootstrap() {
 MdsId MdsNode::authority_for(const FsNode* node) const {
   // Dynamic directory fragmentation overrides the subtree partition for
   // dentries of fragmented directories (paper section 4.3).
-  if (ctx_.traits.dynamic_dirfrag && node->parent() != nullptr &&
-      ctx_.dirfrag.is_fragmented(node->parent()->ino())) {
-    return ctx_.dirfrag.dentry_authority(node->parent()->ino(), node->name());
+  if (ctx_.traits.dynamic_dirfrag && node->parent() != nullptr) {
+    if (const auto* g = ctx_.dirfrag.find(node->parent()->ino())) {
+      return ctx_.dirfrag.dentry_authority(g, node->dentry_hash());
+    }
   }
   return map_authority(node);
 }
@@ -699,6 +700,9 @@ void MdsNode::apply_update(RequestPtr req) {
       if (!ctx_.tree.rename(node, dst, m.name)) break;
       ok = true;
       result = node->ino();
+      // Cached copies stay anchored under the old parent; every cache
+      // must still find the node among its new parent's children.
+      for (MdsNode* n : ctx_.nodes) n->cache_.note_moved(node->ino());
       ctx_.store.apply_remove(src_dir, old_name);
       ctx_.store.apply_create(
           dst, m.name,

@@ -95,6 +95,7 @@ struct MdsStats {
   std::uint64_t attr_callbacks = 0;       // reads that called deltas in
   std::uint64_t move_sweeps = 0;          // directory-move invalidations run
   std::uint64_t move_sweep_nodes = 0;     // tree nodes those sweeps visited
+  std::uint64_t foreign_drop_visits = 0;  // entries dirfrag drops examined
 
   // Partition tolerance (leases, epochs, quorum takeover).
   std::uint64_t fence_events = 0;           // lease expiries (self-fencing)

@@ -144,9 +144,10 @@ void MdsNode::fill_hints(const RequestPtr& req, ClientReplyMsg& out) {
       auth = ctx_.partition.authority_step(n, auth);
       a = auth;
     }
-    if (ctx_.traits.dynamic_dirfrag && n->parent() != nullptr &&
-        ctx_.dirfrag.is_fragmented(n->parent()->ino())) {
-      a = ctx_.dirfrag.dentry_authority(n->parent()->ino(), n->name());
+    if (ctx_.traits.dynamic_dirfrag && n->parent() != nullptr) {
+      if (const auto* g = ctx_.dirfrag.find(n->parent()->ino())) {
+        a = ctx_.dirfrag.dentry_authority(g, n->dentry_hash());
+      }
     }
     if (ctx_.traits.dynamic_dirfrag && n->is_dir()) {
       // GIGA+ piggyback: the deepest fragmented directory on the path
@@ -181,15 +182,26 @@ void MdsNode::fill_hints(const RequestPtr& req, ClientReplyMsg& out) {
 void MdsNode::drop_foreign_dentries(FsNode* dir) {
   // Children-first order is unnecessary here: only direct children of the
   // directory change authority, and any that anchor cached grandchildren
-  // must be kept (they fall out as the grandchildren expire).
-  std::vector<InodeId> victims;
-  cache_.for_each([&](CacheEntry& e) {
-    if (e.node->parent() == dir && authority_for(e.node) != id_ &&
-        e.authoritative && e.cached_children == 0 && e.pins == 0) {
-      victims.push_back(e.node->ino());
+  // must be kept (they fall out as the grandchildren expire). The cache
+  // hands over exactly the entries whose live parent is `dir`; they are
+  // erased in the order a whole-cache scan would have met them.
+  std::vector<CacheEntry*> kids;
+  stats_.foreign_drop_visits += cache_.collect_children_of(dir, kids);
+  const auto* g =
+      ctx_.traits.dynamic_dirfrag ? ctx_.dirfrag.find(dir->ino()) : nullptr;
+  std::size_t victims = 0;
+  for (CacheEntry* e : kids) {
+    if (!e->authoritative || e->cached_children != 0 || e->pins != 0) {
+      continue;
     }
-  });
-  for (InodeId ino : victims) cache_.erase(ino);
+    const MdsId auth =
+        g != nullptr ? ctx_.dirfrag.dentry_authority(g, e->node->dentry_hash())
+                     : map_authority(e->node);
+    if (auth != id_) kids[victims++] = e;
+  }
+  kids.resize(victims);
+  cache_.sort_in_scan_order(kids);
+  for (CacheEntry* e : kids) cache_.erase(e->node->ino());
 }
 
 void MdsNode::maybe_fragment_dir(FsNode* dir, CacheEntry* entry) {
@@ -282,15 +294,17 @@ void MdsNode::maybe_split_partition(FsNode* dir, const std::string& name) {
   const bool full = g->counts[p] >= split_size && temp >= floor;
   if (!hot && !full) return;
 
-  // Exact rehash of the one splitting partition: count which of its
-  // dentries stay and which move to the new child. Only this partition's
-  // entries are touched — the incremental property the bench asserts.
+  // Exact recount of the one splitting partition: which of its dentries
+  // stay and which move to the new child. The walk visits every child of
+  // the directory, reading each one's cached name hash, and counts only
+  // the splitting partition's; only those change placement, which is the
+  // incremental property the bench asserts.
   const std::uint32_t c = p + (1u << d);
   const std::uint64_t next_bitmap = g->bitmap | (std::uint64_t{1} << c);
   std::uint64_t stay = 0;
   std::uint64_t move = 0;
   for (const FsNode* child : dir->children_list()) {
-    const std::uint64_t h = giga_name_hash(ino, child->name());
+    const std::uint64_t h = child->dentry_hash();
     if (giga_partition(h, g->bitmap, ctx_.dirfrag.max_depth()) != p) continue;
     if (giga_partition(h, next_bitmap, ctx_.dirfrag.max_depth()) == c) {
       ++move;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "cache/metadata_cache.h"
@@ -185,6 +187,48 @@ TEST_F(CacheTest, AnchorParentSurvivesRename) {
   EXPECT_EQ(c.check_invariants(), "");
 }
 
+TEST_F(CacheTest, StrayFollowsRenamesAwayAndBack) {
+  MetadataCache c(100);
+  insert_chain(c, files[0]);
+  insert_chain(c, files[1]);
+  insert_chain(c, dir_b, InsertKind::kDemand);
+  std::vector<CacheEntry*> kids;
+  ASSERT_TRUE(tree.rename(files[0], dir_b, "moved"));
+  c.note_moved(files[0]->ino());
+  EXPECT_EQ(c.stray_count(), 1u);
+  EXPECT_EQ(c.check_invariants(), "");
+  // Still counted (and listed) under its anchor, found under its live
+  // parent through the stray list, and under its anchor no more.
+  EXPECT_EQ(c.peek(dir_a->ino())->cached_children, 2u);
+  EXPECT_EQ(c.collect_children_of(dir_b, kids), 1u);  // just the stray
+  EXPECT_EQ(kids, std::vector<CacheEntry*>{c.peek(files[0]->ino())});
+  kids.clear();
+  EXPECT_EQ(c.collect_children_of(dir_a, kids), 3u);  // 2 anchored + stray
+  EXPECT_EQ(kids, std::vector<CacheEntry*>{c.peek(files[1]->ino())});
+  // A same-directory rename changes no parent: nothing to track.
+  ASSERT_TRUE(tree.rename(files[1], dir_a, "renamed"));
+  c.note_moved(files[1]->ino());
+  EXPECT_EQ(c.stray_count(), 1u);
+  // Back under its anchor, the entry leaves the stray list.
+  ASSERT_TRUE(tree.rename(files[0], dir_a, "home_again"));
+  c.note_moved(files[0]->ino());
+  EXPECT_EQ(c.stray_count(), 0u);
+  EXPECT_EQ(c.check_invariants(), "");
+  // Evicting a stray takes it off the list.
+  ASSERT_TRUE(tree.rename(files[0], dir_b, "moved"));
+  c.note_moved(files[0]->ino());
+  EXPECT_EQ(c.stray_count(), 1u);
+  EXPECT_TRUE(c.erase(files[0]->ino()));
+  EXPECT_EQ(c.stray_count(), 0u);
+  EXPECT_EQ(c.check_invariants(), "");
+}
+
+TEST_F(CacheTest, EntrySizeStaysBounded) {
+  // The per-parent child list costs three slot links on top of the
+  // 96-byte entry; the budget for them is 16 bytes.
+  EXPECT_LE(sizeof(CacheEntry), 112u);
+}
+
 TEST_F(CacheTest, CapacityShrinkEvicts) {
   MetadataCache c(50);
   for (int i = 0; i < 10; ++i) insert_chain(c, files[i]);
@@ -358,9 +402,32 @@ TEST_F(CacheTest, PopularityDecays) {
   EXPECT_LT(later, 0.01);
 }
 
-// Property test: random insert/lookup/erase sequences never violate the
-// cache's structural invariants.
+// Property test: random insert/lookup/erase/evict/rename sequences never
+// violate the cache's structural invariants, and collect_children_of
+// always returns what a whole-cache scan for the live children finds.
 class CacheProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+std::string children_match_scan(MetadataCache& c, FsNode* dir) {
+  std::vector<CacheEntry*> got;
+  const std::size_t visits = c.collect_children_of(dir, got);
+  std::vector<CacheEntry*> want;
+  c.for_each([&](CacheEntry& e) {
+    if (e.node->parent() == dir) want.push_back(&e);
+  });
+  const CacheEntry* d = c.peek(dir->ino());
+  const std::size_t expect_visits =
+      (d != nullptr ? d->cached_children : 0) + c.stray_count();
+  if (visits != expect_visits) {
+    return "visits " + std::to_string(visits) + " vs " +
+           std::to_string(expect_visits);
+  }
+  c.sort_in_scan_order(got);
+  if (got != want) {
+    return "children of " + dir->path() + ": " + std::to_string(got.size()) +
+           " collected vs " + std::to_string(want.size()) + " scanned";
+  }
+  return {};
+}
 
 TEST_P(CacheProperty, RandomOpsPreserveInvariants) {
   FsTree tree;
@@ -383,6 +450,8 @@ TEST_P(CacheProperty, RandomOpsPreserveInvariants) {
   }
   MetadataCache c(24);
   SimTime now = 0;
+  int renamed = 0;
+  std::size_t max_strays = 0;
   for (int step = 0; step < 3000; ++step) {
     now += kMillisecond;
     FsNode* n = nodes[rng.uniform(nodes.size())];
@@ -398,10 +467,22 @@ TEST_P(CacheProperty, RandomOpsPreserveInvariants) {
           c.insert(a, InsertKind::kPrefix, rng.bernoulli(0.8), now);
         }
       }
-    } else if (action < 0.8) {
+    } else if (action < 0.72) {
       c.lookup(n->ino(), now);
-    } else if (action < 0.9) {
+    } else if (action < 0.82) {
       c.erase(n->ino());
+    } else if (action < 0.88) {
+      // Rename in the ground truth (refused into its own subtree or onto
+      // a taken name), then tell the cache as the MDS handler does.
+      FsNode* to = dirs[rng.uniform(dirs.size())];
+      if (tree.rename(n, to, "r" + std::to_string(step))) {
+        c.note_moved(n->ino());
+        ++renamed;
+      }
+    } else if (action < 0.9) {
+      // Squeeze, then restore: a burst of tree-ordered evictions.
+      c.set_capacity(8);
+      c.set_capacity(24);
     } else {
       // Churn the protocol sidecar alongside the entries.
       EntryAux& a = c.aux_ensure(n->ino());
@@ -416,9 +497,16 @@ TEST_P(CacheProperty, RandomOpsPreserveInvariants) {
     if (step % 250 == 0) {
       ASSERT_EQ(c.check_invariants(), "") << "step " << step;
       ASSERT_LE(c.size(), 24u + 1u);
+      for (FsNode* d : dirs) {
+        ASSERT_EQ(children_match_scan(c, d), "") << "step " << step;
+      }
     }
+    max_strays = std::max(max_strays, c.stray_count());
   }
   EXPECT_EQ(c.check_invariants(), "");
+  for (FsNode* d : dirs) EXPECT_EQ(children_match_scan(c, d), "");
+  EXPECT_GT(renamed, 0);
+  EXPECT_GT(max_strays, 0u);  // renames did leave entries off their anchor
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheProperty,

@@ -597,6 +597,59 @@ TEST_F(FsTreeTest, ChildOrderContractAcrossBlocks) {
   EXPECT_GT(expect.size(), big->subtree_size() - 1);  // tombstones counted
 }
 
+TEST(DentryHash, MatchesNameHashThroughEveryMutation) {
+  NamespaceParams params;
+  params.seed = 5;
+  params.num_users = 6;
+  params.nodes_per_user = 120;
+  params.num_projects = 1;
+  FsTree tree;
+  NamespaceInfo info = generate_namespace(tree, params);
+  auto expect_all = [&](const char* when) {
+    std::size_t checked = 0;
+    tree.visit([&](FsNode* n) {
+      if (n->parent() == nullptr) return;
+      ++checked;
+      EXPECT_EQ(n->dentry_hash(), giga_name_hash(n->parent()->ino(), n->name()))
+          << when << ": " << n->path();
+    });
+    EXPECT_EQ(checked + 1, tree.node_count()) << when;
+  };
+  expect_all("generated");
+
+  FsNode* home = info.user_roots[0];
+  FsNode* other = info.user_roots[1];
+  FsNode* f = tree.create_file(home, "fresh_file");
+  FsNode* d = tree.mkdir(home, "fresh_dir");
+  FsNode* inner = tree.create_file(d, "inner");
+  ASSERT_NE(f, nullptr);
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(f->dentry_hash(), giga_name_hash(home->ino(), "fresh_file"));
+  EXPECT_EQ(d->dentry_hash(), giga_name_hash(home->ino(), "fresh_dir"));
+  expect_all("create/mkdir");
+
+  // Cross-directory rename of a directory: its own hash follows the new
+  // parent and name; the child it carries keeps its parent and its hash.
+  const std::uint64_t inner_before = inner->dentry_hash();
+  ASSERT_TRUE(tree.rename(d, other, "moved_dir"));
+  EXPECT_EQ(d->dentry_hash(), giga_name_hash(other->ino(), "moved_dir"));
+  EXPECT_EQ(inner->dentry_hash(), inner_before);
+  expect_all("cross-directory rename");
+
+  // Same-directory rename: the name alone changes the hash.
+  ASSERT_TRUE(tree.rename(f, home, "renamed_file"));
+  EXPECT_EQ(f->dentry_hash(), giga_name_hash(home->ino(), "renamed_file"));
+  expect_all("same-directory rename");
+
+  // A tombstone keeps the hash of its last dentry.
+  const std::uint64_t f_hash = f->dentry_hash();
+  ASSERT_TRUE(tree.remove(f));
+  EXPECT_FALSE(tree.alive(f));
+  EXPECT_EQ(f->dentry_hash(), f_hash);
+  EXPECT_EQ(f->dentry_hash(), giga_name_hash(f->parent()->ino(), f->name()));
+  expect_all("remove");
+}
+
 // --- generator ------------------------------------------------------------
 
 TEST(Generator, DeterministicForSeed) {

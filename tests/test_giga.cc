@@ -3,8 +3,10 @@
 // the notify/heartbeat-generation resync protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/fault_plan.h"
 #include "test_util.h"
@@ -479,6 +481,168 @@ TEST_F(GigaTest, DropForeignDentriesKeepsPinnedAndAnchoringEntries) {
   EXPECT_NE(cache.peek(subdir->ino()), nullptr);
 
   cache.unpin(cache.peek(pinned_child->ino()));
+}
+
+// The whole-cache scan drop_foreign_dentries replaced: every resident
+// entry whose live parent is `dir`, foreign under the current placement,
+// authoritative, anchoring nothing and unpinned.
+std::vector<InodeId> scan_foreign_victims(ClusterSim& cluster, MdsId self,
+                                          const FsNode* dir) {
+  MdsNode& node = cluster.mds(self);
+  std::vector<InodeId> victims;
+  node.cache().for_each([&](CacheEntry& e) {
+    if (e.node->parent() == dir && node.authority_for(e.node) != self &&
+        e.authoritative && e.cached_children == 0 && e.pins == 0) {
+      victims.push_back(e.node->ino());
+    }
+  });
+  return victims;
+}
+
+std::set<InodeId> resident_inos(MetadataCache& cache) {
+  std::set<InodeId> out;
+  cache.for_each([&](CacheEntry& e) { out.insert(e.node->ino()); });
+  return out;
+}
+
+TEST_F(GigaTest, DropForeignDentriesMatchesWholeCacheScan) {
+  SimConfig cfg = manual_config(StrategyKind::kDynamicSubtree);
+  ClusterSim cluster(cfg);
+  TestClient client;
+  client.attach(cluster);
+
+  // The placement the directory gets below: giga-fragmented at home, with
+  // partition 0 split once, so partition 1's dentries move to the next
+  // node. Planned on a separate registry to pick names and children.
+  DirFragRegistry plan(cluster.num_mds(), cluster.dirfrag().max_depth());
+  FsNode* dir = nullptr;
+  MdsId home = kInvalidMds;
+  auto foreign = [&](const FsNode* parent, const std::string& name) {
+    const auto* g = plan.find(dir->ino());
+    return plan.dentry_authority(g, giga_name_hash(parent->ino(), name)) !=
+           home;
+  };
+  // Children that placement alone would drop, each kept or dropped for
+  // one other reason.
+  FsNode* subdir = nullptr;   // anchors a cached grandchild: kept
+  FsNode* pinned = nullptr;   // pinned: kept
+  FsNode* replica = nullptr;  // a replica, not authoritative: kept
+  FsNode* out = nullptr;      // renamed out of the directory: not a child
+  for (FsNode* d : cluster.namespace_info().user_roots) {
+    dir = d;
+    home = cluster.mds(0).authority_for(d);
+    plan.fragment(d->ino(), home, /*giga=*/true, false, 0, 0.0, 0, kSecond);
+    plan.split(d->ino(), 0, 0, 0, 0);
+    subdir = pinned = replica = out = nullptr;
+    for (FsNode* c : d->children_list()) {
+      if (!foreign(d, c->name())) continue;
+      if (c->is_dir()) {
+        if (subdir == nullptr && c->child_count() > 0) subdir = c;
+      } else if (pinned == nullptr) {
+        pinned = c;
+      } else if (replica == nullptr) {
+        replica = c;
+      } else if (out == nullptr) {
+        out = c;
+      }
+    }
+    if (subdir != nullptr && out != nullptr) break;
+  }
+  ASSERT_NE(subdir, nullptr);
+  ASSERT_NE(out, nullptr);
+  FsNode* elsewhere = cluster.namespace_info().user_roots[0] == dir
+                          ? cluster.namespace_info().user_roots[1]
+                          : cluster.namespace_info().user_roots[0];
+
+  // A small create storm: the home node caches every new child.
+  storm(cluster, client, dir, "s", 40);
+  run_for(cluster, 100 * kMillisecond);
+  ASSERT_FALSE(cluster.dirfrag().is_fragmented(dir->ino()));
+
+  // A file of another directory that the home node is authority for: it
+  // is renamed into `dir` under a foreign name while cached (the stray).
+  FsNode* moved_in = nullptr;
+  for (FsNode* f : cluster.tree().files()) {
+    if (!FsTree::is_ancestor_of(dir, f) &&
+        cluster.mds(0).authority_for(f) == home) {
+      moved_in = f;
+      break;
+    }
+  }
+  ASSERT_NE(moved_in, nullptr);
+
+  FsNode* grandchild = subdir->children_list().front();
+  for (FsNode* n : {grandchild, pinned, replica, out, moved_in}) {
+    client.send(home, OpType::kStat, n, "", nullptr, n->inode().perms.uid);
+  }
+  run_for(cluster, kSecond);
+  MetadataCache& cache = cluster.mds(home).cache();
+  for (FsNode* n : {subdir, grandchild, pinned, out, moved_in}) {
+    ASSERT_NE(cache.peek(n->ino()), nullptr) << n->path();
+    ASSERT_TRUE(cache.peek(n->ino())->authoritative) << n->path();
+  }
+  cache.pin(cache.peek(pinned->ino()));
+  cache.erase(replica->ino());
+  cache.insert(replica, InsertKind::kDemand, /*authoritative=*/false,
+               cluster.sim().now());
+
+  std::string out_name;
+  std::string in_name;
+  for (int i = 0; out_name.empty() || in_name.empty(); ++i) {
+    const std::string name = "mv" + std::to_string(i);
+    if (out_name.empty() && foreign(elsewhere, name)) {
+      out_name = name;
+    } else if (in_name.empty() && foreign(dir, name)) {
+      in_name = name;
+    }
+  }
+  client.send(home, OpType::kRename, out, out_name, elsewhere,
+              out->inode().perms.uid);
+  client.send(home, OpType::kRename, moved_in, in_name, dir,
+              moved_in->inode().perms.uid);
+  run_for(cluster, kSecond);
+  ASSERT_EQ(out->parent(), elsewhere);
+  ASSERT_EQ(moved_in->parent(), dir);
+  ASSERT_NE(cache.peek(out->ino()), nullptr);
+  ASSERT_NE(cache.peek(moved_in->ino()), nullptr);
+  ASSERT_GE(cache.stray_count(), 2u);
+
+  // Fragment and split exactly as planned, then sweep every node.
+  const SimTime now = cluster.sim().now();
+  cluster.dirfrag().fragment(dir->ino(), home, /*giga=*/true, false,
+                             dir->child_count(), 0.0, now, kSecond);
+  cluster.dirfrag().split(dir->ino(), 0, 0, 0, now);
+  for (MdsId i = 0; i < cluster.num_mds(); ++i) {
+    MdsNode& node = cluster.mds(i);
+    MetadataCache& c = node.cache();
+    const std::vector<InodeId> victims = scan_foreign_victims(cluster, i, dir);
+    std::set<InodeId> expect = resident_inos(c);
+    for (InodeId v : victims) expect.erase(v);
+    const CacheEntry* d = c.peek(dir->ino());
+    const std::uint64_t visits =
+        (d != nullptr ? d->cached_children : 0) + c.stray_count();
+    const std::uint64_t before = node.stats().foreign_drop_visits;
+    const std::size_t size_before = c.size();
+
+    node.drop_foreign_dentries_probe(dir);
+    EXPECT_EQ(resident_inos(c), expect) << "mds " << i;
+    EXPECT_EQ(node.stats().foreign_drop_visits - before, visits) << "mds " << i;
+    EXPECT_EQ(c.check_invariants(), "") << "mds " << i;
+    if (i != home) continue;
+    // The sweep examined the directory's children, not the cache.
+    EXPECT_LT(visits, size_before);
+    const auto dropped = [&](const FsNode* n) {
+      return std::find(victims.begin(), victims.end(), n->ino()) !=
+             victims.end();
+    };
+    EXPECT_TRUE(dropped(moved_in));
+    EXPECT_FALSE(dropped(out));
+    EXPECT_FALSE(dropped(pinned));
+    EXPECT_FALSE(dropped(subdir));
+    EXPECT_FALSE(dropped(replica));
+    EXPECT_GT(victims.size(), 1u);  // storm children moved away too
+  }
+  cache.unpin(cache.peek(pinned->ino()));
 }
 
 TEST_F(GigaTest, FetchCostReadsOwnShardOnly) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <unordered_map>
 #include <vector>
 
+#include "common/rng.h"
 #include "fstree/tree.h"
 #include "sim/simulation.h"
 #include "storage/anchor_table.h"
@@ -91,6 +94,115 @@ TEST(Journal, ReplayNeverExceedsCapacity) {
   for (InodeId i = 0; i < 1000; ++i) j.append(i % 40);
   EXPECT_LE(j.replay().size(), 16u);
   EXPECT_EQ(j.total_appends(), 1000u);
+}
+
+// Reference model: the journal as a deque of (ino, seq) slots plus an
+// ino -> newest-seq map. The ring-and-table journal must match it append
+// for append.
+class ReferenceJournal {
+ public:
+  explicit ReferenceJournal(std::size_t capacity) : capacity_(capacity) {}
+
+  void append(InodeId ino) {
+    log_.push_back(Slot{ino, next_seq_});
+    live_[ino] = next_seq_;
+    ++next_seq_;
+    while (log_.size() > capacity_) {
+      const Slot tail = log_.front();
+      log_.pop_front();
+      auto it = live_.find(tail.ino);
+      if (it != live_.end() && it->second == tail.seq) {
+        live_.erase(it);
+        ++writebacks;
+        written.push_back(tail.ino);
+      } else {
+        ++superseded;
+      }
+    }
+  }
+
+  std::vector<InodeId> replay() const {
+    std::vector<InodeId> out;
+    for (const Slot& s : log_) {
+      auto it = live_.find(s.ino);
+      if (it != live_.end() && it->second == s.seq) out.push_back(s.ino);
+    }
+    return out;
+  }
+  bool contains(InodeId ino) const { return live_.count(ino) != 0; }
+  std::size_t live_entries() const { return live_.size(); }
+  double absorption_rate() const {
+    const std::uint64_t expired = writebacks + superseded;
+    return expired == 0 ? 0.0
+                        : static_cast<double>(superseded) /
+                              static_cast<double>(expired);
+  }
+  /// Inode of the oldest entry, the next to leave (log must be non-empty).
+  InodeId oldest() const { return log_.front().ino; }
+  bool full() const { return log_.size() == capacity_; }
+
+  std::vector<InodeId> written;
+  std::uint64_t writebacks = 0;
+  std::uint64_t superseded = 0;
+
+ private:
+  struct Slot {
+    InodeId ino;
+    std::uint64_t seq;
+  };
+  std::size_t capacity_;
+  std::deque<Slot> log_;
+  std::unordered_map<InodeId, std::uint64_t> live_;
+  std::uint64_t next_seq_ = 0;
+};
+
+TEST(Journal, MatchesReferenceModelOnRandomStreams) {
+  for (std::size_t capacity : {1u, 2u, 3u, 7u, 64u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      Rng rng(seed * 1000 + capacity);
+      std::vector<InodeId> written;
+      BoundedJournal j(capacity, [&](InodeId ino) { written.push_back(ino); });
+      ReferenceJournal ref(capacity);
+      // Inodes from a pool a few times the capacity, so streams mix fresh
+      // entries, superseded ones and expiries; ino 0 is a legal key too.
+      const std::uint64_t pool = 3 * capacity + 2;
+      std::size_t tail_reappends = 0;
+      for (int step = 0; step < 3000; ++step) {
+        InodeId ino = rng.uniform(pool);
+        if (ref.full() && rng.bernoulli(0.15)) {
+          ino = ref.oldest();  // re-append the tail inode at wrap
+          ++tail_reappends;
+        }
+        j.append(ino);
+        ref.append(ino);
+        const std::string at = "capacity " + std::to_string(capacity) +
+                               " seed " + std::to_string(seed) + " step " +
+                               std::to_string(step);
+        ASSERT_EQ(written, ref.written) << at;
+        ASSERT_EQ(j.replay(), ref.replay()) << at;
+        ASSERT_EQ(j.live_entries(), ref.live_entries()) << at;
+        ASSERT_EQ(j.writebacks(), ref.writebacks) << at;
+        ASSERT_EQ(j.absorption_rate(), ref.absorption_rate()) << at;
+        for (InodeId probe = 0; probe < pool; ++probe) {
+          ASSERT_EQ(j.contains(probe), ref.contains(probe)) << at;
+        }
+      }
+      EXPECT_EQ(j.total_appends(), 3000u);
+      EXPECT_GT(tail_reappends, 0u);
+    }
+  }
+}
+
+TEST(Journal, TailReappendAtWrapIsSupersededNotWrittenBack) {
+  std::vector<InodeId> written;
+  BoundedJournal j(2, [&](InodeId ino) { written.push_back(ino); });
+  j.append(1);
+  j.append(2);
+  j.append(1);  // the new entry lands before (1, seq 0) leaves: a hole
+  EXPECT_TRUE(written.empty());
+  EXPECT_EQ(j.writebacks(), 0u);
+  EXPECT_EQ(j.absorption_rate(), 1.0);
+  EXPECT_EQ(j.replay(), (std::vector<InodeId>{2, 1}));
 }
 
 // --- ObjectStore -----------------------------------------------------------

@@ -4,6 +4,9 @@
 // its bookkeeping" checks, complementing the per-module unit tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
 #include "test_util.h"
 
 namespace mdsim {
@@ -147,6 +150,50 @@ TEST(MigrationChurn, RepeatedForcedMigrationsStayConsistent) {
     completed += cluster.client(c).stats().ops_completed;
   }
   EXPECT_GT(completed, 1000u);
+}
+
+TEST(RenameChurn, CachedRenamesUnderEvictionKeepListsConsistent) {
+  // Files cached on several nodes are renamed across directories while
+  // tiny caches evict under client load: every cache's per-parent child
+  // lists and stray list must stay exact throughout.
+  SimConfig cfg = manual_config(StrategyKind::kDynamicSubtree, 4, 11);
+  cfg.num_clients = 60;
+  cfg.fs.num_users = 16;
+  cfg.fs.nodes_per_user = 200;
+  cfg.mds.cache_capacity = 150;
+  cfg.mds.journal_capacity = 150;
+  cfg.mds.dirfrag_temp_threshold = 20.0;  // let dirfrag sweeps run too
+  ClusterSim cluster(cfg);
+  TestClient client;
+  client.attach(cluster);
+  cluster.run_until(kSecond);
+  Rng rng(5);
+  std::size_t max_strays = 0;
+  for (int round = 0; round < 60; ++round) {
+    const auto& files = cluster.tree().files();
+    const auto& dirs = cluster.tree().dirs();
+    FsNode* f = files[rng.uniform(files.size())];
+    FsNode* to = dirs[rng.uniform(dirs.size())];
+    const std::uint32_t uid = f->inode().perms.uid;
+    for (MdsId i = 0; i < cluster.num_mds(); ++i) {
+      client.send(i, OpType::kStat, f, "", nullptr, uid);
+    }
+    cluster.run_until(cluster.sim().now() + 20 * kMillisecond);
+    client.send(cluster.mds(0).authority_for(f), OpType::kRename, f,
+                "churn" + std::to_string(round), to, uid);
+    cluster.run_until(cluster.sim().now() + 30 * kMillisecond);
+    for (MdsId i = 0; i < cluster.num_mds(); ++i) {
+      max_strays = std::max(max_strays, cluster.mds(i).cache().stray_count());
+    }
+    if (round % 10 == 0) expect_caches_sane(cluster);
+  }
+  cluster.run_until(cluster.sim().now() + 2 * kSecond);
+  expect_caches_sane(cluster);
+  expect_clients_live(cluster);
+  EXPECT_GT(max_strays, 0u);
+  for (int i = 0; i < cluster.num_mds(); ++i) {
+    EXPECT_GT(cluster.mds(i).cache().stats().evictions, 0u) << i;
+  }
 }
 
 TEST(WorkloadSoup, AllWorkloadsRunOnAllStrategiesBriefly) {
