@@ -381,28 +381,39 @@ void MetadataCache::note_moved(InodeId ino) {
   }
 }
 
-std::size_t MetadataCache::collect_children_of(
-    const FsNode* dir, std::vector<CacheEntry*>& out) {
+std::size_t MetadataCache::reach_below(const FsNode* dir, Reach reach) {
   assert(enforce_tree_);
+  reached_.clear();
   std::size_t visits = 0;
-  // Every resident entry anchored under `dir` is on its entry's list, and
-  // the tree invariant keeps that entry resident while the list is
-  // non-empty. A listed entry still hangs under `dir` unless it is a
-  // stray (renamed away), so the walk need not touch the tree node.
-  if (const CacheEntry* d = peek(dir->ino())) {
-    for (CacheSlot s = d->child_head; s != kNullSlot;
+  // Every resident entry anchored under `e` is on its list, and the tree
+  // invariant keeps `e` resident while the list is non-empty. A listed
+  // entry still hangs under `e` unless it is a stray (renamed away), so
+  // the walk need not touch the tree.
+  auto take_children = [&](const CacheEntry& e) {
+    for (CacheSlot s = e.child_head; s != kNullSlot;
          s = entries_[s].sib_next) {
       ++visits;
       CacheEntry& c = entries_[s];
-      if (!c.stray) out.push_back(&c);
+      if (!c.stray) reached_.push_back(&c);
     }
-  }
-  // The strays whose live parent is `dir` were renamed into it while
-  // cached.
+  };
+  if (const CacheEntry* d = peek(dir->ino())) take_children(*d);
+  // Strays were renamed under their live parent while cached; each one
+  // below `dir` is taken here, once, whichever list it is anchored on.
   for (CacheSlot s : strays_) {
     ++visits;
     CacheEntry& c = entries_[s];
-    if (c.node->parent() == dir) out.push_back(&c);
+    const FsNode* parent = c.node->parent();
+    const bool below = reach == Reach::kChildren
+                           ? parent == dir
+                           : FsTree::is_ancestor_of(dir, parent);
+    if (below) reached_.push_back(&c);
+  }
+  if (reach == Reach::kSubtree) {
+    // Everything anchored under a reached entry is below `dir` too.
+    for (std::size_t i = 0; i < reached_.size(); ++i) {
+      take_children(*reached_[i]);
+    }
   }
   return visits;
 }
@@ -424,7 +435,11 @@ void MetadataCache::sort_in_scan_order(
   }
   std::sort(keyed.begin(), keyed.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (std::size_t i = 0; i < keyed.size(); ++i) entries[i] = keyed[i].second;
+  std::size_t n = 0;
+  for (const auto& k : keyed) {
+    if (n == 0 || entries[n - 1] != k.second) entries[n++] = k.second;
+  }
+  entries.resize(n);
 }
 
 // --------------------------------------------------------------------------

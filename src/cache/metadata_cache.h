@@ -29,8 +29,11 @@
 // fetch in flight coalesces waiters for a not-yet-resident inode).
 //
 // Each entry also heads an intrusive list of the entries anchored under
-// it, and entries renamed away from their anchor sit on a stray list, so
-// the cached children of one directory are found without a scan.
+// it, and entries renamed away from their anchor sit on a stray list.
+// Those lists are the one way to find what is cached under a directory
+// (collect_below): its children for dirfrag drops, its whole subtree for
+// directory-move sweeps and migration export, at the cost of the entries
+// found plus the strays.
 //
 // The cache also keeps the accounting behind Figures 3 and 4 — which
 // entries are prefix inodes and replica-vs-authority counts — as
@@ -246,27 +249,45 @@ class MetadataCache {
   /// `ino` was just renamed in the tree; every rename of a node this
   /// cache may hold must be reported. If it is resident under an anchor
   /// other than its new live parent, it joins the stray list so
-  /// collect_children_of still finds it under that parent; renamed back
-  /// under its anchor, it leaves. No-op without the tree invariant.
+  /// collect_below still finds it under that parent; renamed back under
+  /// its anchor, it leaves. No-op without the tree invariant.
   void note_moved(InodeId ino);
-  /// Append to `out` every resident entry whose live parent is `dir`: the
-  /// entries anchored under `dir`'s entry that are not strays, plus the
-  /// strays that moved there. Visiting order is unspecified (see
-  /// sort_in_scan_order). Returns the entries examined: `dir`'s
-  /// cached_children plus the stray count. Needs the tree invariant.
-  std::size_t collect_children_of(const FsNode* dir,
-                                  std::vector<CacheEntry*>& out);
   std::size_t stray_count() const { return strays_.size(); }
 
-  /// Iterate all entries (migration export, diagnostics). The callback
-  /// must not insert or erase entries (collect first, then mutate).
+  /// How far below a directory collect_below reaches.
+  enum class Reach : std::uint8_t {
+    kChildren,  // entries whose live parent is the directory
+    kSubtree,   // everything under it, tombstones below their former dir
+  };
+  /// Append to `out` each resident entry below `dir` in the live tree for
+  /// which `keep(entry)` holds, then leave all of `out` in scan order (the
+  /// order for_each visits) with repeats dropped, so one list can gather
+  /// several roots and an order-sensitive step downstream, such as an
+  /// unstable sort, sees what a whole-cache scan would have produced. The
+  /// walk follows the anchor lists from `dir`'s entry and checks every
+  /// stray; `dir` itself need not be resident. Returns the entries
+  /// examined: the list members reached plus the stray count. Needs the
+  /// tree invariant.
+  template <typename Keep>
+  std::size_t collect_below(const FsNode* dir, Reach reach,
+                            std::vector<CacheEntry*>& out, Keep&& keep) {
+    const std::size_t visits = reach_below(dir, reach);
+    for (CacheEntry* e : reached_) {
+      if (keep(static_cast<const CacheEntry&>(*e))) out.push_back(e);
+    }
+    sort_in_scan_order(out);
+    return visits;
+  }
+  std::size_t collect_below(const FsNode* dir, Reach reach,
+                            std::vector<CacheEntry*>& out) {
+    return collect_below(dir, reach, out,
+                         [](const CacheEntry&) { return true; });
+  }
+
+  /// Iterate all entries (balancer and rejoin scans, test oracles). The
+  /// callback must not insert or erase entries (collect first, then
+  /// mutate).
   void for_each(const std::function<void(CacheEntry&)>& fn);
-  /// Reorder resident `entries` into the order for_each visits them
-  /// (index position; repeats of one entry end up adjacent). Callers that
-  /// gather entries some other way then hand an order-sensitive step, such
-  /// as an unstable sort, exactly the sequence a for_each scan would have
-  /// produced.
-  void sort_in_scan_order(std::vector<CacheEntry*>& entries) const;
 
   // ---- protocol sidecar (EntryAux) ---------------------------------------
   /// Sidecar for `ino`, or nullptr if none exists.
@@ -394,6 +415,11 @@ class MetadataCache {
   /// Reverse of anchor_link; tolerates a parent already torn down.
   void anchor_unlink(CacheEntry& e);
   void stray_remove(CacheEntry& e);
+  /// Fill reached_ with the resident entries below `dir` (collect_below's
+  /// walk, unfiltered and unordered); returns the entries examined.
+  std::size_t reach_below(const FsNode* dir, Reach reach);
+  /// Reorder resident `entries` into for_each order, dropping repeats.
+  void sort_in_scan_order(std::vector<CacheEntry*>& entries) const;
   /// Evict the tail-most evictable entry of `l`; false if none qualifies.
   bool evict_one_from(LruList& l);
   void remove_entry(CacheEntry& e, bool evicted);
@@ -412,6 +438,8 @@ class MetadataCache {
   /// Slots of the entries with `stray` set; few (renames are rare), so
   /// removal is a linear search.
   std::vector<CacheSlot> strays_;
+  /// reach_below's result, kept to reuse its capacity.
+  std::vector<CacheEntry*> reached_;
 
   CacheStats stats_;
   std::size_t size_ = 0;

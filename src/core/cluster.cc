@@ -209,13 +209,10 @@ void ClusterSim::fail_mds(MdsId failed, bool warm_takeover) {
   // after heartbeat_miss_threshold missed periods, and the lowest live id
   // performs the takeover (recovery.cc). Nothing more to do here — the
   // unavailability window between crash and takeover is the measurement.
-  if (traits_for(config_.strategy).load_balancing &&
-      ctx_->params.failure_detection) {
-    return;
-  }
+  if (traits_for(config_.strategy).load_balancing) return;
 
-  // No heartbeats (hashed / static strategies) or detection disabled:
-  // apply the redistribution directly, as an external monitor would.
+  // No heartbeats (hashed / static strategies): apply the redistribution
+  // directly, as an external monitor would.
   std::vector<MdsId> survivors;
   dirfrag_->set_node_alive(failed, false);
   for (MdsId i = 0; i < num_mds_; ++i) {
@@ -255,7 +252,7 @@ void ClusterSim::fail_mds(MdsId failed, bool warm_takeover) {
         takeover_nodes.end());
     const auto working_set = dead.journal().replay();
     for (MdsId heir : takeover_nodes) {
-      mds(heir).warm_from_journal(working_set);
+      mds(heir).warm_from_journal(working_set, /*own_log=*/false);
     }
   }
 }
@@ -282,8 +279,7 @@ void ClusterSim::recover_mds(MdsId node) {
   // resumes immediately, recovering() clears when the replay lands.
   n.restart();
 
-  if (traits_for(config_.strategy).load_balancing &&
-      ctx_->params.failure_detection) {
+  if (traits_for(config_.strategy).load_balancing) {
     return;  // peers mark it up when its heartbeats resume
   }
   dirfrag_->set_node_alive(node, true);

@@ -243,7 +243,7 @@ bool FsTree::remove(FsNode* node) {
   FsNode* dir = node->parent_;
   unindex_node(node);
   adjust_subtree_sizes(dir, -1);
-  graveyard_[dir].push_back(dir->children_.erase(node));
+  graveyard_.push_back(dir->children_.erase(node));
   bump_version(dir, dir->inode_.ctime);
   return true;
 }

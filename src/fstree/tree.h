@@ -16,7 +16,6 @@
 #include <iterator>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "fstree/inode.h"
@@ -257,28 +256,6 @@ class FsTree {
   /// True if `ancestor` is on `node`'s parent chain (or equal).
   static bool is_ancestor_of(const FsNode* ancestor, const FsNode* node);
 
-  /// Call `fn(FsNode*)` on exactly the nodes `is_ancestor_of(root, ·)`
-  /// accepts, `root` excluded: the live descendants and the tombstones
-  /// hanging below them. A removed node keeps its parent pointer, so it
-  /// stays below its former directory and follows it through later
-  /// renames. Remote links are dentries, not nodes, and are never visited.
-  /// Costs the size of the subtree, not of the tree; `fn` must not mutate
-  /// the tree. Visiting order is unspecified.
-  template <typename Fn>
-  void for_each_descendant(const FsNode* root, Fn&& fn) const {
-    if (!root->is_dir()) return;  // only directories parent anything
-    for (FsNode* c : root->children_) {
-      fn(c);
-      for_each_descendant(c, fn);
-    }
-    const auto it = graveyard_.find(root);
-    if (it == graveyard_.end()) return;
-    for (const std::unique_ptr<FsNode>& t : it->second) {
-      fn(t.get());
-      for_each_descendant(t.get(), fn);
-    }
-  }
-
   // --- Sampling support ----------------------------------------------------
   /// All regular files / all directories, in unspecified order. Stable
   /// positions except for swap-removals; suitable for uniform sampling.
@@ -304,11 +281,8 @@ class FsTree {
   }
 
   std::unique_ptr<FsNode> root_;
-  /// Tombstones, owned here and filed under the directory they were
-  /// removed from (their kept parent pointer) so for_each_descendant
-  /// reaches them.
-  std::unordered_map<const FsNode*, std::vector<std::unique_ptr<FsNode>>>
-      graveyard_;
+  /// Tombstones, owned here while requests and caches may still hold them.
+  std::vector<std::unique_ptr<FsNode>> graveyard_;
   std::vector<FsNode*> by_ino_;  // dense: indexed by InodeId
   std::vector<FsNode*> files_;
   std::vector<FsNode*> dirs_;

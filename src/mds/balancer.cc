@@ -72,7 +72,7 @@ void MdsNode::heartbeat_tick() {
   // count the heartbeat as a lease ack (partition safety); built once,
   // shared read-only by every per-peer message.
   std::vector<std::uint64_t> alive_mask;
-  if (partition_safety_on()) {
+  if (lease_quorum_on()) {
     alive_mask.assign((static_cast<std::size_t>(ctx_.num_mds) + 63) / 64, 0);
     for (MdsId peer = 0; peer < ctx_.num_mds; ++peer) {
       if (peer != id_ && peer_alive_[static_cast<std::size_t>(peer)] == 0)

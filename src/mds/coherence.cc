@@ -41,25 +41,14 @@ void MdsNode::invalidate_replicas(InodeId ino, bool removed) {
   cache_.aux_gc(ino);
 }
 
-std::uint64_t MdsNode::collect_cached_descendants(
-    const FsNode* root, std::vector<CacheEntry*>& out) {
-  std::uint64_t visited = 0;
-  ctx_.tree.for_each_descendant(root, [&](FsNode* n) {
-    ++visited;
-    CacheEntry* e = cache_.peek(n->ino());
-    if (e != nullptr && e->node == n) out.push_back(e);
-  });
-  return visited;
-}
-
 std::uint64_t MdsNode::collect_move_victims(const FsNode* moved,
                                             std::vector<CacheEntry*>& victims) {
-  // Walk the moved subtree (tombstones included: a cached removed node
-  // still sits below its former directory), then restore the cache's scan
-  // order so the unstable depth sort below sees the same input — and so
-  // produces the same erase order — as a whole-cache scan would.
-  const std::uint64_t visited = collect_cached_descendants(moved, victims);
-  cache_.sort_in_scan_order(victims);
+  // The cache hands over everything below the moved directory (tombstones
+  // included: a cached removed node still sits below its former
+  // directory) in scan order, so the unstable depth sort below produces
+  // the same erase order as it would over a whole-cache scan.
+  const std::uint64_t visited = cache_.collect_below(
+      moved, MetadataCache::Reach::kSubtree, victims);
   std::sort(victims.begin(), victims.end(),
             [](const CacheEntry* a, const CacheEntry* b) {
               return a->node->depth() > b->node->depth();

@@ -176,24 +176,6 @@ void MdsNode::on_message(NetAddr from, MessagePtr msg) {
   }
 }
 
-void MdsNode::on_message_batch(Delivery* items, std::size_t n) {
-  if (failed_) return;  // dead nodes answer nothing
-  // Contiguous client-request runs take the amortized path; anything else
-  // goes one message at a time. Processing stays strictly in batch order.
-  std::size_t i = 0;
-  while (i < n) {
-    if (items[i].msg->type == MsgType::kClientRequest) {
-      std::size_t j = i + 1;
-      while (j < n && items[j].msg->type == MsgType::kClientRequest) ++j;
-      handle_client_request_run(items + i, j - i);
-      i = j;
-    } else {
-      on_message(items[i].from, std::move(items[i].msg));
-      ++i;
-    }
-  }
-}
-
 // --------------------------------------------------------------------------
 // Client request path
 // --------------------------------------------------------------------------
@@ -309,7 +291,8 @@ void MdsNode::admit_client_request(ClientRequestMsg&& msg, NetAddr reply_to) {
   route(std::move(req));
 }
 
-void MdsNode::handle_client_request(ClientRequestMsg msg, NetAddr reply_to) {
+void MdsNode::handle_client_request(ClientRequestMsg&& msg,
+                                    NetAddr reply_to) {
   if (is_duplicate_update(msg)) {
     ++stats_.duplicate_updates_dropped;
     return;
@@ -328,36 +311,6 @@ void MdsNode::handle_client_request(ClientRequestMsg msg, NetAddr reply_to) {
     }
   }
   admit_client_request(std::move(msg), reply_to);
-}
-
-void MdsNode::handle_client_request_run(Delivery* items, std::size_t n) {
-  // Per-message admission is unchanged; only the stats counter updates are
-  // folded into one add per run, which is exact — the counters are plain
-  // sums, so `+= k` equals k increments.
-  std::uint64_t accepted = 0;
-  std::uint64_t first_hop = 0;
-  std::uint64_t dropped = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (failed_) break;  // a mid-batch handler may have killed this node
-    auto& msg = static_cast<ClientRequestMsg&>(*items[i].msg);
-    if (is_duplicate_update(msg)) {
-      ++dropped;
-      continue;
-    }
-    ++accepted;
-    first_hop += msg.hops == 0;
-    if (ctx_.params.overload.enabled) {
-      const AdmitVerdict v = admission_verdict(msg);
-      if (v != AdmitVerdict::kAdmit) {
-        shed_request(msg, items[i].from, v);
-        continue;
-      }
-    }
-    admit_client_request(std::move(msg), items[i].from);
-  }
-  stats_.duplicate_updates_dropped += dropped;
-  stats_.requests_received += accepted;
-  if (first_hop != 0) stats_.request_rate.add(first_hop);
 }
 
 void MdsNode::route(RequestPtr req) {
@@ -874,16 +827,27 @@ void MdsNode::mark_peer_up(MdsId peer) {
   }
 }
 
-void MdsNode::warm_from_journal(const std::vector<InodeId>& working_set) {
-  // One sequential read of the failed node's log region (shared OSD
-  // storage), then install every still-relevant item.
+void MdsNode::warm_from_journal(std::vector<InodeId> log, bool own_log) {
+  auto items = std::make_shared<std::vector<InodeId>>(std::move(log));
   const std::uint32_t log_nodes =
-      1 + static_cast<std::uint32_t>(working_set.size() / 16);
-  auto items = std::make_shared<std::vector<InodeId>>(working_set);
-  disk_.read_object(log_nodes, [this, items]() {
-    const SimTime cpu =
-        ctx_.params.cpu_migrate_per_item * items->size();
-    charge_cpu(cpu, [this, items]() {
+      1 + static_cast<std::uint32_t>(items->size() / 16);
+  disk_.read_object(log_nodes, [this, items, own_log]() {
+    if (own_log) {
+      // A coalesced tier-2 write per dirty directory (shared B+tree
+      // nodes, as in the normal writeback path).
+      std::unordered_map<InodeId, std::uint32_t> dirty;
+      for (InodeId ino : *items) {
+        FsNode* n = ctx_.tree.by_ino(ino);
+        InodeId dir = kInvalidInode;
+        if (n != nullptr && n->parent() != nullptr) dir = n->parent()->ino();
+        ++dirty[dir];
+      }
+      for (const auto& [dir, count] : dirty) {
+        disk_.write_object(1 + count / 16, []() {});
+      }
+    }
+    const SimTime cpu = ctx_.params.cpu_migrate_per_item * items->size();
+    charge_cpu(cpu, [this, items, own_log]() {
       std::uint64_t installed = 0;
       for (InodeId ino : *items) {
         FsNode* n = ctx_.tree.by_ino(ino);
@@ -892,7 +856,15 @@ void MdsNode::warm_from_journal(const std::vector<InodeId>& working_set) {
         cache_insert_anchored(n, InsertKind::kDemand, /*authoritative=*/true);
         ++installed;
       }
-      stats_.takeover_warm_items += installed;
+      if (!own_log) {
+        stats_.takeover_warm_items += installed;
+        return;
+      }
+      stats_.restart_replayed_items += installed;
+      recovering_ = false;
+      if (ctx_.faults != nullptr) {
+        ctx_.faults->note_rejoin(id_, ctx_.sim.now());
+      }
     });
   });
 }

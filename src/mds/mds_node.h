@@ -94,7 +94,7 @@ struct MdsStats {
   std::uint64_t attr_flushes_applied = 0; // delta batches applied as auth
   std::uint64_t attr_callbacks = 0;       // reads that called deltas in
   std::uint64_t move_sweeps = 0;          // directory-move invalidations run
-  std::uint64_t move_sweep_nodes = 0;     // tree nodes those sweeps visited
+  std::uint64_t move_sweep_nodes = 0;     // cache entries those sweeps examined
   std::uint64_t foreign_drop_visits = 0;  // entries dirfrag drops examined
 
   // Partition tolerance (leases, epochs, quorum takeover).
@@ -139,11 +139,6 @@ class MdsNode final : public NetEndpoint {
   void bootstrap();
 
   void on_message(NetAddr from, MessagePtr msg) override;
-  /// Amortized dispatch for a same-instant delivery batch: contiguous
-  /// client-request runs fold their per-message stats counter updates into
-  /// one add each; everything else takes the one-message path. Semantics
-  /// are identical to delivering the batch one message at a time.
-  void on_message_batch(Delivery* items, std::size_t n) override;
 
   MdsId id() const { return id_; }
   MdsStats& stats() { return stats_; }
@@ -217,10 +212,12 @@ class MdsNode final : public NetEndpoint {
   /// replay completes.
   void restart();
   bool recovering() const { return recovering_; }
-  /// Takeover warm-up (paper section 4.6): replay the failed node's
-  /// bounded journal from shared storage and preload this cache with its
-  /// working set. One sequential log read plus per-item install cost.
-  void warm_from_journal(const std::vector<InodeId>& working_set);
+  /// Replay a bounded journal from shared storage (paper section 4.6): one
+  /// sequential read of the log region, a CPU charge per item, then the
+  /// install of every item this node owns. Takeover heirs replay the
+  /// failed node's log; restart replays its own (`own_log`), which also
+  /// writes the dirty directories back and ends the recovery.
+  void warm_from_journal(std::vector<InodeId> log, bool own_log);
   /// Drop all cache state except the pinned root (cold rejoin after an
   /// outage; the node missed invalidations while it was down).
   void clear_cache_for_rejoin();
@@ -398,8 +395,7 @@ class MdsNode final : public NetEndpoint {
   }
 
   // ---- dispatch (mds_node.cc) -------------------------------------------
-  void handle_client_request(ClientRequestMsg msg, NetAddr reply_to);
-  void handle_client_request_run(Delivery* items, std::size_t n);
+  void handle_client_request(ClientRequestMsg&& msg, NetAddr reply_to);
   /// Duplicate-delivery check for updates; records the req id when new.
   bool is_duplicate_update(const ClientRequestMsg& msg);
   /// Overload admission (only consulted when ctx_.params.overload.enabled
@@ -497,13 +493,8 @@ class MdsNode final : public NetEndpoint {
   void unregister_replica(InodeId ino, MdsId holder);
   void invalidate_replicas(InodeId ino, bool removed);
   void handle_invalidate(const CacheInvalidateMsg& m);
-  /// Append the resident entries of the nodes strictly below `root` (live
-  /// and tombstoned; FsTree::for_each_descendant), in walk order. Returns
-  /// the number of tree nodes visited.
-  std::uint64_t collect_cached_descendants(const FsNode* root,
-                                           std::vector<CacheEntry*>& out);
   /// Victims of a directory-move invalidation of `moved`, deepest first.
-  /// Returns the number of tree nodes visited.
+  /// Returns the number of cache entries examined.
   std::uint64_t collect_move_victims(const FsNode* moved,
                                      std::vector<CacheEntry*>& victims);
   void handle_replica_drop(NetAddr from, const ReplicaDropMsg& m);
@@ -569,9 +560,8 @@ class MdsNode final : public NetEndpoint {
   // ---- partition tolerance (recovery.cc) -----------------------------------
   /// Lease/quorum machinery is active only where it can work: subtree
   /// strategies with heartbeats and enough nodes for a strict majority.
-  bool partition_safety_on() const {
-    return subtree_map_ != nullptr && ctx_.params.partition_safety &&
-           ctx_.params.failure_detection && ctx_.traits.load_balancing &&
+  bool lease_quorum_on() const {
+    return subtree_map_ != nullptr && ctx_.traits.load_balancing &&
            ctx_.num_mds >= 3;
   }
   /// Peers whose latest heard heartbeat (within the lease window) listed

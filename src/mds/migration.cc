@@ -59,26 +59,22 @@ void MdsNode::begin_migration(FsNode* root, MdsId target,
   // (Ordinary balancing ships one subtree; a self-degraded volunteer rides
   // several non-overlapping roots on the same transaction so the intent
   // append below — queued on the very disk that made it sick — is paid
-  // once per batch.) Each root's subtree is walked, not the cache; scan
-  // order is then restored (dropping any repeat from overlapping roots)
-  // so the unstable depth sort — and with it the importer's insert order
-  // — is what a whole-cache scan would give.
+  // once per batch.) The cache lists each root's entry and everything
+  // below it in scan order, without repeats from overlapping roots, so
+  // the unstable depth sort — and with it the importer's insert order —
+  // is what a whole-cache scan would give.
   std::vector<CacheEntry*> collected;
-  auto gather = [&](FsNode* r) {
+  const auto authoritative = [](const CacheEntry& e) {
+    return e.authoritative;
+  };
+  auto gather = [&](const FsNode* r) {
     CacheEntry* e = cache_.peek(r->ino());
-    if (e != nullptr && e->node == r) collected.push_back(e);
-    collect_cached_descendants(r, collected);
+    if (e != nullptr && e->authoritative) collected.push_back(e);
+    cache_.collect_below(r, MetadataCache::Reach::kSubtree, collected,
+                         authoritative);
   };
   gather(root);
   for (FsNode* r : extra_roots) gather(r);
-  collected.erase(std::remove_if(collected.begin(), collected.end(),
-                                 [](const CacheEntry* e) {
-                                   return !e->authoritative;
-                                 }),
-                  collected.end());
-  cache_.sort_in_scan_order(collected);
-  collected.erase(std::unique(collected.begin(), collected.end()),
-                  collected.end());
   if (collected.size() < ctx_.params.min_migration_items) return;
   std::sort(collected.begin(), collected.end(),
             [](const CacheEntry* a, const CacheEntry* b) {

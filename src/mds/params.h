@@ -106,7 +106,6 @@ struct MdsParams {
   /// many heartbeat periods, then the lowest live id redistributes the
   /// dead node's delegations. Only strategies that run the heartbeat
   /// (i.e. those that balance load) detect failures.
-  bool failure_detection = true;
   int heartbeat_miss_threshold = 3;
   /// Takeover nodes replay the failed node's bounded journal from shared
   /// storage to preload its working set (vs a cold takeover).
@@ -125,14 +124,14 @@ struct MdsParams {
   SimTime attr_gather_timeout = 2 * kSecond;
 
   // --- Partition tolerance (leases, epochs, quorum takeover) --------------
-  /// Split-brain safety for subtree strategies: authority is held under a
-  /// renewable lease (renewed by heartbeats from peers that still list us
-  /// in their alive-mask), takeover is deferred by a grace period and
-  /// gated on a strict-majority quorum, and every failure-driven
-  /// reconfiguration bumps the partition-map epoch. Requires heartbeats
-  /// (load-balancing strategies) and at least 3 nodes; below that the
-  /// pre-lease immediate-takeover behaviour is kept.
-  bool partition_safety = true;
+  // Split-brain safety for subtree strategies: authority is held under a
+  // renewable lease (renewed by heartbeats from peers that still list us
+  // in their alive-mask), takeover is deferred by a grace period and
+  // gated on a strict-majority quorum, and every failure-driven
+  // reconfiguration bumps the partition-map epoch. Active wherever there
+  // are heartbeats (load-balancing strategies) and at least 3 nodes;
+  // below that takeover is immediate.
+
   /// Authority lease duration. A node that has not been acked by a strict
   /// majority within this window self-fences: it parks writes (reads are
   /// still served stale) until the lease renews. Must be shorter than
@@ -202,10 +201,6 @@ struct MdsParams {
   bool giga_enabled = true;
   /// Maximum split depth: at most 2^depth partitions per directory.
   int giga_max_depth = 6;
-  /// Per-partition split thresholds; 0 inherits the directory-level
-  /// dirfrag thresholds (scaled to one partition's share by depth).
-  std::size_t giga_split_size = 0;
-  double giga_split_temp = 0.0;
   /// A mis-routed dentry op is redirected+forwarded at most this many
   /// times before being served locally (the shared tree makes a local
   /// serve correct, just cache-cold).

@@ -29,8 +29,8 @@
 namespace mdsim {
 
 void MdsNode::failure_tick(SimTime now) {
-  if (partition_safety_on()) evaluate_lease(now);
-  if (ctx_.params.failure_detection) check_peer_liveness(now);
+  if (lease_quorum_on()) evaluate_lease(now);
+  check_peer_liveness(now);
   if (!pending_takeover_.empty()) sweep_pending_takeovers(now);
 
   // Double-commit watchdogs (migration.cc has the resolution logic).
@@ -108,7 +108,7 @@ void MdsNode::on_peer_detected_down(MdsId peer) {
     resolve_inbound_migration();
   }
 
-  if (partition_safety_on()) {
+  if (lease_quorum_on()) {
     // Quorum-gated takeover: don't re-delegate on first suspicion. Record
     // the earliest re-delegation time; the watchdog sweep executes it once
     // the grace has covered the victim's lease expiry — or cancels it if
@@ -285,7 +285,7 @@ void MdsNode::take_over_failed_peer(MdsId dead) {
   const bool owns_root = subtree->authority_of(ctx_.tree.root()) == dead;
   if (delegations.empty() && !owns_root) return;  // already taken over
 
-  if (partition_safety_on()) {
+  if (lease_quorum_on()) {
     // Failure-driven reconfiguration: stamp the new assignments with a
     // fresh epoch so traffic from the superseded regime (a fenced node
     // that still believes itself authority) is recognizably stale, and
@@ -328,7 +328,7 @@ void MdsNode::take_over_failed_peer(MdsId dead) {
         ctx_.nodes[static_cast<std::size_t>(dead)]->journal().replay();
     for (MdsId heir : heirs) {
       ctx_.nodes[static_cast<std::size_t>(heir)]->warm_from_journal(
-          working_set);
+          working_set, /*own_log=*/false);
     }
   }
 }
@@ -366,42 +366,10 @@ void MdsNode::restart() {
   bal_prev_cpu_busy_ = cpu_.busy_time();
   bal_prev_disk_busy_ = disk_.store_busy_time();
 
-  // Replay the bounded journal against the object store: one sequential
-  // read of the log region, a coalesced tier-2 write per dirty directory
-  // (shared B+tree nodes, as in the normal writeback path), then a
-  // CPU-paced warm install of whatever this node still owns after the
-  // takeover redistributed its delegations.
-  auto items = std::make_shared<std::vector<InodeId>>(journal_.replay());
-  const std::uint32_t log_nodes =
-      1 + static_cast<std::uint32_t>(items->size() / 16);
-  disk_.read_object(log_nodes, [this, items]() {
-    std::unordered_map<InodeId, std::uint32_t> dirty;
-    for (InodeId ino : *items) {
-      FsNode* n = ctx_.tree.by_ino(ino);
-      InodeId dir = kInvalidInode;
-      if (n != nullptr && n->parent() != nullptr) dir = n->parent()->ino();
-      ++dirty[dir];
-    }
-    for (const auto& [dir, count] : dirty) {
-      disk_.write_object(1 + count / 16, []() {});
-    }
-    const SimTime cpu = ctx_.params.cpu_migrate_per_item * items->size();
-    charge_cpu(cpu, [this, items]() {
-      std::uint64_t installed = 0;
-      for (InodeId ino : *items) {
-        FsNode* n = ctx_.tree.by_ino(ino);
-        if (n == nullptr) continue;
-        if (authority_for(n) != id_) continue;  // redistributed away
-        cache_insert_anchored(n, InsertKind::kDemand, /*authoritative=*/true);
-        ++installed;
-      }
-      stats_.restart_replayed_items += installed;
-      recovering_ = false;
-      if (ctx_.faults != nullptr) {
-        ctx_.faults->note_rejoin(id_, ctx_.sim.now());
-      }
-    });
-  });
+  // Replay the bounded journal against the object store, then warm the
+  // cache with whatever this node still owns after the takeover
+  // redistributed its delegations.
+  warm_from_journal(journal_.replay(), /*own_log=*/true);
 }
 
 }  // namespace mdsim

@@ -183,25 +183,24 @@ void MdsNode::drop_foreign_dentries(FsNode* dir) {
   // Children-first order is unnecessary here: only direct children of the
   // directory change authority, and any that anchor cached grandchildren
   // must be kept (they fall out as the grandchildren expire). The cache
-  // hands over exactly the entries whose live parent is `dir`; they are
-  // erased in the order a whole-cache scan would have met them.
-  std::vector<CacheEntry*> kids;
-  stats_.foreign_drop_visits += cache_.collect_children_of(dir, kids);
+  // hands over the droppable children whose dentry now hashes elsewhere,
+  // in the order a whole-cache scan would have met them.
   const auto* g =
       ctx_.traits.dynamic_dirfrag ? ctx_.dirfrag.find(dir->ino()) : nullptr;
-  std::size_t victims = 0;
-  for (CacheEntry* e : kids) {
-    if (!e->authoritative || e->cached_children != 0 || e->pins != 0) {
-      continue;
-    }
-    const MdsId auth =
-        g != nullptr ? ctx_.dirfrag.dentry_authority(g, e->node->dentry_hash())
-                     : map_authority(e->node);
-    if (auth != id_) kids[victims++] = e;
-  }
-  kids.resize(victims);
-  cache_.sort_in_scan_order(kids);
-  for (CacheEntry* e : kids) cache_.erase(e->node->ino());
+  std::vector<CacheEntry*> victims;
+  stats_.foreign_drop_visits += cache_.collect_below(
+      dir, MetadataCache::Reach::kChildren, victims,
+      [&](const CacheEntry& e) {
+        if (!e.authoritative || e.cached_children != 0 || e.pins != 0) {
+          return false;
+        }
+        const MdsId auth =
+            g != nullptr
+                ? ctx_.dirfrag.dentry_authority(g, e.node->dentry_hash())
+                : map_authority(e.node);
+        return auth != id_;
+      });
+  for (CacheEntry* e : victims) cache_.erase(e->node->ino());
 }
 
 void MdsNode::maybe_fragment_dir(FsNode* dir, CacheEntry* entry) {
@@ -284,14 +283,11 @@ void MdsNode::maybe_split_partition(FsNode* dir, const std::string& name) {
   const int d = giga_depth_of(g->bitmap, p, ctx_.dirfrag.max_depth());
   if (d >= ctx_.dirfrag.max_depth()) return;
 
-  const std::size_t split_size =
-      P.giga_split_size != 0 ? P.giga_split_size : P.dirfrag_size_threshold;
-  const double split_temp =
-      P.giga_split_temp != 0.0 ? P.giga_split_temp : P.dirfrag_temp_threshold;
+  // A partition splits on the directory-level dirfrag thresholds.
   const double floor = P.dirfrag_temp_threshold * P.dirfrag_hysteresis;
   const double temp = g->temps[p].get(now);
-  const bool hot = temp >= split_temp;
-  const bool full = g->counts[p] >= split_size && temp >= floor;
+  const bool hot = temp >= P.dirfrag_temp_threshold;
+  const bool full = g->counts[p] >= P.dirfrag_size_threshold && temp >= floor;
   if (!hot && !full) return;
 
   // Exact recount of the one splitting partition: which of its dentries

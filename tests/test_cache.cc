@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,8 @@
 
 namespace mdsim {
 namespace {
+
+using Reach = MetadataCache::Reach;
 
 class CacheTest : public ::testing::Test {
  protected:
@@ -200,10 +203,11 @@ TEST_F(CacheTest, StrayFollowsRenamesAwayAndBack) {
   // Still counted (and listed) under its anchor, found under its live
   // parent through the stray list, and under its anchor no more.
   EXPECT_EQ(c.peek(dir_a->ino())->cached_children, 2u);
-  EXPECT_EQ(c.collect_children_of(dir_b, kids), 1u);  // just the stray
+  // Just the stray under dir_b; 2 anchored + the stray visited under a.
+  EXPECT_EQ(c.collect_below(dir_b, Reach::kChildren, kids), 1u);
   EXPECT_EQ(kids, std::vector<CacheEntry*>{c.peek(files[0]->ino())});
   kids.clear();
-  EXPECT_EQ(c.collect_children_of(dir_a, kids), 3u);  // 2 anchored + stray
+  EXPECT_EQ(c.collect_below(dir_a, Reach::kChildren, kids), 3u);
   EXPECT_EQ(kids, std::vector<CacheEntry*>{c.peek(files[1]->ino())});
   // A same-directory rename changes no parent: nothing to track.
   ASSERT_TRUE(tree.rename(files[1], dir_a, "renamed"));
@@ -402,41 +406,164 @@ TEST_F(CacheTest, PopularityDecays) {
   EXPECT_LT(later, 0.01);
 }
 
-// Property test: random insert/lookup/erase/evict/rename sequences never
-// violate the cache's structural invariants, and collect_children_of
-// always returns what a whole-cache scan for the live children finds.
-class CacheProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-std::string children_match_scan(MetadataCache& c, FsNode* dir) {
+// The collection below `dir` equals a whole-cache scan: the entries whose
+// live parent is `dir` (kChildren), or that is_ancestor_of puts strictly
+// below it (kSubtree), in scan order. It examines the lists of `dir`'s
+// entry and of every entry it reaches, plus the strays — never the cache.
+std::string collection_matches_scan(MetadataCache& c, const FsNode* dir,
+                                    Reach reach) {
   std::vector<CacheEntry*> got;
-  const std::size_t visits = c.collect_children_of(dir, got);
+  const std::size_t visits = c.collect_below(dir, reach, got);
   std::vector<CacheEntry*> want;
   c.for_each([&](CacheEntry& e) {
-    if (e.node->parent() == dir) want.push_back(&e);
+    const bool below =
+        reach == Reach::kChildren
+            ? e.node->parent() == dir
+            : e.node != dir && FsTree::is_ancestor_of(dir, e.node);
+    if (below) want.push_back(&e);
   });
-  const CacheEntry* d = c.peek(dir->ino());
-  const std::size_t expect_visits =
-      (d != nullptr ? d->cached_children : 0) + c.stray_count();
-  if (visits != expect_visits) {
-    return "visits " + std::to_string(visits) + " vs " +
-           std::to_string(expect_visits);
-  }
-  c.sort_in_scan_order(got);
+  const std::string what =
+      (reach == Reach::kChildren ? "children of " : "subtree of ") +
+      dir->path();
   if (got != want) {
-    return "children of " + dir->path() + ": " + std::to_string(got.size()) +
-           " collected vs " + std::to_string(want.size()) + " scanned";
+    return what + ": " + std::to_string(got.size()) + " collected vs " +
+           std::to_string(want.size()) + " scanned";
+  }
+  std::size_t expect_visits = c.stray_count();
+  if (const CacheEntry* d = c.peek(dir->ino())) {
+    expect_visits += d->cached_children;
+  }
+  if (reach == Reach::kSubtree) {
+    for (const CacheEntry* e : got) expect_visits += e->cached_children;
+  }
+  if (visits != expect_visits) {
+    return what + ": visits " + std::to_string(visits) + " vs " +
+           std::to_string(expect_visits);
   }
   return {};
 }
 
+std::string collections_match_scan(MetadataCache& c,
+                                   const std::vector<FsNode*>& dirs) {
+  for (const FsNode* d : dirs) {
+    for (Reach reach : {Reach::kChildren, Reach::kSubtree}) {
+      std::string err = collection_matches_scan(c, d, reach);
+      if (!err.empty()) return err;
+    }
+  }
+  return {};
+}
+
+TEST_F(CacheTest, CollectBelowLeavesOneScanOrderedListAcrossRoots) {
+  MetadataCache c(100);
+  for (int i = 0; i < 6; ++i) insert_chain(c, files[i]);
+  insert_chain(c, dir_b);
+  std::vector<CacheEntry*> got;
+  // A pre-seeded entry and an overlapping second root: one copy each,
+  // everything in scan order.
+  got.push_back(c.peek(files[3]->ino()));
+  c.collect_below(dir_a, Reach::kSubtree, got);
+  c.collect_below(tree.root(), Reach::kSubtree, got);
+  std::vector<CacheEntry*> want;
+  c.for_each([&](CacheEntry& e) {
+    if (e.node != tree.root()) want.push_back(&e);
+  });
+  EXPECT_EQ(got, want);
+  // The filter sees every reached entry; only the kept ones are appended.
+  auto picked = [&](const CacheEntry& e) {
+    return e.node == files[2] || e.node == files[4];
+  };
+  got.clear();
+  c.collect_below(dir_a, Reach::kChildren, got, picked);
+  want.clear();
+  c.for_each([&](CacheEntry& e) {
+    if (picked(e)) want.push_back(&e);
+  });
+  EXPECT_EQ(want.size(), 2u);
+  EXPECT_EQ(got, want);
+}
+
+// Tombstones stay below the directory they were removed from and follow
+// it through later renames; remote links name inodes but are not nodes.
+TEST_F(CacheTest, SubtreeCollectionFollowsTombstonesThroughRenames) {
+  std::vector<FsNode*> all{tree.root()};
+  auto mk = [&](FsNode* dir, const std::string& name) {
+    all.push_back(tree.mkdir(dir, name));
+    return all.back();
+  };
+  auto file = [&](FsNode* dir, const std::string& name) {
+    all.push_back(tree.create_file(dir, name));
+    return all.back();
+  };
+  FsNode* a = mk(tree.root(), "ta");
+  FsNode* b = mk(a, "b");
+  FsNode* c = mk(b, "c");
+  FsNode* empty = mk(b, "empty");
+  FsNode* d = mk(tree.root(), "td");
+  FsNode* fa = file(a, "fa");
+  FsNode* fb1 = file(b, "fb1");
+  FsNode* fb2 = file(b, "fb2");
+  FsNode* fc = file(c, "fc");
+  FsNode* fe = file(empty, "fe");
+  file(d, "fd");
+  MetadataCache cache(100);
+  for (FsNode* n : all) insert_chain(cache, n);
+
+  // Removed before the ancestor rename: a file, and an empty subdirectory
+  // whose own file went first (a tombstone below a tombstone). The cache
+  // keeps every copy, as a peer does until the invalidation lands.
+  ASSERT_TRUE(tree.remove(fb1));
+  ASSERT_TRUE(tree.remove(fe));
+  ASSERT_TRUE(tree.remove(empty));
+  // Move b (and every tombstone below it) from a to d.
+  ASSERT_TRUE(tree.rename(b, d, "b2"));
+  cache.note_moved(b->ino());
+  // Removed after the rename.
+  ASSERT_TRUE(tree.remove(fc));
+  // Remote links in both directions across the moved subtree.
+  ASSERT_TRUE(tree.link(fa, c, "ln_in"));
+  ASSERT_TRUE(tree.link(fb2, a, "ln_out"));
+  ASSERT_EQ(cache.size(), all.size());
+  ASSERT_EQ(cache.check_invariants(), "");
+
+  for (FsNode* root : all) {
+    ASSERT_EQ(collections_match_scan(cache, {root}), "") << root->name();
+  }
+  auto below = [&](FsNode* root) {
+    std::vector<CacheEntry*> got;
+    cache.collect_below(root, Reach::kSubtree, got);
+    std::set<const FsNode*> nodes;
+    for (const CacheEntry* e : got) nodes.insert(e->node);
+    return nodes;
+  };
+  const auto under_d = below(d);
+  const auto under_a = below(a);
+  for (const FsNode* t : {fb1, fe, empty, fc}) {
+    EXPECT_FALSE(tree.alive(t));
+    EXPECT_EQ(under_d.count(t), 1u) << t->name();
+    EXPECT_EQ(under_a.count(t), 0u) << t->name();
+  }
+  // c's link to fa does not pull fa in, and a's link to fb2 does not
+  // pull fb2 in.
+  EXPECT_EQ(below(c), (std::set<const FsNode*>{fc}));
+  EXPECT_EQ(below(a), (std::set<const FsNode*>{fa}));
+}
+
+// Property test: random insert/lookup/erase/evict/rename/remove sequences
+// never violate the cache's structural invariants, and collect_below
+// always returns what a whole-cache scan finds, for the children and the
+// subtree of every directory, tombstoned ones included.
+class CacheProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
 TEST_P(CacheProperty, RandomOpsPreserveInvariants) {
   FsTree tree;
   Rng rng(GetParam());
-  // Build a small random hierarchy.
+  // Build a small random hierarchy; creates continue during the run.
   std::vector<FsNode*> dirs{tree.root()};
   std::vector<FsNode*> nodes;
-  for (int i = 0; i < 60; ++i) {
+  auto create = [&](int i) {
     FsNode* parent = dirs[rng.uniform(dirs.size())];
+    if (!tree.alive(parent)) return;
     if (rng.bernoulli(0.3)) {
       FsNode* d = tree.mkdir(parent, "d" + std::to_string(i));
       if (d != nullptr) {
@@ -447,18 +574,23 @@ TEST_P(CacheProperty, RandomOpsPreserveInvariants) {
       FsNode* f = tree.create_file(parent, "f" + std::to_string(i));
       if (f != nullptr) nodes.push_back(f);
     }
-  }
+  };
+  for (int i = 0; i < 60; ++i) create(i);
   MetadataCache c(24);
   SimTime now = 0;
   int renamed = 0;
+  int removed = 0;
   std::size_t max_strays = 0;
+  std::size_t tombstones_below_moved = 0;
   for (int step = 0; step < 3000; ++step) {
     now += kMillisecond;
     FsNode* n = nodes[rng.uniform(nodes.size())];
+    const bool alive = tree.alive(n);
     const double action = rng.uniform_double();
     if (action < 0.5) {
-      // Insert with full ancestry.
-      for (FsNode* a : n->ancestry()) {
+      // Insert with full ancestry (live nodes only: requests reach
+      // tombstones through copies they already hold).
+      for (FsNode* a : alive ? n->ancestry() : std::vector<FsNode*>{}) {
         if (a == n) {
           const InsertKind kind =
               rng.bernoulli(0.3) ? InsertKind::kPrefetch : InsertKind::kDemand;
@@ -467,18 +599,28 @@ TEST_P(CacheProperty, RandomOpsPreserveInvariants) {
           c.insert(a, InsertKind::kPrefix, rng.bernoulli(0.8), now);
         }
       }
-    } else if (action < 0.72) {
+    } else if (action < 0.7) {
       c.lookup(n->ino(), now);
-    } else if (action < 0.82) {
+    } else if (action < 0.78) {
       c.erase(n->ino());
-    } else if (action < 0.88) {
+    } else if (action < 0.84) {
       // Rename in the ground truth (refused into its own subtree or onto
-      // a taken name), then tell the cache as the MDS handler does.
+      // a taken name), then tell the cache as the MDS handler does. Half
+      // the renames move a directory, carrying whatever lies below it.
+      FsNode* from = rng.bernoulli(0.5) ? dirs[rng.uniform(dirs.size())] : n;
       FsNode* to = dirs[rng.uniform(dirs.size())];
-      if (tree.rename(n, to, "r" + std::to_string(step))) {
-        c.note_moved(n->ino());
+      if (tree.alive(from) && tree.alive(to) &&
+          tree.rename(from, to, "r" + std::to_string(step))) {
+        c.note_moved(from->ino());
         ++renamed;
       }
+    } else if (action < 0.87) {
+      // Unlink (a file or an empty directory) and leave any cached copy
+      // in place as a tombstone, as a peer holds it until invalidated;
+      // later renames of its former ancestors carry it along.
+      if (alive && tree.remove(n)) ++removed;
+    } else if (action < 0.88) {
+      create(1000 + step);
     } else if (action < 0.9) {
       // Squeeze, then restore: a burst of tree-ordered evictions.
       c.set_capacity(8);
@@ -497,16 +639,27 @@ TEST_P(CacheProperty, RandomOpsPreserveInvariants) {
     if (step % 250 == 0) {
       ASSERT_EQ(c.check_invariants(), "") << "step " << step;
       ASSERT_LE(c.size(), 24u + 1u);
-      for (FsNode* d : dirs) {
-        ASSERT_EQ(children_match_scan(c, d), "") << "step " << step;
-      }
+      ASSERT_EQ(collections_match_scan(c, dirs), "") << "step " << step;
     }
     max_strays = std::max(max_strays, c.stray_count());
+    // Cached tombstones below a directory renamed while cached.
+    c.for_each([&](CacheEntry& e) {
+      if (tree.alive(e.node)) return;
+      for (const FsNode* p = e.node->parent(); p != nullptr; p = p->parent()) {
+        const CacheEntry* pe = c.peek(p->ino());
+        if (pe != nullptr && pe->stray) {
+          ++tombstones_below_moved;
+          return;
+        }
+      }
+    });
   }
   EXPECT_EQ(c.check_invariants(), "");
-  for (FsNode* d : dirs) EXPECT_EQ(children_match_scan(c, d), "");
+  EXPECT_EQ(collections_match_scan(c, dirs), "");
   EXPECT_GT(renamed, 0);
+  EXPECT_GT(removed, 0);
   EXPECT_GT(max_strays, 0u);  // renames did leave entries off their anchor
+  EXPECT_GT(tombstones_below_moved, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheProperty,

@@ -211,70 +211,6 @@ TEST_F(FsTreeTest, AncestryAndIsAncestor) {
   EXPECT_FALSE(FsTree::is_ancestor_of(f, a));
 }
 
-TEST_F(FsTreeTest, ForEachDescendantMatchesIsAncestorOf) {
-  // Every node ever created, tombstones included: the oracle's universe.
-  std::vector<FsNode*> all{tree.root()};
-  auto mk = [&](FsNode* dir, const std::string& name) {
-    all.push_back(tree.mkdir(dir, name));
-    return all.back();
-  };
-  auto file = [&](FsNode* dir, const std::string& name) {
-    all.push_back(tree.create_file(dir, name));
-    return all.back();
-  };
-  FsNode* a = mk(tree.root(), "a");
-  FsNode* b = mk(a, "b");
-  FsNode* c = mk(b, "c");
-  FsNode* empty = mk(b, "empty");
-  FsNode* d = mk(tree.root(), "d");
-  FsNode* fa = file(a, "fa");
-  FsNode* fb1 = file(b, "fb1");
-  FsNode* fb2 = file(b, "fb2");
-  FsNode* fc = file(c, "fc");
-  FsNode* fe = file(empty, "fe");
-  file(d, "fd");
-
-  // Removed before the ancestor rename: a file, and an empty subdirectory
-  // whose own file went first (a tombstone below a tombstone).
-  ASSERT_TRUE(tree.remove(fb1));
-  ASSERT_TRUE(tree.remove(fe));
-  ASSERT_TRUE(tree.remove(empty));
-  // Move b (and every tombstone below it) from a to d.
-  ASSERT_TRUE(tree.rename(b, d, "b2"));
-  // Removed after the rename.
-  ASSERT_TRUE(tree.remove(fc));
-  // Remote links in both directions across the moved subtree.
-  ASSERT_TRUE(tree.link(fa, c, "ln_in"));
-  ASSERT_TRUE(tree.link(fb2, a, "ln_out"));
-
-  for (FsNode* root : all) {
-    std::vector<const FsNode*> walked;
-    tree.for_each_descendant(root, [&](FsNode* n) { walked.push_back(n); });
-    std::set<const FsNode*> seen(walked.begin(), walked.end());
-    EXPECT_EQ(seen.size(), walked.size()) << "repeat under " << root->name();
-    std::set<const FsNode*> expect;
-    for (FsNode* n : all) {
-      if (n != root && FsTree::is_ancestor_of(root, n)) expect.insert(n);
-    }
-    EXPECT_EQ(seen, expect) << "under " << root->name();
-  }
-
-  // The tombstones follow b to its new parent, and leave the old one.
-  std::set<const FsNode*> under_d, under_a, under_c;
-  tree.for_each_descendant(d, [&](FsNode* n) { under_d.insert(n); });
-  tree.for_each_descendant(a, [&](FsNode* n) { under_a.insert(n); });
-  tree.for_each_descendant(c, [&](FsNode* n) { under_c.insert(n); });
-  for (const FsNode* t : {fb1, fe, empty, fc}) {
-    EXPECT_FALSE(tree.alive(t));
-    EXPECT_EQ(under_d.count(t), 1u) << t->name();
-    EXPECT_EQ(under_a.count(t), 0u) << t->name();
-  }
-  // A remote link names an inode but is not a node: c's link to fa does
-  // not pull fa in, and a's link to fb2 does not pull fb2 in.
-  EXPECT_EQ(under_c, (std::set<const FsNode*>{fc}));
-  EXPECT_EQ(under_a, (std::set<const FsNode*>{fa}));
-}
-
 TEST_F(FsTreeTest, VisitCoversAllNodes) {
   FsNode* a = tree.mkdir(tree.root(), "a");
   tree.create_file(a, "f1");
@@ -581,20 +517,6 @@ TEST_F(FsTreeTest, ChildOrderContractAcrossBlocks) {
     ASSERT_EQ(op.op, OpType::kStat);
     EXPECT_EQ(op.target->name(), names[static_cast<std::size_t>(i)]) << i;
   }
-
-  // for_each_descendant visits the live subtree and the tombstones below.
-  std::set<const FsNode*> seen, expect;
-  std::size_t visits = 0;
-  tree.for_each_descendant(big, [&](FsNode* n) {
-    seen.insert(n);
-    ++visits;
-  });
-  for (FsNode* n : all) {
-    if (n != big && FsTree::is_ancestor_of(big, n)) expect.insert(n);
-  }
-  EXPECT_EQ(visits, seen.size());
-  EXPECT_EQ(seen, expect);
-  EXPECT_GT(expect.size(), big->subtree_size() - 1);  // tombstones counted
 }
 
 TEST(DentryHash, MatchesNameHashThroughEveryMutation) {
