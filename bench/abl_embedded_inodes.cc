@@ -7,6 +7,7 @@
 // subtree partition: identical partition, identical workload, only the
 // storage granularity changes.
 #include "bench_util.h"
+#include "core/sharded_cluster.h"
 
 using namespace mdsim;
 using namespace mdsim::bench;
@@ -28,11 +29,14 @@ int main(int argc, char** argv) {
       SimConfig cfg = scaled_system_config(k, quick ? 4 : 8);
       cfg.force_whole_dir_io = embedded;
       double reads_per_reply = 0.0;
-      const RunResult r = run_one(cfg, [&](ClusterSim& cluster) {
+      const RunResult r = run_one(cfg, [&](ShardedClusterSim& run) {
         std::uint64_t reads = 0, replies = 0;
-        for (int i = 0; i < cluster.num_mds(); ++i) {
-          reads += cluster.mds(i).disk().reads();
-          replies += cluster.mds(i).stats().replies_sent;
+        for (int s = 0; s < run.num_shards(); ++s) {
+          ClusterSim& cluster = run.shard(s);
+          for (int i = 0; i < cluster.num_mds(); ++i) {
+            reads += cluster.mds(i).disk().reads();
+            replies += cluster.mds(i).stats().replies_sent;
+          }
         }
         reads_per_reply = replies > 0 ? static_cast<double>(reads) /
                                             static_cast<double>(replies)

@@ -39,9 +39,10 @@ int main(int argc, char** argv) {
       gray_noop = true;  // health+hedging armed but inert: must match
     }
   }
-  // --shards=1 (the default) is the classic single-engine path and
-  // reproduces the committed CSVs byte-for-byte; higher shard counts run
-  // the parallel engine, whose output is identical for every --threads.
+  // --shards=1 (the default) runs one shard, which repeats the single
+  // engine event for event and reproduces the committed CSVs
+  // byte-for-byte; higher shard counts split the system, and the output
+  // is identical for every --threads.
 
   CsvWriter csv(csv_path("fig2_scaling"), /*echo_stdout=*/false);
   csv.header({"strategy", "num_mds", "avg_mds_throughput_ops",

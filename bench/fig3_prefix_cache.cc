@@ -7,6 +7,7 @@
 // ratio, with the dynamic variant slightly above the static one (its
 // re-delegated subtrees need anchoring prefixes).
 #include "bench_util.h"
+#include "core/sharded_cluster.h"
 
 using namespace mdsim;
 using namespace mdsim::bench;
@@ -34,12 +35,15 @@ int main(int argc, char** argv) {
     for (StrategyKind k : strategies) {
       double replica_mean = 0.0;
       const RunResult r =
-          run_one(scaled_system_config(k, n), [&](ClusterSim& cluster) {
-            for (int i = 0; i < cluster.num_mds(); ++i) {
-              replica_mean +=
-                  static_cast<double>(cluster.mds(i).cache().replica_count());
+          run_one(scaled_system_config(k, n), [&](ShardedClusterSim& run) {
+            for (int s = 0; s < run.num_shards(); ++s) {
+              ClusterSim& cluster = run.shard(s);
+              for (int i = 0; i < cluster.num_mds(); ++i) {
+                replica_mean += static_cast<double>(
+                    cluster.mds(i).cache().replica_count());
+              }
             }
-            replica_mean /= cluster.num_mds();
+            replica_mean /= run.total_mds();
           });
       csv.field(strategy_name(k))
           .field(std::int64_t{n})

@@ -8,14 +8,14 @@
 // google-benchmark-compatible JSON (BENCH_sim_scale.json, usable with
 // tools/bench_compare.py) and a determinism CSV: the CSV carries only
 // simulation-derived values, so two runs of the same rung — at any two
-// thread counts, batching on or off — must produce byte-identical rows.
+// thread counts — must produce byte-identical rows. The quick sharded
+// ladder's CSV is also committed as tests/golden/sim_scale_quick.csv.
 //
 // Flags:
 //   --quick          CI shape: 2 400 / 24 000 clients, short horizon
 //   --ladder         all rungs (default runs the 12 k baseline rungs only)
 //   --threads=N,M    thread sweep for the sharded rungs (default 1)
 //   --no-legacy      skip the monolithic engine rung
-//   --no-batching    disable same-destination delivery batching
 //   --tag=NAME       suffix for the CSV file name
 #include <chrono>
 #include <cstdlib>
@@ -55,14 +55,13 @@ struct Timing {
 /// horizons — the point is wall-clock per simulated op at scale, not a
 /// long steady state.
 SimConfig rung_config(int clients, int shards, int threads,
-                      SimTime duration, SimTime warmup, bool batching) {
+                      SimTime duration, SimTime warmup) {
   SimConfig cfg = scaled_system_config(StrategyKind::kDynamicSubtree, 8);
   cfg.num_clients = clients;
   cfg.duration = duration;
   cfg.warmup = warmup;
   cfg.shards = shards;
   cfg.threads = threads;
-  cfg.net.delivery_batching = batching;
   return cfg;
 }
 
@@ -162,7 +161,6 @@ int main(int argc, char** argv) {
   bool quick = false;
   bool ladder = false;
   bool skip_legacy = false;
-  bool batching = true;
   std::vector<int> threads{1};
   std::string tag;
   for (int i = 1; i < argc; ++i) {
@@ -170,7 +168,6 @@ int main(int argc, char** argv) {
     if (arg == "--quick") quick = true;
     else if (arg == "--ladder") ladder = true;
     else if (arg == "--no-legacy") skip_legacy = true;
-    else if (arg == "--no-batching") batching = false;
     else if (arg.rfind("--threads=", 0) == 0)
       threads = parse_threads(arg.substr(10));
     else if (arg.rfind("--tag=", 0) == 0) tag = arg.substr(6);
@@ -195,7 +192,7 @@ int main(int argc, char** argv) {
   if (!skip_legacy) {
     std::cout << "  [legacy_monolithic] running...\n";
     rows.push_back(run_legacy(
-        rung_config(base_clients, 1, 1, base_dur, base_warm, batching),
+        rung_config(base_clients, 1, 1, base_dur, base_warm),
         "legacy_monolithic"));
     announce(rows.back());
   }
@@ -203,7 +200,7 @@ int main(int argc, char** argv) {
     const std::string name = "sharded_x8_t" + std::to_string(t);
     std::cout << "  [" << name << "] running...\n";
     rows.push_back(run_sharded(
-        rung_config(base_clients, 8, t, base_dur, base_warm, batching),
+        rung_config(base_clients, 8, t, base_dur, base_warm),
         name));
     announce(rows.back());
   }
@@ -231,7 +228,7 @@ int main(int argc, char** argv) {
                                  std::to_string(r.clients);
         std::cout << "  [" << name << "] running...\n";
         rows.push_back(run_sharded(
-            rung_config(r.clients, 8, t, r.duration, r.warmup, batching),
+            rung_config(r.clients, 8, t, r.duration, r.warmup),
             name));
         announce(rows.back());
       }
@@ -240,10 +237,9 @@ int main(int argc, char** argv) {
 
   for (const Timing& t : rows) csv_row(csv, t);
 
-  // The JSON is only rewritten by full (non-quick, batching-on) runs:
-  // quick CI sweeps and A/B toggles must not clobber the committed
-  // baseline numbers.
-  if (!quick && batching) {
+  // The JSON is only rewritten by full (non-quick) runs: quick CI sweeps
+  // must not clobber the committed baseline numbers.
+  if (!quick) {
     const std::string json = results_dir() + "/BENCH_sim_scale.json";
     std::ofstream out(json);
     out << "{\n  \"context\": {\n"

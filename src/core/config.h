@@ -74,9 +74,9 @@ struct SimConfig {
   /// discarded by req-id matching. Off by default (zero-cost-off).
   HedgeParams hedge;
 
-  /// Parallel simulation (core/sharded_cluster.h). shards == 1 is the
-  /// classic single-engine ClusterSim path, bit-for-bit unchanged; with
-  /// shards > 1 the system is split into that many ClusterSim units, one
+  /// Parallel simulation (core/sharded_cluster.h). shards == 1 is one
+  /// ClusterSim unit that repeats a standalone ClusterSim event for event;
+  /// with shards > 1 the system is split into that many units, one
   /// per shard engine (num_mds, num_clients and fs.num_users divided
   /// among them), advancing in lookahead-bounded lockstep windows.
   /// `threads` sets the worker count inside windows — results are

@@ -1,7 +1,6 @@
 #include "core/experiment.h"
 
 #include <atomic>
-#include <cassert>
 #include <thread>
 
 #include "core/sharded_cluster.h"
@@ -41,20 +40,11 @@ RunResult summarize(const SimConfig& config,
 }
 
 RunResult run_one(const SimConfig& config,
-                  const std::function<void(ClusterSim&)>& inspect) {
-  if (config.shards > 1) {
-    // Parallel engine; `inspect` takes a ClusterSim and cannot apply.
-    assert(!inspect && "inspect hooks are single-cluster only");
-    ShardedClusterSim cluster(config);
-    cluster.run();
-    return cluster.result();
-  }
-  ClusterSim cluster(config);
+                  const std::function<void(ShardedClusterSim&)>& inspect) {
+  ShardedClusterSim cluster(config);
   cluster.run();
-  const RunResult r =
-      summarize(config, {&cluster.metrics()}, cluster.sim().now());
   if (inspect) inspect(cluster);
-  return r;
+  return cluster.result();
 }
 
 std::vector<RunResult> run_batch(const std::vector<SimConfig>& configs,

@@ -1,5 +1,5 @@
 // Sweep driver: run a batch of independent simulations (optionally on a
-// thread pool — each ClusterSim is fully self-contained) and collect the
+// thread pool — each run is fully self-contained) and collect the
 // aggregate numbers the paper's figures plot. Both engines summarize a run
 // the same way: summarize() folds the Metrics of every cluster unit (one
 // on the single engine, one per shard on the parallel engine) into one
@@ -13,6 +13,8 @@
 #include "core/cluster.h"
 
 namespace mdsim {
+
+class ShardedClusterSim;
 
 struct RunResult {
   SimConfig config;
@@ -31,12 +33,12 @@ struct RunResult {
 RunResult summarize(const SimConfig& config,
                     const std::vector<const Metrics*>& units, SimTime now);
 
-/// Run one configured simulation to completion and summarize it. With
-/// config.shards > 1 the run uses the sharded parallel engine
-/// (core/sharded_cluster.h); `inspect` hooks are single-cluster only.
-/// `inspect`, if given, runs against the finished cluster (extra metrics).
+/// Run one configured simulation to completion and summarize it, on a
+/// ShardedClusterSim of config.shards units (core/sharded_cluster.h; one
+/// shard is the single engine, event for event). `inspect`, if given,
+/// runs against the finished run (extra metrics: loop over shard(s)).
 RunResult run_one(const SimConfig& config,
-                  const std::function<void(ClusterSim&)>& inspect = {});
+                  const std::function<void(ShardedClusterSim&)>& inspect = {});
 
 /// Run a batch, at most `parallelism` at a time (1 = serial, 0 = hardware
 /// concurrency). Results are returned in input order.

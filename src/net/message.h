@@ -156,24 +156,8 @@ struct Message {
 /// Anything that can receive messages from the network.
 class NetEndpoint {
  public:
-  /// One delivery of a same-instant batch (see Network delivery batching).
-  struct Delivery {
-    NetAddr from = kInvalidAddr;
-    MessagePtr msg;
-  };
-
   virtual ~NetEndpoint() = default;
   virtual void on_message(NetAddr from, MessagePtr msg) = 0;
-
-  /// Deliver a batch of messages that arrived at the same instant, in
-  /// FIFO order. The default preserves exact one-at-a-time semantics;
-  /// endpoints with a cheaper amortized path (the MDS request pipeline)
-  /// override it. Items must be consumed in index order.
-  virtual void on_message_batch(Delivery* items, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      on_message(items[i].from, std::move(items[i].msg));
-    }
-  }
 };
 
 }  // namespace mdsim

@@ -130,7 +130,12 @@ void Network::deliver_remote(NetAddr global_from, NetAddr global_to,
   assert(shard_of_addr(global_to) == shard_id_);
   const NetAddr local = shard_local_addr(global_to);
   assert(local >= 0 && static_cast<std::size_t>(local) < endpoints_.size());
-  // Not counted here: the sender's network already counted the send.
+  // A crashed destination loses the message here, counted like a local
+  // send to it. Not counted as sent: the sender's network already did.
+  if (down_count_ != 0 && down_[static_cast<std::size_t>(local)] != 0) {
+    ++down_dropped_;
+    return;
+  }
   endpoints_[static_cast<std::size_t>(local)]->on_message(global_from,
                                                           std::move(msg));
 }
@@ -227,77 +232,15 @@ void Network::send(NetAddr from, NetAddr to, MessagePtr msg) {
     // The copy takes its own path through the fabric, one base latency
     // behind the original, and deliberately skips the FIFO floor: a
     // duplicated packet arriving out of order is exactly the hazard
-    // receivers must tolerate. It also bypasses delivery batching — the
-    // direct schedule advances the engine's sequence counter, which
-    // naturally closes any open batch.
+    // receivers must tolerate.
     sim_.schedule(latency + params_.base_latency,
                   [dst, from, m = msg->clone()]() mutable {
                     dst->on_message(from, std::move(m));
                   });
   }
-  schedule_delivery(from, to, latency, std::move(msg));
-}
-
-Network::DeliveryBatch* Network::alloc_batch() {
-  if (!batch_free_.empty()) {
-    DeliveryBatch* b = batch_free_.back();
-    batch_free_.pop_back();
-    return b;
-  }
-  batch_arena_.push_back(std::make_unique<DeliveryBatch>());
-  return batch_arena_.back().get();
-}
-
-void Network::schedule_delivery(NetAddr from, NetAddr to, SimTime latency,
-                                MessagePtr msg) {
-  NetEndpoint* dst = endpoints_[static_cast<std::size_t>(to)];
-  if (!params_.delivery_batching) {
-    sim_.schedule(latency, [dst, from, m = std::move(msg)]() mutable {
-      dst->on_message(from, std::move(m));
-    });
-    return;
-  }
-  const SimTime deliver_at = sim_.now() + latency;
-  // Append to the open batch only when an individual schedule would land
-  // at the exact same (time, order) position: same destination, same
-  // delivery instant, and no event scheduled since the batch — so the
-  // batch's drain order is provably the one-at-a-time delivery order.
-  if (open_batch_ != nullptr && open_batch_->to == to &&
-      open_batch_->deliver_at == deliver_at &&
-      sim_.next_seq() == open_expect_seq_) {
-    open_batch_->items.push_back({from, std::move(msg)});
-    sim_.credit_scheduled(1);
-    return;
-  }
-  DeliveryBatch* b = alloc_batch();
-  b->to = to;
-  b->deliver_at = deliver_at;
-  b->items.push_back({from, std::move(msg)});
-  sim_.schedule(latency, [this, b] { deliver_batch(b); });
-  open_batch_ = b;
-  // Read *after* scheduling: this is the seq the next schedule would get,
-  // so any intervening event (even one at the same instant) closes the
-  // batch and preserves exact interleaving.
-  open_expect_seq_ = sim_.next_seq();
-}
-
-void Network::deliver_batch(DeliveryBatch* b) {
-  // The batch may still be open (it fires with seq unchanged when no event
-  // was scheduled in between); close it so a later send can never append
-  // to a drained — and recycled — batch.
-  if (open_batch_ == b) open_batch_ = nullptr;
-  NetEndpoint* dst = endpoints_[static_cast<std::size_t>(b->to)];
-  const std::size_t n = b->items.size();
-  if (n == 1) {
-    dst->on_message(b->items[0].from, std::move(b->items[0].msg));
-  } else {
-    // The appended members were credited as scheduled; account their
-    // execution now that the single physical event drains all of them.
-    sim_.credit_executed(n - 1);
-    dst->on_message_batch(b->items.data(), n);
-  }
-  b->items.clear();
-  batch_free_.push_back(b);
+  sim_.schedule(latency, [dst, from, m = std::move(msg)]() mutable {
+    dst->on_message(from, std::move(m));
+  });
 }
 
 std::uint64_t Network::total_messages() const {

@@ -4,6 +4,9 @@
 // endpoints are delivered in FIFO order (latency draws are made monotone
 // per (src,dst) pair), matching a TCP-like transport. Per-type message
 // counters feed the forwarding/overhead statistics in figures 6 and 7.
+// Every delivered message is one engine event: one Simulation::schedule of
+// one closure that hands the message to its endpoint, so same-instant
+// arrivals at one destination fire in send order like any other events.
 //
 // Addresses are assigned densely from 0, so all per-endpoint state is held
 // in plain vectors: down flags are one byte per endpoint, and the per-pair
@@ -36,12 +39,6 @@ struct NetworkParams {
   /// can execute per synchronization window.
   SimTime cross_base_latency = from_micros(1200);
   std::uint64_t seed = 7;
-  /// Fold same-instant deliveries to one destination into a single engine
-  /// event (drained through NetEndpoint::on_message_batch). Observable
-  /// behaviour — delivery order, timestamps, engine event counters — is
-  /// identical with this off; it only removes per-message heap/schedule
-  /// overhead. Off is the reference path for equivalence tests.
-  bool delivery_batching = true;
 };
 
 /// Per-link fault injection knobs (chaos harness). Probabilities are per
@@ -153,8 +150,9 @@ class Network {
   /// here, sender side); everything else is the unchanged legacy path —
   /// with no link attached the legacy path is bit-for-bit what it was.
   /// Cross-shard traffic supports latency jitter and per-directed-pair
-  /// FIFO floors but not fault injection (down/partition/link faults are
-  /// intra-shard concepts here; see DESIGN.md §5f).
+  /// FIFO floors. Of the fault axes, only a downed destination applies:
+  /// deliver_remote drops it there and counts it in down_dropped().
+  /// Partitions and link faults are intra-shard concepts (DESIGN.md §5f).
   void set_shard(int shard_id, CrossShardLink* link);
   int shard_id() const { return shard_id_; }
   bool sharded() const { return link_ != nullptr; }
@@ -163,25 +161,11 @@ class Network {
 
   /// Entry point for messages ferried in from another shard; runs inside
   /// this shard's engine at the delivery time the sender stamped. `from`
-  /// stays global so replies route back across the fabric.
+  /// stays global so replies route back across the fabric. A message to a
+  /// downed endpoint is dropped and counted in down_dropped().
   void deliver_remote(NetAddr global_from, NetAddr global_to, MessagePtr msg);
 
  private:
-  /// A pending same-instant delivery group for one destination. Owned by
-  /// the arena below (so messages in never-fired batches are reclaimed at
-  /// teardown regardless of engine/network destruction order); the
-  /// scheduled event holds only a raw pointer.
-  struct DeliveryBatch {
-    NetAddr to = kInvalidAddr;
-    SimTime deliver_at = 0;
-    std::vector<NetEndpoint::Delivery> items;
-  };
-
-  DeliveryBatch* alloc_batch();
-  void deliver_batch(DeliveryBatch* b);
-  void schedule_delivery(NetAddr from, NetAddr to, SimTime latency,
-                         MessagePtr msg);
-
   void send_cross(NetAddr from, NetAddr global_to, MessagePtr msg);
   static std::uint64_t link_key(NetAddr a, NetAddr b) {
     const std::uint32_t lo = static_cast<std::uint32_t>(a < b ? a : b);
@@ -224,16 +208,6 @@ class Network {
   /// FIFO floors for cross-shard traffic, keyed (global_from<<32)|global_to
   /// — sparse map because global pairs span shards.
   std::unordered_map<std::uint64_t, SimTime> cross_floor_;
-  /// Delivery batching state: the most recently scheduled batch is "open"
-  /// for appends while (a) destination and delivery instant match and
-  /// (b) the engine's sequence counter has not advanced since — i.e. no
-  /// other event could interleave between the batch and the would-be
-  /// individual delivery. The arena owns every batch ever allocated;
-  /// drained batches return to the free list.
-  std::vector<std::unique_ptr<DeliveryBatch>> batch_arena_;
-  std::vector<DeliveryBatch*> batch_free_;
-  DeliveryBatch* open_batch_ = nullptr;
-  std::uint64_t open_expect_seq_ = 0;
 };
 
 }  // namespace mdsim

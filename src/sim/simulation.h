@@ -116,18 +116,6 @@ class Simulation {
   /// Scheduled events that have neither fired nor been cancelled.
   std::size_t events_pending() const { return live_pending_; }
 
-  /// Sequence number the next scheduled event will receive. The network's
-  /// same-destination delivery batching uses this to detect that nothing
-  /// was scheduled since it opened a batch — the condition under which
-  /// appending to the batch is indistinguishable from scheduling another
-  /// event (see DESIGN.md §5g).
-  std::uint64_t next_seq() const { return seq_; }
-  /// Account `n` extra logical events that were folded into one physical
-  /// event (batched deliveries): a batch of k messages must report the
-  /// same scheduled/executed totals as k individual deliveries.
-  void credit_scheduled(std::uint64_t n) { scheduled_ += n; }
-  void credit_executed(std::uint64_t n) { executed_ += n; }
-
   /// No pending event (next_event_time() when the queue is empty).
   static constexpr SimTime kNoEvent = ~SimTime{0};
   /// Cancelled keys (tombstones) the heap may carry beyond the live event

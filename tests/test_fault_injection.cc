@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "mds/messages.h"
@@ -83,14 +84,65 @@ TEST_F(FaultInjectionTest, DuplicateOneDeliversExactlyTwice) {
   }
   sim_.run();
   // Every message arrives twice, and the clone carries the same payload.
+  // The schedule is deterministic: the originals arrive in send order at
+  // the base latency, and each copy one base latency behind.
   ASSERT_EQ(nodes_[1].arrivals.size(), 10u);
-  std::vector<int> seen(5, 0);
-  for (const auto& a : nodes_[1].arrivals) {
-    ASSERT_LT(a.payload, 5u);
-    ++seen[static_cast<std::size_t>(a.payload)];
+  for (std::size_t i = 0; i < 10; ++i) {
+    const auto& a = nodes_[1].arrivals[i];
+    EXPECT_EQ(a.payload, i % 5);
+    EXPECT_EQ(a.at, i < 5 ? 100u : 200u);
+    EXPECT_EQ(a.from, addrs_[0]);
   }
-  for (int c : seen) EXPECT_EQ(c, 2);
   EXPECT_EQ(net_->fault_counters().duplicated, 5u);
+}
+
+// A duplicated burst: the duplicate decision draws from the fault RNG
+// stream and every copy is one more engine event, so two runs with one
+// seed deliver the same sequence, latency jitter included.
+TEST(DeliveryBatch, DuplicateFaultBypassesBatchingDeterministically) {
+  auto run = [] {
+    Simulation sim;
+    NetworkParams params;
+    params.base_latency = 100;
+    params.jitter_mean = 40;
+    params.seed = 7;
+    Network net(sim, params);
+    Recorder nodes[3];
+    std::vector<NetAddr> addrs;
+    for (auto& r : nodes) {
+      r.sim = &sim;
+      addrs.push_back(net.attach(&r));
+    }
+    LinkFault f;
+    f.duplicate = 1.0;  // every message delivered twice
+    net.set_link_fault(addrs[0], addrs[2], f);
+    net.send(addrs[0], addrs[2], std::make_unique<HeartbeatMsg>());
+    net.send(addrs[1], addrs[2],
+             std::make_unique<Message>(MsgType::kClientReply));
+    net.send(addrs[0], addrs[2],
+             std::make_unique<Message>(MsgType::kClientRequest));
+    sim.run();
+    std::vector<std::tuple<NetAddr, MsgType, SimTime>> out;
+    for (const auto& a : nodes[2].arrivals) {
+      out.emplace_back(a.from, a.type, a.at);
+    }
+    return out;
+  };
+  const auto a = run();
+  const auto b = run();
+  EXPECT_EQ(a, b);
+  // Two originals and two copies on the faulty link, one clean message.
+  ASSERT_EQ(a.size(), 5u);
+  int heartbeats = 0, requests = 0, replies = 0;
+  for (const auto& [from, type, at] : a) {
+    EXPECT_GE(at, 100u);
+    if (type == MsgType::kHeartbeat) ++heartbeats;
+    if (type == MsgType::kClientRequest) ++requests;
+    if (type == MsgType::kClientReply) ++replies;
+  }
+  EXPECT_EQ(heartbeats, 2);
+  EXPECT_EQ(requests, 2);
+  EXPECT_EQ(replies, 1);
 }
 
 TEST_F(FaultInjectionTest, SpikeDelaysAndPreservesFifo) {

@@ -69,6 +69,73 @@ TEST_F(NetworkTest, CountsByType) {
   EXPECT_EQ(net_->total_messages(), 0u);
 }
 
+// A delivery batch: a burst of messages reaching one endpoint at the same
+// instant. The network once folded such a burst into one engine event; now
+// every message is its own event, and these tests pin that the burst still
+// arrives in send order, interleaved exactly with other engine events.
+
+/// Endpoint that records the tag (`size_bytes`) of every message, in
+/// arrival order; engine events append -1 to the same record.
+struct Tagged final : NetEndpoint {
+  std::vector<int> order;
+  void on_message(NetAddr, MessagePtr msg) override {
+    order.push_back(static_cast<int>(msg->size_bytes));
+  }
+};
+
+struct BurstRig {
+  BurstRig() {
+    params.base_latency = 100;
+    params.jitter_mean = 0;
+    net = std::make_unique<Network>(sim, params);
+    for (auto& r : from) {
+      r.sim = &sim;
+      addrs.push_back(net->attach(&r));
+    }
+    to = net->attach(&sink);
+  }
+  void send(std::size_t src, int tag) {
+    net->send(addrs[src], to,
+              std::make_unique<Message>(MsgType::kClientRequest,
+                                        static_cast<std::uint32_t>(tag)));
+  }
+  Simulation sim;
+  NetworkParams params;
+  std::unique_ptr<Network> net;
+  Recorder from[3];
+  std::vector<NetAddr> addrs;
+  Tagged sink;
+  NetAddr to = 0;
+};
+
+TEST(DeliveryBatch, SameInstantSameDestFoldIntoOneBatch) {
+  BurstRig r;
+  // Back-to-back sends from three senders, no jitter: all reach the sink
+  // at t = 100, in send order, one engine event each.
+  r.send(0, 1);
+  r.send(1, 2);
+  r.send(0, 3);
+  r.send(2, 4);
+  r.sim.run();
+  EXPECT_EQ(r.sink.order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(r.sim.now(), 100u);
+  EXPECT_EQ(r.sim.events_executed(), 4u);
+}
+
+TEST(DeliveryBatch, InterveningScheduleSplitsBatch) {
+  BurstRig r;
+  // An engine event scheduled between two same-instant sends fires
+  // between their deliveries.
+  r.send(0, 1);
+  r.sim.schedule(100, [&r] { r.sink.order.push_back(-1); });
+  r.send(1, 2);
+  r.send(0, 3);
+  r.sim.run();
+  EXPECT_EQ(r.sink.order, (std::vector<int>{1, -1, 2, 3}));
+  EXPECT_EQ(r.sim.now(), 100u);
+  EXPECT_EQ(r.sim.events_executed(), 4u);
+}
+
 TEST(NetworkFifo, PerPairOrderPreservedDespiteJitter) {
   Simulation sim;
   NetworkParams params;

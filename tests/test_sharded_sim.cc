@@ -287,6 +287,31 @@ TEST(ShardedSim, OneShardMatchesSingleEngine) {
             sharded.engine().events_executed());
 }
 
+TEST(ShardedSim, RemoteMessagesToCrashedMdsAreDroppedAndCounted) {
+  // Every client turn goes remote, so shard 1's MDS nodes see only shard
+  // 0's stats, aimed through a catalog frozen when run() builds it. Shard
+  // 1's MDS 1 crashes at t = 0, after that: the static-subtree takeover
+  // hands its subtrees to MDS 0 and no heartbeats flow, so nothing local
+  // addresses the dead node, but shard 0's catalog still names it. Those
+  // cross-shard messages must be lost in shard 1's network and counted
+  // there, as a local send to a downed endpoint is.
+  SimConfig cfg;
+  cfg.strategy = StrategyKind::kStaticSubtree;
+  cfg.num_mds = 4;
+  cfg.num_clients = 40;
+  cfg.fs.num_users = 4;
+  cfg.fs.nodes_per_user = 200;
+  cfg.duration = 400 * kMillisecond;
+  cfg.warmup = 100 * kMillisecond;
+  cfg.shards = 2;
+  cfg.shard_remote_fraction = 1.0;
+  ShardedClusterSim cluster(cfg);
+  FaultPlan().crash(0, 1).arm(cluster.shard(1));
+  cluster.run();
+  EXPECT_GT(cluster.shard(0).cohort().remote_ops_issued(), 0u);
+  EXPECT_GT(cluster.shard(1).network().down_dropped(), 0u);
+}
+
 TEST(ShardedSim, ClusterResultsIdenticalAcrossThreadCounts) {
   const ClusterRun r1 = run_cluster(1, /*faults=*/false);
   const ClusterRun r4 = run_cluster(4, /*faults=*/false);

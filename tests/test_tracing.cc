@@ -162,6 +162,23 @@ SimConfig traced_config(std::uint64_t seed = 42) {
   return cfg;
 }
 
+/// The densest same-instant fan-in: with no latency jitter, every message
+/// between two endpoints takes exactly the base latency, so many client
+/// requests reach one MDS at the same instant.
+SimConfig zero_jitter_config() {
+  SimConfig cfg;
+  cfg.strategy = StrategyKind::kDynamicSubtree;
+  cfg.num_mds = 3;
+  cfg.num_clients = 60;
+  cfg.fs.num_users = 12;
+  cfg.fs.nodes_per_user = 150;
+  cfg.duration = 6 * kSecond;
+  cfg.warmup = 2 * kSecond;
+  cfg.net.jitter_mean = 0;
+  cfg.trace.enabled = true;
+  return cfg;
+}
+
 TEST(TracingCluster, CompletionsMatchClientLatencySamples) {
   ClusterSim cluster(traced_config());
   cluster.run();
@@ -220,6 +237,40 @@ TEST(TracingCluster, SameSeedRunsProduceIdenticalTraces) {
     EXPECT_EQ(sa[i].rec.start, sb[i].rec.start);
     EXPECT_EQ(sa[i].total(), sb[i].total());
     EXPECT_EQ(sa[i].rec.op, sb[i].rec.op);
+  }
+}
+
+// Same-instant delivery bursts (once folded into one engine event each by
+// delivery batching, now one event per message): the zero-jitter cluster's
+// results are deterministic and its per-request stages still tile exactly.
+TEST(DeliveryBatch, ClusterResultsAndTraceTilingUnchangedByBatching) {
+  ClusterSim a(zero_jitter_config());
+  a.run();
+  ClusterSim b(zero_jitter_config());
+  b.run();
+
+  EXPECT_GT(a.metrics().total_replies(), 1000u);
+  EXPECT_EQ(a.metrics().total_replies(), b.metrics().total_replies());
+  EXPECT_EQ(a.metrics().total_failures(), b.metrics().total_failures());
+  EXPECT_EQ(a.metrics().cluster_hit_rate(), b.metrics().cluster_hit_rate());
+  EXPECT_EQ(a.metrics().client_latency().sum(),
+            b.metrics().client_latency().sum());
+  EXPECT_EQ(a.sim().events_executed(), b.sim().events_executed());
+
+  TraceCollector* ta = a.tracer();
+  TraceCollector* tb = b.tracer();
+  ASSERT_NE(ta, nullptr);
+  ASSERT_NE(tb, nullptr);
+  EXPECT_EQ(ta->grand_total_ns(), tb->grand_total_ns());
+  for (int op = 0; op < kNumOpTypes; ++op) {
+    const auto o = static_cast<OpType>(op);
+    std::uint64_t stage_sum = 0;
+    for (int s = 0; s < kNumTraceStages; ++s) {
+      const auto st = static_cast<TraceStage>(s);
+      EXPECT_EQ(ta->stage_total_ns(st, o), tb->stage_total_ns(st, o));
+      stage_sum += ta->stage_total_ns(st, o);
+    }
+    EXPECT_EQ(stage_sum, ta->total_ns(o)) << "op " << op_name(o);
   }
 }
 
