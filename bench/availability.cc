@@ -105,13 +105,14 @@ int run_crash(bool quick) {
       m.avg_throughput().mean_in(restart_at + 5 * kSecond, cfg.duration,
                                  /*include_end=*/true);
 
+  const SimTime now = cluster.sim().now();
   std::cout << "Lifecycle spans (FaultLog):\n";
   print_summary("detection latency (crash -> first survivor detection)",
-                m.detection_latency_seconds());
+                cluster.fault_log().detection_latency_seconds(now));
   print_summary("unavailability (crash -> delegations taken over)",
-                m.unavailability_seconds());
+                cluster.fault_log().unavailability_seconds(now));
   print_summary("recovery time (restart -> journal replayed, rejoined)",
-                m.recovery_time_seconds());
+                cluster.fault_log().recovery_time_seconds(now));
   std::cout << "Counters: detections " << detections << "; takeovers "
             << takeovers << "; warm-replayed items " << warm_items
             << "; client retries " << retries << "; stale replies " << stale
@@ -172,6 +173,7 @@ int run_partition(bool quick) {
   const double healed = m.avg_throughput().mean_in(
       heal_at + 3 * kSecond, cfg.duration, /*include_end=*/true);
 
+  const SimTime now = cluster.sim().now();
   std::cout << "Lifecycle spans (FaultLog):\n";
   for (const auto& f : cluster.fault_log().fence_incidents()) {
     std::cout << "  mds " << f.node << " fenced at "
@@ -181,7 +183,8 @@ int run_partition(bool quick) {
               << fmt_double(to_seconds(f.unfenced_at), 3) << " s\n";
   }
   std::cout << "  minority write stall (fenced node-seconds): "
-            << fmt_double(m.minority_stall_seconds(), 3) << " s\n";
+            << fmt_double(cluster.fault_log().minority_stall_seconds(now), 3)
+            << " s\n";
   std::cout << "Counters: fences " << fences << "; unfences " << unfences
             << "; writes parked while fenced " << parked
             << "; stale-epoch rejects " << stale_rejects

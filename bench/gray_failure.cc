@@ -164,12 +164,12 @@ Outcome run_arm(const SimConfig& cfg, const FaultPlan* plan) {
   out.lat = tail_latency(cluster);
   out.goodput = static_cast<double>(clients.ops_ok - ok0) /
                 to_seconds(cfg.duration - m0);
-  Metrics& m = cluster.metrics();
   out.hedges = clients.hedges_fired;
   out.hedge_wins = clients.hedge_wins;
   out.wasted = clients.wasted_hedges;
   out.stale = clients.stale_replies;
-  out.gray_seconds = m.gray_degraded_seconds();
+  out.gray_seconds =
+      cluster.fault_log().gray_degraded_seconds(cluster.sim().now());
   out.gray_incidents = cluster.fault_log().gray_incidents().size();
   out.victim_migrations_out = cluster.mds(kVictim).stats().migrations_out;
   if (g_verbose) {

@@ -273,8 +273,7 @@ SpikeOutcome run_spike_once(const SimConfig& cfg, SimTime spike_end,
   }
   out.queue_hw = cluster.metrics().cpu_queue_highwater();
   out.totals = cluster.cohort().totals();
-  out.episodes = cluster.fault_log().overload_episode_seconds(
-      cluster.sim().now());
+  out.episodes = cluster.fault_log().overload_episode_seconds();
   return out;
 }
 

@@ -229,7 +229,6 @@ class MetadataCache {
   }
 
   const CacheStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = CacheStats{}; }
 
   /// Number of cached *directory* inodes held for traversal only —
   /// "prefix inodes" in the paper's sense (figure 3). Prefetched files

@@ -5,8 +5,9 @@
 // survivor (missed heartbeats), takeover (delegations redistributed and
 // the journal replayed by heirs), restart (process back, replaying its
 // log), rejoin (replay finished, serving again) and re-mark-up (the first
-// survivor that heard a heartbeat again). Metrics derives detection
-// latency, unavailability windows and recovery time from these stamps.
+// survivor that heard a heartbeat again). The summaries below derive
+// detection latency, unavailability windows and recovery time from these
+// stamps.
 #pragma once
 
 #include <cstdint>
@@ -92,7 +93,7 @@ class FaultLog {
  public:
   void note_crash(MdsId node, SimTime now) {
     // A re-crash closes any incident still open for the node.
-    if (FaultIncident* inc = open_incident(node)) inc->open = false;
+    if (FaultIncident* inc = open_in(incidents_, node)) inc->open = false;
     FaultIncident fresh;
     fresh.node = node;
     fresh.crashed_at = now;
@@ -100,40 +101,40 @@ class FaultLog {
   }
 
   void note_detection(MdsId node, MdsId by, SimTime now) {
-    FaultIncident* inc = open_incident(node);
+    FaultIncident* inc = open_in(incidents_, node);
     if (inc == nullptr || inc->has(inc->detected_at)) return;
     inc->detected_at = now;
     inc->detected_by = by;
   }
 
   void note_takeover(MdsId node, SimTime now) {
-    FaultIncident* inc = open_incident(node);
+    FaultIncident* inc = open_in(incidents_, node);
     if (inc == nullptr || inc->has(inc->takeover_at)) return;
     inc->takeover_at = now;
   }
 
   void note_restart(MdsId node, SimTime now) {
-    FaultIncident* inc = open_incident(node);
+    FaultIncident* inc = open_in(incidents_, node);
     if (inc == nullptr || inc->has(inc->restarted_at)) return;
     inc->restarted_at = now;
   }
 
   void note_rejoin(MdsId node, SimTime now) {
-    FaultIncident* inc = open_incident(node);
+    FaultIncident* inc = open_in(incidents_, node);
     if (inc == nullptr || inc->has(inc->rejoined_at)) return;
     inc->rejoined_at = now;
     maybe_close(*inc);
   }
 
   void note_marked_up(MdsId node, SimTime now) {
-    FaultIncident* inc = open_incident(node);
+    FaultIncident* inc = open_in(incidents_, node);
     if (inc == nullptr || inc->has(inc->remarked_up_at)) return;
     inc->remarked_up_at = now;
     maybe_close(*inc);
   }
 
   void note_fenced(MdsId node, SimTime now) {
-    if (open_fence(node) != nullptr) return;
+    if (open_in(fences_, node) != nullptr) return;
     FenceIncident f;
     f.node = node;
     f.fenced_at = now;
@@ -141,7 +142,7 @@ class FaultLog {
   }
 
   void note_unfenced(MdsId node, SimTime now) {
-    FenceIncident* f = open_fence(node);
+    FenceIncident* f = open_in(fences_, node);
     if (f == nullptr) return;
     f->unfenced_at = now;
     f->open = false;
@@ -150,7 +151,7 @@ class FaultLog {
   /// One admission-gate shed on `node`. Extends the node's open overload
   /// episode, or opens a new one after a quiet gap.
   void note_shed(MdsId node, SimTime now) {
-    OverloadIncident* inc = open_overload(node);
+    OverloadIncident* inc = open_in(overloads_, node);
     if (inc != nullptr && now - inc->last_shed_at > kQuietGap) {
       inc->open = false;
       inc = nullptr;
@@ -169,7 +170,7 @@ class FaultLog {
   /// First detector to see `node` cross the degraded threshold opens the
   /// incident; later detectors are no-ops while it stays open.
   void note_gray_degraded(MdsId node, MdsId by, SimTime now) {
-    if (open_gray(node) != nullptr) return;
+    if (open_in(grays_, node) != nullptr) return;
     GrayIncident g;
     g.node = node;
     g.degraded_at = now;
@@ -178,7 +179,7 @@ class FaultLog {
   }
 
   void note_gray_recovered(MdsId node, SimTime now) {
-    GrayIncident* g = open_gray(node);
+    GrayIncident* g = open_in(grays_, node);
     if (g == nullptr) return;
     g->recovered_at = now;
     g->open = false;
@@ -186,7 +187,7 @@ class FaultLog {
 
   /// Injection bookkeeping (ClusterSim::set_fail_slow).
   void note_fail_slow(MdsId node, SimTime now) {
-    if (open_fail_slow(node) != nullptr) return;
+    if (open_in(fail_slows_, node) != nullptr) return;
     FailSlowIncident f;
     f.node = node;
     f.began_at = now;
@@ -194,7 +195,7 @@ class FaultLog {
   }
 
   void note_fail_slow_cleared(MdsId node, SimTime now) {
-    FailSlowIncident* f = open_fail_slow(node);
+    FailSlowIncident* f = open_in(fail_slows_, node);
     if (f == nullptr) return;
     f->cleared_at = now;
     f->open = false;
@@ -213,13 +214,8 @@ class FaultLog {
   /// Total seconds peers were flagged gray-degraded, right-censoring
   /// incidents still open at `asof`.
   double gray_degraded_seconds(SimTime asof) const {
-    double total = 0.0;
-    for (const GrayIncident& g : grays_) {
-      const SimTime end = g.open ? asof : g.recovered_at;
-      if (end == GrayIncident::kUnset || end < g.degraded_at) continue;
-      total += to_seconds(end - g.degraded_at);
-    }
-    return total;
+    return censored_seconds(grays_, &GrayIncident::degraded_at,
+                            &GrayIncident::recovered_at, asof);
   }
 
   /// Crash -> first survivor detection. `asof` (usually the run end)
@@ -245,7 +241,7 @@ class FaultLog {
   /// Per-episode overload durations (first shed -> last shed of the
   /// episode). An episode with one shed contributes 0; a sustained storm
   /// contributes its whole span.
-  Summary overload_episode_seconds(SimTime /*asof*/) const {
+  Summary overload_episode_seconds() const {
     Summary s;
     for (const OverloadIncident& o : overloads_) {
       if (o.began_at == OverloadIncident::kUnset) continue;
@@ -264,13 +260,8 @@ class FaultLog {
   /// Total seconds nodes spent self-fenced (minority-side write stall).
   /// Still-open fences are censored at `asof`.
   double minority_stall_seconds(SimTime asof) const {
-    double total = 0.0;
-    for (const FenceIncident& f : fences_) {
-      const SimTime end = f.open ? asof : f.unfenced_at;
-      if (end == FenceIncident::kUnset || end < f.fenced_at) continue;
-      total += to_seconds(end - f.fenced_at);
-    }
-    return total;
+    return censored_seconds(fences_, &FenceIncident::fenced_at,
+                            &FenceIncident::unfenced_at, asof);
   }
 
  private:
@@ -282,39 +273,28 @@ class FaultLog {
     }
   }
 
-  FaultIncident* open_incident(MdsId node) {
-    for (auto it = incidents_.rbegin(); it != incidents_.rend(); ++it) {
+  /// The node's most recent still-open incident in `v`, or null.
+  template <typename Incident>
+  static Incident* open_in(std::vector<Incident>& v, MdsId node) {
+    for (auto it = v.rbegin(); it != v.rend(); ++it) {
       if (it->node == node && it->open) return &*it;
     }
     return nullptr;
   }
 
-  FenceIncident* open_fence(MdsId node) {
-    for (auto it = fences_.rbegin(); it != fences_.rend(); ++it) {
-      if (it->node == node && it->open) return &*it;
+  /// Total seconds from `begin` to `end` over `v`, right-censoring
+  /// still-open incidents at `asof`.
+  template <typename Incident>
+  static double censored_seconds(const std::vector<Incident>& v,
+                                 SimTime Incident::*begin,
+                                 SimTime Incident::*end, SimTime asof) {
+    double total = 0.0;
+    for (const Incident& i : v) {
+      const SimTime e = i.open ? asof : i.*end;
+      if (e == Incident::kUnset || e < i.*begin) continue;
+      total += to_seconds(e - i.*begin);
     }
-    return nullptr;
-  }
-
-  OverloadIncident* open_overload(MdsId node) {
-    for (auto it = overloads_.rbegin(); it != overloads_.rend(); ++it) {
-      if (it->node == node && it->open) return &*it;
-    }
-    return nullptr;
-  }
-
-  GrayIncident* open_gray(MdsId node) {
-    for (auto it = grays_.rbegin(); it != grays_.rend(); ++it) {
-      if (it->node == node && it->open) return &*it;
-    }
-    return nullptr;
-  }
-
-  FailSlowIncident* open_fail_slow(MdsId node) {
-    for (auto it = fail_slows_.rbegin(); it != fail_slows_.rend(); ++it) {
-      if (it->node == node && it->open) return &*it;
-    }
-    return nullptr;
+    return total;
   }
 
   template <typename End, typename Begin>

@@ -1,6 +1,6 @@
 // Lightweight statistics primitives used throughout the simulator:
-// counters, running summaries, log-bucketed latency histograms, exponentially
-// decayed rates (the paper's popularity metric), and sampled time series.
+// running summaries, log-bucketed latency histograms, exponentially decayed
+// rates (the paper's popularity metric), and sampled time series.
 #pragma once
 
 #include <algorithm>
@@ -144,30 +144,6 @@ class TimeSeries {
 
  private:
   std::vector<Point> points_;
-};
-
-/// Interval rate counter: accumulates event counts and reports the rate
-/// over each sampling window (events/sec), then resets. Backs the
-/// "throughput (ops/sec)" axes in the paper's figures.
-class IntervalRate {
- public:
-  void add(std::uint64_t n = 1) { count_ += n; }
-
-  /// Closes the window [window_start, now) and returns events/second.
-  double sample(SimTime now) {
-    const SimTime dt = now - window_start_;
-    const double rate =
-        dt > 0 ? static_cast<double>(count_) / to_seconds(dt) : 0.0;
-    count_ = 0;
-    window_start_ = now;
-    return rate;
-  }
-
-  std::uint64_t pending() const { return count_; }
-
- private:
-  std::uint64_t count_ = 0;
-  SimTime window_start_ = 0;
 };
 
 }  // namespace mdsim

@@ -166,9 +166,7 @@ void ClusterSim::build() {
   // --- metrics -------------------------------------------------------------
   std::vector<MdsNode*> node_ptrs;
   for (auto& n : mds_nodes_) node_ptrs.push_back(n.get());
-  metrics_ = std::make_unique<Metrics>(std::move(node_ptrs), *cohort_, &sim_);
-  metrics_->set_fault_log(&fault_log_);
-  metrics_->set_trace(tracer_.get());
+  metrics_ = std::make_unique<Metrics>(std::move(node_ptrs), *cohort_);
 }
 
 void ClusterSim::start() {
@@ -184,6 +182,9 @@ void ClusterSim::start() {
     sim_.schedule(config_.warmup, [this]() {
       metrics_->reset(sim_.now());
       net_->reset_counters();
+      // Warmup traces are dropped together with the latency Summaries they
+      // reconcile against.
+      if (tracer_ != nullptr) tracer_->reset();
     });
   }
 }

@@ -8,53 +8,54 @@
 
 namespace mdsim {
 
-Metrics::Metrics(std::vector<MdsNode*> nodes, ClientCohort& clients,
-                 const Simulation* sim)
-    : nodes_(std::move(nodes)), clients_(clients), sim_(sim) {
+Metrics::Metrics(std::vector<MdsNode*> nodes, ClientCohort& clients)
+    : nodes_(std::move(nodes)), clients_(clients) {
   mds_tput_.resize(nodes_.size());
-  mds_health_.resize(nodes_.size());
   base_.assign(nodes_.size(), Totals{});
-  base_sheds_.assign(nodes_.size(), 0);
-  base_rejects_.assign(nodes_.size(), 0);
+  prev_.assign(nodes_.size(), Totals{});
 }
 
 namespace {
-std::uint64_t sheds_of(const MdsStats& s) {
-  return s.requests_shed_queue + s.requests_shed_admission +
-         s.requests_shed_deadline;
-}
-
 /// A node's cumulative (never reset) Totals counters.
 Metrics::Totals counters_of(MdsNode& n) {
   const MdsStats& s = n.stats();
   const CacheStats& cache = n.cache().stats();
-  return {s.replies_sent, s.forwards,   s.requests_received,
-          s.failures,     cache.hits,   cache.misses};
+  return {s.replies_sent,
+          s.forwards,
+          s.requests_received,
+          s.client_requests,
+          s.failures,
+          cache.hits,
+          cache.misses,
+          s.requests_shed_queue + s.requests_shed_admission +
+              s.requests_shed_deadline,
+          s.rejects_sent};
 }
 }  // namespace
 
 void Metrics::sample(SimTime now) {
+  const SimTime dt = now - window_start_;
+  const auto rate = [dt](std::uint64_t count) {
+    return dt > 0 ? static_cast<double>(count) / to_seconds(dt) : 0.0;
+  };
   double sum = 0.0;
   double mn = std::numeric_limits<double>::infinity();
   double mx = 0.0;
   double fwd_sum = 0.0;
   double req_sum = 0.0;
-  double shed_sum = 0.0;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    MdsStats& s = nodes_[i]->stats();
-    const double tput = s.reply_rate.sample(now);
-    const double fwd = s.forward_rate.sample(now);
-    const double req = s.request_rate.sample(now);
-    shed_sum += s.shed_rate.sample(now);
-    s.miss_rate.sample(now);  // keep the window aligned
+    const Totals snap = counters_of(*nodes_[i]);
+    const Totals window = snap - prev_[i];
+    prev_[i] = snap;
+    const double tput = rate(window.replies);
     mds_tput_[i].record(now, tput);
-    mds_health_[i].record(now, nodes_[i]->self_health_lag() * 1e-9);
     sum += tput;
     mn = std::min(mn, tput);
     mx = std::max(mx, tput);
-    fwd_sum += fwd;
-    req_sum += req;
+    fwd_sum += rate(window.forwards);
+    req_sum += rate(window.client_requests);
   }
+  window_start_ = now;
   const double n = static_cast<double>(nodes_.size());
   avg_tput_.record(now, n > 0 ? sum / n : 0.0);
   min_tput_.record(now, nodes_.empty() ? 0.0 : mn);
@@ -62,52 +63,41 @@ void Metrics::sample(SimTime now) {
   reply_rate_.record(now, sum);
   forward_rate_.record(now, fwd_sum);
   fwd_fraction_.record(now, req_sum > 0 ? fwd_sum / req_sum : 0.0);
-  shed_rate_.record(now, shed_sum);
-  // Gray-degraded census from the incident log (first-detector truth, not
-  // any single node's view). Zero whenever health scoring is off.
-  double degraded = 0.0;
-  if (faults_ != nullptr) {
-    for (const GrayIncident& g : faults_->gray_incidents()) {
-      if (g.open) degraded += 1.0;
-    }
-  }
-  degraded_nodes_.record(now, degraded);
 }
 
 void Metrics::reset(SimTime now) {
   reset_at_ = now;
+  window_start_ = now;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    MdsStats& s = nodes_[i]->stats();
-    base_[i] = counters_of(*nodes_[i]);
-    base_sheds_[i] = sheds_of(s);
-    base_rejects_[i] = s.rejects_sent;
-    s.reply_rate.sample(now);
-    s.forward_rate.sample(now);
-    s.request_rate.sample(now);
-    s.miss_rate.sample(now);
-    s.shed_rate.sample(now);
+    base_[i] = prev_[i] = counters_of(*nodes_[i]);
     nodes_[i]->reset_cpu_depth_stats(now);
   }
   clients_.reset_latency();
-  // Warmup traces are dropped together with the latency Summaries they
-  // reconcile against.
-  if (trace_ != nullptr) trace_->reset();
 }
 
 Metrics::Totals& Metrics::Totals::operator+=(const Totals& o) {
   replies += o.replies;
   forwards += o.forwards;
   requests += o.requests;
+  client_requests += o.client_requests;
   failures += o.failures;
   hits += o.hits;
   misses += o.misses;
+  sheds += o.sheds;
+  rejects += o.rejects;
   return *this;
 }
 
 Metrics::Totals Metrics::Totals::operator-(const Totals& o) const {
-  return {replies - o.replies,   forwards - o.forwards,
-          requests - o.requests, failures - o.failures,
-          hits - o.hits,         misses - o.misses};
+  return {replies - o.replies,
+          forwards - o.forwards,
+          requests - o.requests,
+          client_requests - o.client_requests,
+          failures - o.failures,
+          hits - o.hits,
+          misses - o.misses,
+          sheds - o.sheds,
+          rejects - o.rejects};
 }
 
 double Metrics::Totals::hit_rate() const {
@@ -168,21 +158,9 @@ std::uint64_t Metrics::total_replies() const { return totals().replies; }
 
 std::uint64_t Metrics::total_failures() const { return totals().failures; }
 
-std::uint64_t Metrics::total_sheds() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    total += sheds_of(nodes_[i]->stats()) - base_sheds_[i];
-  }
-  return total;
-}
+std::uint64_t Metrics::total_sheds() const { return totals().sheds; }
 
-std::uint64_t Metrics::total_rejects() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    total += nodes_[i]->stats().rejects_sent - base_rejects_[i];
-  }
-  return total;
-}
+std::uint64_t Metrics::total_rejects() const { return totals().rejects; }
 
 std::size_t Metrics::cpu_queue_highwater() const {
   std::size_t hw = 0;

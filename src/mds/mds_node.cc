@@ -257,7 +257,6 @@ void MdsNode::shed_request(const ClientRequestMsg& msg, NetAddr reply_to,
     case AdmitVerdict::kAdmit:
       return;
   }
-  stats_.shed_rate.add();
   if (ctx_.faults != nullptr) ctx_.faults->note_shed(id_, ctx_.sim.now());
   // A deadline drop answers no one: that client has already timed out and
   // moved on. Queue/bucket sheds get an explicit rejection so the client
@@ -298,7 +297,7 @@ void MdsNode::handle_client_request(ClientRequestMsg&& msg,
     return;
   }
   ++stats_.requests_received;
-  if (msg.hops == 0) stats_.request_rate.add();
+  if (msg.hops == 0) ++stats_.client_requests;
   // Overload gate: every entry point checks deadline + queue bounds;
   // the token bucket inside only charges first entries (hops == 0).
   // Forwarded sheds reply straight to the client (reply_to is already
@@ -402,7 +401,6 @@ void MdsNode::route(RequestPtr req) {
       return;
     }
     ++stats_.forwards;
-    stats_.forward_rate.add();
     auto fwd = std::make_unique<ForwardMsg>();
     fwd->inner = req->msg;
     ++fwd->inner.hops;
@@ -492,12 +490,10 @@ void MdsNode::serve_target(RequestPtr req) {
         finish(req, true, node->ino());
         return;
       }
-      stats_.miss_rate.add();
       // Reads on another node's behalf only happen when we held a
       // replica at route time; it may have been evicted since — forward.
       if (authority_for(node) != id_) {
         ++stats_.forwards;
-        stats_.forward_rate.add();
         auto fwd = std::make_unique<ForwardMsg>();
         fwd->inner = req->msg;
         ++fwd->inner.hops;
@@ -526,7 +522,6 @@ void MdsNode::serve_target(RequestPtr req) {
       CacheEntry* e = cache_.lookup(dir->ino(), ctx_.sim.now());
       if (e != nullptr) cache_.mark_demand_access(e);
       if (e == nullptr) {
-        stats_.miss_rate.add();
         fetch_local(
             dir, InsertKind::kDemand,
             [this, req](CacheEntry* entry) {
@@ -546,7 +541,6 @@ void MdsNode::serve_target(RequestPtr req) {
           return;
         }
         // One object fetch brings in every dentry + embedded inode.
-        stats_.miss_rate.add();
         const std::uint32_t nodes = ctx_.store.full_fetch_nodes(dir);
         pin_entry(req, e);
         disk_.read_object(nodes, disk_span(req), [this, req, dir]() {
@@ -800,7 +794,6 @@ void MdsNode::reply(RequestPtr req, bool success, InodeId result_ino) {
   out->epoch = view_epoch_;
   if (success) fill_hints(req, *out);
   ++stats_.replies_sent;
-  stats_.reply_rate.add();
   ctx_.net.send(id_, req->reply_to, std::move(out));
 }
 

@@ -69,6 +69,7 @@ struct ClusterContext {
 
 struct MdsStats {
   std::uint64_t requests_received = 0;  // client requests (incl. forwarded)
+  std::uint64_t client_requests = 0;    // first-hop arrivals (hops == 0)
   std::uint64_t replies_sent = 0;
   std::uint64_t forwards = 0;
   std::uint64_t failures = 0;
@@ -116,13 +117,6 @@ struct MdsStats {
   // GIGA+ incremental directory splitting.
   std::uint64_t giga_redirects_sent = 0;  // stale-bitmap corrections sent
   std::uint64_t dirfrag_resyncs = 0;      // heartbeat-gen catch-up sweeps
-
-  // Windowed rates, sampled by the metrics collector.
-  IntervalRate reply_rate;
-  IntervalRate forward_rate;
-  IntervalRate request_rate;
-  IntervalRate miss_rate;
-  IntervalRate shed_rate;
 };
 
 class MdsNode final : public NetEndpoint {
@@ -244,8 +238,6 @@ class MdsNode final : public NetEndpoint {
   /// Has this node flagged *itself* (its own score crossed the threshold
   /// in its view of the cluster)? Self-degraded nodes volunteer load away.
   bool self_degraded() const { return peer_degraded(id_); }
-  /// Own smoothed service lag (ns) as stamped on outgoing heartbeats.
-  double self_health_lag() const { return svc_ewma_self_; }
   // ---- partition tolerance (recovery.cc) ----------------------------------
   /// Lease lost: writes are parked, migrations refused, reads served stale.
   bool fenced() const { return fenced_; }

@@ -25,7 +25,6 @@ void MdsNode::advance_traversal(RequestPtr req) {
       ++req->chain_idx;
       continue;
     }
-    stats_.miss_rate.add();
     const MdsId auth = authority_for(node);
     // Local miss: the initiating request's disk span tiles the wait, and
     // a coalesced joiner charges the whole park to fetch-wait at resume.

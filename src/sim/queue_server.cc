@@ -78,9 +78,8 @@ void QueueServer::finish() {
 }
 
 double QueueServer::utilization(SimTime now) const {
-  const SimTime elapsed = now - stats_since_;
-  if (elapsed == 0) return 0.0;
-  return static_cast<double>(busy_ns_) / static_cast<double>(elapsed);
+  if (now == 0) return 0.0;
+  return static_cast<double>(busy_ns_) / static_cast<double>(now);
 }
 
 void QueueServer::bump_depth(std::size_t depth) {
@@ -107,14 +106,6 @@ void QueueServer::reset_depth_stats(SimTime now) {
   depth_since_ = now;
   last_depth_ = queue_depth();
   depth_hw_ = last_depth_;
-}
-
-void QueueServer::reset_stats(SimTime now) {
-  stats_since_ = now;
-  busy_ns_ = 0;
-  completed_ = 0;
-  wait_ = Summary{};
-  reset_depth_stats(now);
 }
 
 }  // namespace mdsim

@@ -67,12 +67,11 @@ class QueueServer {
   /// wait summaries, so callers owning deltas of those are unaffected.
   void reset_depth_stats(SimTime now);
 
-  /// Busy time / elapsed time since construction or last reset.
+  /// Busy time / elapsed simulated time since t = 0.
   double utilization(SimTime now) const;
   /// Cumulative busy time (for caller-side windowed utilization).
   SimTime busy_time() const { return busy_ns_; }
   const Summary& wait_times() const { return wait_; }
-  void reset_stats(SimTime now);
 
   const std::string& name() const { return name_; }
 
@@ -112,13 +111,12 @@ class QueueServer {
   bool busy_ = false;
   std::uint64_t completed_ = 0;
   SimTime busy_ns_ = 0;
-  SimTime stats_since_ = 0;
   Summary wait_;
   /// Unfinished work: sum of service times of queued + in-service jobs.
   SimTime backlog_ns_ = 0;
   /// Depth-over-time bookkeeping for depth_highwater()/mean_depth().
-  /// Separate window epoch from stats_since_: depth stats may be reset at
-  /// the warmup boundary without disturbing busy-time deltas.
+  /// Its own window epoch: depth stats are reset at the warmup boundary
+  /// without disturbing the cumulative busy time.
   std::size_t last_depth_ = 0;
   std::size_t depth_hw_ = 0;
   double depth_integral_ = 0.0;

@@ -31,12 +31,4 @@ void DiskModel::journal_append(TraceSpan span, InlineTask done) {
   journal_.submit(params_.journal_append_time, span, std::move(done));
 }
 
-void DiskModel::reset_stats(SimTime now) {
-  store_.reset_stats(now);
-  journal_.reset_stats(now);
-  reads_ = 0;
-  writes_ = 0;
-  journal_appends_ = 0;
-}
-
 }  // namespace mdsim

@@ -61,7 +61,6 @@ class DiskModel {
   /// Unfinished work (ns of service) queued at the metadata store — the
   /// health layer's local disk-lag signal.
   SimTime store_backlog() const { return store_.backlog(); }
-  void reset_stats(SimTime now);
 
   /// Fail-slow injection: both devices serve every subsequent job `mult`
   /// times slower (1.0 restores nominal speed). Queued jobs keep their

@@ -224,11 +224,12 @@ TEST(Chaos, SameSeedSamePlanIsBitForBitReproducible) {
     }
     const ClientStats s = cluster.cohort().totals();
     const auto& fc = cluster.network().fault_counters();
+    const SimTime now = cluster.sim().now();
     return std::make_tuple(
         tput, s.ops_completed, s.ops_failed, s.retries, s.stale_replies,
-        fc.dropped, fc.duplicated,
-        fc.spiked, cluster.metrics().detection_latency_seconds().mean(),
-        cluster.metrics().recovery_time_seconds().mean(),
+        fc.dropped, fc.duplicated, fc.spiked,
+        cluster.fault_log().detection_latency_seconds(now).mean(),
+        cluster.fault_log().recovery_time_seconds(now).mean(),
         cluster.metrics().total_replies());
   };
   const auto a = run();

@@ -184,7 +184,7 @@ TEST(EngineCostModel, EventHeapTracksLiveEventsNotCancelRate) {
   ASSERT_GT(cfg.duration - cfg.warmup, cfg.client_retry.request_timeout);
   ClusterSim cluster(cfg);
   cluster.run();
-  const Simulation::Counters c = cluster.metrics().engine_counters();
+  const Simulation::Counters c = cluster.sim().counters();
   const std::uint64_t actors =
       static_cast<std::uint64_t>(cfg.num_clients + cfg.num_mds);
   EXPECT_GT(c.cancelled, 20 * actors);

@@ -60,11 +60,12 @@ TEST(Failover, DelegationsRedistributeToSurvivors) {
   EXPECT_EQ(incidents[0].node, victim);
   ASSERT_TRUE(incidents[0].has(incidents[0].detected_at));
   ASSERT_TRUE(incidents[0].has(incidents[0].takeover_at));
+  const SimTime now = cluster.sim().now();
   const double latency =
-      cluster.metrics().detection_latency_seconds().mean();
+      cluster.fault_log().detection_latency_seconds(now).mean();
   EXPECT_GT(latency, 2.0);
   EXPECT_LE(latency, 5.0);
-  EXPECT_GE(cluster.metrics().unavailability_seconds().mean(), latency);
+  EXPECT_GE(cluster.fault_log().unavailability_seconds(now).mean(), latency);
 }
 
 TEST(Failover, ClusterKeepsServingThroughAFailure) {
@@ -183,7 +184,9 @@ TEST(Failover, RecoveryRejoinsAndServesAgain) {
   EXPECT_TRUE(inc.has(inc.remarked_up_at));
   EXPECT_FALSE(inc.open);
   EXPECT_FALSE(cluster.mds(2).recovering());
-  EXPECT_GT(cluster.metrics().recovery_time_seconds().mean(), 0.0);
+  EXPECT_GT(
+      cluster.fault_log().recovery_time_seconds(cluster.sim().now()).mean(),
+      0.0);
 }
 
 TEST(Failover, DoubleFailureStillServes) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "core/sharded_cluster.h"
 #include "test_util.h"
 
 namespace mdsim {
@@ -111,6 +116,102 @@ TEST(Metrics, PostWarmupDeltasCountEachReplyOnce) {
   warm_only.run_until(cfg.warmup);
   EXPECT_EQ(warm_only.metrics().total_replies() + post_warmup,
             whole.metrics().total_replies());
+}
+
+/// Each node's cumulative reply counter and the cluster's forward count.
+struct CounterSnapshot {
+  std::vector<std::uint64_t> replies;
+  std::uint64_t forwards = 0;
+};
+
+CounterSnapshot read_counters(ClusterSim& cluster) {
+  CounterSnapshot c;
+  for (int i = 0; i < cluster.num_mds(); ++i) {
+    c.replies.push_back(cluster.mds(i).stats().replies_sent);
+    c.forwards += cluster.mds(i).stats().forwards;
+  }
+  return c;
+}
+
+struct CounterProbe {
+  CounterSnapshot at_warmup;
+  CounterSnapshot at_last_sample;
+};
+
+/// Starts `cluster`, then schedules one read right after the warm-up
+/// reset and one right after every metrics sample: each is queued next
+/// to the event it shadows, so nothing runs between the two.
+void arm_probe(ClusterSim& cluster, const SimConfig& cfg, CounterProbe& p) {
+  cluster.start();
+  cluster.sim().schedule_at(cfg.warmup, [&cluster, &p]() {
+    p.at_warmup = read_counters(cluster);
+  });
+  cluster.sim().every(cfg.sample_period, cfg.sample_period,
+                      [&cluster, &p]() {
+                        p.at_last_sample = read_counters(cluster);
+                        return true;
+                      });
+}
+
+/// Σ rate × window length over the windows after the warm-up reset.
+double integrate_after(const TimeSeries& series, SimTime warmup) {
+  const auto& pts = series.points();
+  double sum = 0.0;
+  for (std::size_t k = 1; k < pts.size(); ++k) {
+    if (pts[k].time <= warmup) continue;
+    const SimTime start = std::max(pts[k - 1].time, warmup);
+    sum += pts[k].value * to_seconds(pts[k].time - start);
+  }
+  return sum;
+}
+
+void expect_series_integrate_to_counters(ClusterSim& cluster,
+                                         const SimConfig& cfg,
+                                         const CounterProbe& p) {
+  const Metrics& m = cluster.metrics();
+  ASSERT_EQ(p.at_warmup.replies.size(),
+            static_cast<std::size_t>(cluster.num_mds()));
+  for (int i = 0; i < cluster.num_mds(); ++i) {
+    const auto node = static_cast<std::size_t>(i);
+    const double replies = static_cast<double>(
+        p.at_last_sample.replies[node] - p.at_warmup.replies[node]);
+    ASSERT_GT(replies, 0.0) << "mds " << i;
+    EXPECT_NEAR(integrate_after(m.per_mds_throughput()[node], cfg.warmup),
+                replies, 1e-9 * replies)
+        << "mds " << i;
+  }
+  const double forwards = static_cast<double>(p.at_last_sample.forwards -
+                                              p.at_warmup.forwards);
+  ASSERT_GT(forwards, 0.0);
+  EXPECT_NEAR(integrate_after(m.forward_rate(), cfg.warmup), forwards,
+              1e-9 * forwards);
+}
+
+TEST(Metrics, WindowedSeriesIntegrateToCounterDeltas) {
+  // The warm-up reset falls between two samples, so the first measured
+  // window is the partial one that opens at the reset.
+  SimConfig cfg = metrics_config();
+  cfg.warmup = 2 * kSecond + 250 * kMillisecond;
+  ClusterSim cluster(cfg);
+  CounterProbe probe;
+  arm_probe(cluster, cfg, probe);
+  cluster.run();
+  expect_series_integrate_to_counters(cluster, cfg, probe);
+
+  SimConfig sharded_cfg = cfg;
+  sharded_cfg.num_mds = 4;
+  sharded_cfg.shards = 2;
+  ShardedClusterSim sharded(sharded_cfg);
+  std::vector<CounterProbe> probes(2);
+  for (int s = 0; s < 2; ++s) {
+    arm_probe(sharded.shard(s), sharded_cfg, probes[s]);
+  }
+  sharded.run();
+  for (int s = 0; s < 2; ++s) {
+    SCOPED_TRACE(s);
+    expect_series_integrate_to_counters(sharded.shard(s), sharded_cfg,
+                                        probes[s]);
+  }
 }
 
 TEST(Metrics, ClientLatencyAggregated) {

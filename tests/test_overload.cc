@@ -80,12 +80,12 @@ TEST(FaultLogOverload, ShedsCoalesceIntoEpisodesAcrossQuietGaps) {
   log.note_shed(0, 1 * kSecond + 200 * kMillisecond);  // same episode
   log.note_shed(0, 3 * kSecond);  // > 1 s quiet: new episode
   EXPECT_EQ(log.total_sheds(), 3u);
-  const Summary s = log.overload_episode_seconds(4 * kSecond);
+  const Summary s = log.overload_episode_seconds();
   EXPECT_EQ(s.count(), 2u);
   EXPECT_NEAR(s.sum(), 0.2, 1e-9);  // 0.2 s span + a zero-length episode
   // Episodes are per node: a shed elsewhere opens its own incident.
   log.note_shed(1, 3 * kSecond);
-  EXPECT_EQ(log.overload_episode_seconds(4 * kSecond).count(), 3u);
+  EXPECT_EQ(log.overload_episode_seconds().count(), 3u);
 }
 
 // --- cluster-level shedding ----------------------------------------------

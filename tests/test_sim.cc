@@ -572,15 +572,5 @@ TEST(QueueServer, MoveOnlyCompletionSupported) {
   EXPECT_EQ(got, 5);
 }
 
-TEST(QueueServer, ResetStatsZeroes) {
-  Simulation sim;
-  QueueServer q(sim, "disk");
-  q.submit(100, [] {});
-  sim.run();
-  q.reset_stats(sim.now());
-  EXPECT_EQ(q.jobs_completed(), 0u);
-  EXPECT_EQ(q.utilization(sim.now() + 100), 0.0);
-}
-
 }  // namespace
 }  // namespace mdsim

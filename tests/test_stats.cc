@@ -173,16 +173,6 @@ TEST(DecayCounter, ResetClears) {
   EXPECT_EQ(c.get(5 * kSecond), 0.0);
 }
 
-TEST(IntervalRate, ComputesRateAndResets) {
-  IntervalRate r;
-  r.sample(0);
-  r.add(100);
-  EXPECT_DOUBLE_EQ(r.sample(kSecond), 100.0);
-  r.add(50);
-  EXPECT_DOUBLE_EQ(r.sample(3 * kSecond), 25.0);
-  EXPECT_DOUBLE_EQ(r.sample(4 * kSecond), 0.0);
-}
-
 TEST(TimeSeries, MeanInWindow) {
   TimeSeries ts;
   ts.record(1 * kSecond, 10);
