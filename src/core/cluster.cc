@@ -199,63 +199,28 @@ void ClusterSim::run() { run_until(config_.duration); }
 void ClusterSim::fail_mds(MdsId failed, bool warm_takeover) {
   build();
   assert(failed >= 0 && failed < num_mds_ && num_mds_ > 1);
-  ctx_->params.warm_takeover = warm_takeover;
-  MdsNode& dead = mds(failed);
-  dead.set_failed(true);
+  mds(failed).set_failed(true, warm_takeover);
   net_->set_down(failed, true);
   fault_log_.note_crash(failed, sim_.now());
 
   // Strategies that exchange balancer heartbeats detect the crash
   // themselves: the node simply goes silent, survivors declare it dead
-  // after heartbeat_miss_threshold missed periods, and the lowest live id
-  // performs the takeover (recovery.cc). Nothing more to do here — the
-  // unavailability window between crash and takeover is the measurement.
+  // after heartbeat_miss_threshold missed periods, and the coordinator
+  // takes over (recovery.cc). The window between crash and takeover is
+  // the measurement.
   if (traits_for(config_.strategy).load_balancing) return;
 
-  // No heartbeats (hashed / static strategies): apply the redistribution
-  // directly, as an external monitor would.
-  std::vector<MdsId> survivors;
-  dirfrag_->set_node_alive(failed, false);
+  // No heartbeats (hashed / static strategies): every survivor learns of
+  // the crash at once, as from an external monitor, and the lowest runs
+  // the same takeover a heartbeat detector would.
+  MdsNode* coordinator = nullptr;
   for (MdsId i = 0; i < num_mds_; ++i) {
-    if (i == failed || mds(i).failed()) continue;
-    survivors.push_back(i);
-    mds(i).mark_peer_down(failed);
+    if (mds(i).failed()) continue;
+    mds(i).peer_down(failed);
+    if (coordinator == nullptr) coordinator = &mds(i);
   }
-  assert(!survivors.empty());
-  fault_log_.note_detection(failed, survivors.front(), sim_.now());
-
-  // Subtree strategies re-delegate; hashed placements would re-map their
-  // hash ranges, which is exactly the expansion/contraction weakness the
-  // paper describes — out of scope.
-  auto* subtree = dynamic_cast<SubtreePartition*>(partition_.get());
-  std::vector<MdsId> takeover_nodes;
-  if (subtree != nullptr) {
-    std::size_t rr = 0;
-    for (const FsNode* root : subtree->delegations_of(failed)) {
-      const MdsId heir = survivors[rr++ % survivors.size()];
-      subtree->delegate(root, heir);
-      takeover_nodes.push_back(heir);
-    }
-    if (subtree->authority_of(tree_.root()) == failed) {
-      subtree->delegate(tree_.root(), survivors.front());
-      takeover_nodes.push_back(survivors.front());
-    }
-  }
-  if (takeover_nodes.empty()) takeover_nodes.push_back(survivors.front());
-  fault_log_.note_takeover(failed, sim_.now());
-
-  if (warm_takeover) {
-    // The failed node's journal lives on shared storage: every takeover
-    // node replays it and installs the items it now owns (section 4.6).
-    std::sort(takeover_nodes.begin(), takeover_nodes.end());
-    takeover_nodes.erase(
-        std::unique(takeover_nodes.begin(), takeover_nodes.end()),
-        takeover_nodes.end());
-    const auto working_set = dead.journal().replay();
-    for (MdsId heir : takeover_nodes) {
-      mds(heir).warm_from_journal(working_set, /*own_log=*/false);
-    }
-  }
+  assert(coordinator != nullptr);
+  coordinator->take_over_failed_peer(failed);
 }
 
 void ClusterSim::set_fail_slow(MdsId node, double cpu_mult, double disk_mult) {
@@ -271,6 +236,7 @@ void ClusterSim::set_fail_slow(MdsId node, double cpu_mult, double disk_mult) {
 
 void ClusterSim::recover_mds(MdsId node) {
   build();
+  assert(node >= 0 && node < num_mds_);
   MdsNode& n = mds(node);
   assert(n.failed());
   n.set_failed(false);
@@ -280,15 +246,17 @@ void ClusterSim::recover_mds(MdsId node) {
   // resumes immediately, recovering() clears when the replay lands.
   n.restart();
 
-  if (traits_for(config_.strategy).load_balancing) {
-    return;  // peers mark it up when its heartbeats resume
-  }
-  dirfrag_->set_node_alive(node, true);
+  // With heartbeats, peers mark it up when they hear it again, and it
+  // finds the still-dead peers by their silence.
+  if (traits_for(config_.strategy).load_balancing) return;
   for (MdsId i = 0; i < num_mds_; ++i) {
-    if (i == node || mds(i).failed()) continue;
-    mds(i).mark_peer_up(node);
+    if (i == node) continue;
+    if (mds(i).failed()) {
+      n.peer_down(i);
+    } else {
+      mds(i).peer_up(node);
+    }
   }
-  fault_log_.note_marked_up(node, sim_.now());
 }
 
 }  // namespace mdsim

@@ -58,18 +58,18 @@ class ClusterSim {
   void run_until(SimTime t);
 
   /// Crash an MDS (paper sections 2.1.2 and 4.6): the node goes silent
-  /// and off the network; nothing else is told. Survivors detect the
-  /// death from missed balancer heartbeats and the lowest live id
-  /// redistributes the dead node's delegations — replaying its bounded
-  /// journal into the heirs when `warm_takeover` (which sets
-  /// MdsParams::warm_takeover cluster-wide for this run). Strategies
-  /// without heartbeats (hashed / static subtree) get the redistribution
-  /// applied directly, as they have no detector to find it.
+  /// and off the network. Survivors detect the death from missed
+  /// balancer heartbeats and the lowest live id redistributes the dead
+  /// node's delegations, replaying its bounded journal into the heirs
+  /// for a `warm_takeover` crash. Strategies without heartbeats (hashed /
+  /// static subtree) have every survivor told at the crash instant, and
+  /// the lowest runs the same takeover (MdsNode::take_over_failed_peer).
   void fail_mds(MdsId failed, bool warm_takeover = true);
   /// Restart a crashed MDS: rejoin the network, replay its own bounded
   /// journal against the object store (real disk latency), and resume
-  /// serving. Peers mark it back up when its heartbeats resume; the
-  /// balancer re-populates it with load over time.
+  /// serving. Peers mark it back up when its heartbeats resume (without
+  /// heartbeats: at once, and it is told which peers are still down);
+  /// the balancer re-populates it with load over time.
   void recover_mds(MdsId node);
 
   /// Gray-failure injection: `node`'s CPU serves every subsequent job

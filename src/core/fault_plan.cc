@@ -1,47 +1,73 @@
 #include "core/fault_plan.h"
 
+#include <algorithm>
+
 #include "common/rng.h"
 
 namespace mdsim {
 
-FaultPlan& FaultPlan::crash(SimTime at, MdsId node, bool warm) {
-  crashes_.push_back(CrashAction{at, node, warm});
+FaultPlan& FaultPlan::add(Kind kind, SimTime at, Call call) {
+  actions_.push_back(Action{kind, at, std::move(call)});
   return *this;
 }
 
-FaultPlan& FaultPlan::restart(SimTime at, MdsId node) {
-  restarts_.push_back(RestartAction{at, node});
+FaultPlan& FaultPlan::window(Kind kind, SimTime from, SimTime until,
+                             Call open, Call close) {
+  add(kind, from, std::move(open));
+  if (until > from) add(kind, until, std::move(close));
   return *this;
+}
+
+FaultPlan& FaultPlan::crash(SimTime at, MdsId node, bool warm) {
+  return add(Kind::kCrash, at,
+             [=](ClusterSim& c) { c.fail_mds(node, warm); });
+}
+
+FaultPlan& FaultPlan::restart(SimTime at, MdsId node) {
+  return add(Kind::kRestart, at,
+             [=](ClusterSim& c) { c.recover_mds(node); });
 }
 
 FaultPlan& FaultPlan::flaky_link(SimTime from, SimTime until, NetAddr a,
                                  NetAddr b, const LinkFault& fault) {
-  links_.push_back(LinkAction{from, until, a, b, fault});
-  return *this;
+  return window(
+      Kind::kLink, from, until,
+      [=](ClusterSim& c) { c.network().set_link_fault(a, b, fault); },
+      [=](ClusterSim& c) { c.network().clear_link_fault(a, b); });
 }
 
 FaultPlan& FaultPlan::partition(SimTime from, SimTime until,
                                 std::vector<std::vector<NetAddr>> groups) {
-  partitions_.push_back(PartitionAction{from, until, std::move(groups)});
-  return *this;
+  return window(
+      Kind::kPartition, from, until,
+      [groups = std::move(groups)](ClusterSim& c) {
+        c.network().partition(groups);
+      },
+      [](ClusterSim& c) { c.network().heal(); });
 }
 
 FaultPlan& FaultPlan::cut_link(SimTime from, SimTime until, NetAddr src,
                                NetAddr dst) {
-  cuts_.push_back(CutAction{from, until, src, dst});
-  return *this;
+  return window(
+      Kind::kCut, from, until,
+      [=](ClusterSim& c) { c.network().cut_link(src, dst); },
+      [=](ClusterSim& c) { c.network().restore_link(src, dst); });
 }
 
 FaultPlan& FaultPlan::fail_slow(SimTime from, SimTime until, MdsId node,
                                 double cpu_mult, double disk_mult) {
-  fail_slows_.push_back(FailSlowAction{from, until, node, cpu_mult, disk_mult});
-  return *this;
+  return window(
+      Kind::kFailSlow, from, until,
+      [=](ClusterSim& c) { c.set_fail_slow(node, cpu_mult, disk_mult); },
+      [=](ClusterSim& c) { c.set_fail_slow(node, 1.0, 1.0); });
 }
 
 FaultPlan& FaultPlan::degrade_link(SimTime from, SimTime until, NetAddr a,
                                    NetAddr b, const LinkDegrade& degrade) {
-  degrades_.push_back(DegradeAction{from, until, a, b, degrade});
-  return *this;
+  return window(
+      Kind::kDegrade, from, until,
+      [=](ClusterSim& c) { c.network().set_link_degrade(a, b, degrade); },
+      [=](ClusterSim& c) { c.network().clear_link_degrade(a, b); });
 }
 
 FaultPlan FaultPlan::randomize(std::uint64_t seed, int num_mds,
@@ -61,22 +87,18 @@ FaultPlan FaultPlan::randomize(std::uint64_t seed, int num_mds,
 
   // One crash/restart pair (warm or cold, never the last survivor since
   // num_mds >= 2 and only one node crashes at a time).
-  {
-    const SimTime at = at_in(lo, (lo + hi) / 2);
-    const SimTime back = at_in(at + duration / 10, hi);
-    const MdsId victim = pick_node();
-    plan.crash(at, victim, /*warm=*/rng.bernoulli(0.5));
-    plan.restart(back, victim);
-  }
+  const SimTime crash_at = at_in(lo, (lo + hi) / 2);
+  const SimTime restart_at = at_in(crash_at + duration / 10, hi);
+  const MdsId crashed = pick_node();
+  plan.crash(crash_at, crashed, /*warm=*/rng.bernoulli(0.5));
+  plan.restart(restart_at, crashed);
   // One fail-slow window on a different node: degraded disk, sometimes
   // CPU too.
   {
     const SimTime at = at_in(lo, (lo + hi) / 2);
     const SimTime end = at_in(at + duration / 10, hi);
     MdsId victim = pick_node();
-    if (!plan.crashes_.empty() && victim == plan.crashes_.front().node) {
-      victim = static_cast<MdsId>((victim + 1) % num_mds);
-    }
+    if (victim == crashed) victim = static_cast<MdsId>((victim + 1) % num_mds);
     const double disk_mult = 4.0 + static_cast<double>(rng.uniform(9));
     const double cpu_mult = rng.bernoulli(0.5) ? 2.0 : 1.0;
     plan.fail_slow(at, end, victim, cpu_mult, disk_mult);
@@ -123,63 +145,14 @@ FaultPlan FaultPlan::randomize(std::uint64_t seed, int num_mds,
 }
 
 void FaultPlan::arm(ClusterSim& cluster) const {
-  Simulation& sim = cluster.sim();
-  for (const CrashAction& c : crashes_) {
-    sim.schedule_at(c.at, [&cluster, node = c.node, warm = c.warm]() {
-      cluster.fail_mds(node, warm);
-    });
-  }
-  for (const RestartAction& r : restarts_) {
-    sim.schedule_at(r.at, [&cluster, node = r.node]() {
-      cluster.recover_mds(node);
-    });
-  }
-  for (const LinkAction& l : links_) {
-    sim.schedule_at(l.from, [&cluster, a = l.a, b = l.b, fault = l.fault]() {
-      cluster.network().set_link_fault(a, b, fault);
-    });
-    sim.schedule_at(l.until, [&cluster, a = l.a, b = l.b]() {
-      cluster.network().clear_link_fault(a, b);
-    });
-  }
-  for (const PartitionAction& p : partitions_) {
-    sim.schedule_at(p.from, [&cluster, groups = p.groups]() {
-      cluster.network().partition(groups);
-    });
-    if (p.until > p.from) {
-      sim.schedule_at(p.until, [&cluster]() { cluster.network().heal(); });
-    }
-  }
-  for (const CutAction& c : cuts_) {
-    sim.schedule_at(c.from, [&cluster, src = c.src, dst = c.dst]() {
-      cluster.network().cut_link(src, dst);
-    });
-    if (c.until > c.from) {
-      sim.schedule_at(c.until, [&cluster, src = c.src, dst = c.dst]() {
-        cluster.network().restore_link(src, dst);
-      });
-    }
-  }
-  for (const FailSlowAction& f : fail_slows_) {
-    sim.schedule_at(f.from, [&cluster, node = f.node, cpu = f.cpu_mult,
-                             disk = f.disk_mult]() {
-      cluster.set_fail_slow(node, cpu, disk);
-    });
-    if (f.until > f.from) {
-      sim.schedule_at(f.until, [&cluster, node = f.node]() {
-        cluster.set_fail_slow(node, 1.0, 1.0);
-      });
-    }
-  }
-  for (const DegradeAction& d : degrades_) {
-    sim.schedule_at(d.from, [&cluster, a = d.a, b = d.b, deg = d.degrade]() {
-      cluster.network().set_link_degrade(a, b, deg);
-    });
-    if (d.until > d.from) {
-      sim.schedule_at(d.until, [&cluster, a = d.a, b = d.b]() {
-        cluster.network().clear_link_degrade(a, b);
-      });
-    }
+  std::vector<Action> timeline = actions_;
+  std::stable_sort(timeline.begin(), timeline.end(),
+                   [](const Action& x, const Action& y) {
+                     return x.kind < y.kind;
+                   });
+  for (Action& a : timeline) {
+    cluster.sim().schedule_at(
+        a.at, [&cluster, call = std::move(a.call)]() { call(cluster); });
   }
 }
 

@@ -8,6 +8,7 @@
 // availability bench and the CLI.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "core/cluster.h"
@@ -25,7 +26,7 @@ class FaultPlan {
   FaultPlan& restart(SimTime at, MdsId node);
 
   /// Degrade the a<->b link (both directions) with `fault` from `from`
-  /// until `until`, then restore it.
+  /// until `until`, then restore it (`until <= from` = never).
   FaultPlan& flaky_link(SimTime from, SimTime until, NetAddr a, NetAddr b,
                         const LinkFault& fault);
 
@@ -49,8 +50,8 @@ class FaultPlan {
                        double cpu_mult, double disk_mult);
 
   /// Gray failure: sustained latency inflation + loss on the a<->b link
-  /// from `from` until `until` (distinct from flaky_link's transient
-  /// per-message spikes).
+  /// from `from` until `until` (`until <= from` = never; distinct from
+  /// flaky_link's transient per-message spikes).
   FaultPlan& degrade_link(SimTime from, SimTime until, NetAddr a, NetAddr b,
                           const LinkDegrade& degrade);
 
@@ -64,66 +65,30 @@ class FaultPlan {
                              SimTime duration);
 
   /// Schedule every scripted action on the cluster's simulation clock.
-  /// The cluster must outlive the run; call once.
+  /// Actions due at the same instant run in the builders' order above
+  /// (crashes, restarts, link faults, partitions, cuts, fail-slow,
+  /// degrades), in the order they were added within one kind. The
+  /// cluster must outlive the run; call once.
   void arm(ClusterSim& cluster) const;
 
-  bool empty() const {
-    return crashes_.empty() && restarts_.empty() && links_.empty() &&
-           partitions_.empty() && cuts_.empty() && fail_slows_.empty() &&
-           degrades_.empty();
-  }
-
  private:
-  struct CrashAction {
+  /// Declaration order is arm()'s order for actions due at one instant.
+  enum class Kind { kCrash, kRestart, kLink, kPartition, kCut, kFailSlow,
+                    kDegrade };
+  using Call = std::function<void(ClusterSim&)>;
+  /// One timed ClusterSim call.
+  struct Action {
+    Kind kind;
     SimTime at;
-    MdsId node;
-    bool warm;
-  };
-  struct RestartAction {
-    SimTime at;
-    MdsId node;
-  };
-  struct LinkAction {
-    SimTime from;
-    SimTime until;
-    NetAddr a;
-    NetAddr b;
-    LinkFault fault;
+    Call call;
   };
 
-  struct PartitionAction {
-    SimTime from;
-    SimTime until;
-    std::vector<std::vector<NetAddr>> groups;
-  };
-  struct CutAction {
-    SimTime from;
-    SimTime until;
-    NetAddr src;
-    NetAddr dst;
-  };
-  struct FailSlowAction {
-    SimTime from;
-    SimTime until;
-    MdsId node;
-    double cpu_mult;
-    double disk_mult;
-  };
-  struct DegradeAction {
-    SimTime from;
-    SimTime until;
-    NetAddr a;
-    NetAddr b;
-    LinkDegrade degrade;
-  };
+  FaultPlan& add(Kind kind, SimTime at, Call call);
+  /// `open` at `from`; `close` at `until` only when `until > from`.
+  FaultPlan& window(Kind kind, SimTime from, SimTime until, Call open,
+                    Call close);
 
-  std::vector<CrashAction> crashes_;
-  std::vector<RestartAction> restarts_;
-  std::vector<LinkAction> links_;
-  std::vector<PartitionAction> partitions_;
-  std::vector<CutAction> cuts_;
-  std::vector<FailSlowAction> fail_slows_;
-  std::vector<DegradeAction> degrades_;
+  std::vector<Action> actions_;
 };
 
 }  // namespace mdsim

@@ -116,17 +116,9 @@ void MdsNode::handle_heartbeat(const HeartbeatMsg& m) {
   if (m.lists_alive(id_)) peer_ack_time_[idx] = ctx_.sim.now();
   // Epoch gossip: adopt a newer map view (no-op while fenced).
   observe_epoch(m.epoch);
-  if (peer_alive_[idx] == 0) {
-    // First heartbeat after an outage (or a false detection): the peer is
-    // back — restore it as a migration and forwarding target, and as a
-    // dentry-authority candidate for fragmented directories.
-    peer_alive_[idx] = 1;
-    mark_peer_up(m.sender);
-    ctx_.dirfrag.set_node_alive(m.sender, true);
-    if (ctx_.faults != nullptr) {
-      ctx_.faults->note_marked_up(m.sender, ctx_.sim.now());
-    }
-  }
+  // The first heartbeat after an outage (or a false detection) marks the
+  // peer back up.
+  peer_up(m.sender);
   // A heartbeat generation ahead of what we've applied means we missed a
   // DirFragNotify (link fault, partition): catch up now.
   if (m.dirfrag_gen > dirfrag_seen_gen_) dirfrag_resync(m.dirfrag_gen);

@@ -807,19 +807,6 @@ void MdsNode::unpin_all(RequestPtr req) {
   req->pinned.clear();
 }
 
-void MdsNode::mark_peer_down(MdsId peer) {
-  if (peer >= 0 && static_cast<std::size_t>(peer) < peer_loads_.size()) {
-    // Infinite load: never chosen as a migration target.
-    peer_loads_[static_cast<std::size_t>(peer)] = 1e300;
-  }
-}
-
-void MdsNode::mark_peer_up(MdsId peer) {
-  if (peer >= 0 && static_cast<std::size_t>(peer) < peer_loads_.size()) {
-    peer_loads_[static_cast<std::size_t>(peer)] = 0.0;
-  }
-}
-
 void MdsNode::warm_from_journal(std::vector<InodeId> log, bool own_log) {
   auto items = std::make_shared<std::vector<InodeId>>(std::move(log));
   const std::uint32_t log_nodes =

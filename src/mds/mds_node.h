@@ -84,7 +84,7 @@ struct MdsStats {
   std::uint64_t migrations_aborted = 0;     // exporter gave up pre-commit
   std::uint64_t migrations_rolled_back = 0; // importer discarded install
   std::uint64_t migration_timeouts = 0;     // watchdog firings
-  std::uint64_t peer_down_detections = 0;   // heartbeat-miss declarations
+  std::uint64_t peer_down_detections = 0;   // peers declared dead
   std::uint64_t takeovers = 0;              // failed peers absorbed
   std::uint64_t takeover_warm_items = 0;    // items installed via 4.6 replay
   std::uint64_t restart_replayed_items = 0; // own-journal items on rejoin
@@ -185,7 +185,12 @@ class MdsNode final : public NetEndpoint {
   /// Mark the node failed (it is also taken off the network by the
   /// cluster). While failed, incoming messages are dropped and the
   /// heartbeat is silent — survivors detect the crash from the silence.
-  void set_failed(bool failed) { failed_ = failed; }
+  /// `warm` is the crash's takeover mode: the heirs replay this node's
+  /// journal only for a warm crash.
+  void set_failed(bool failed, bool warm = true) {
+    failed_ = failed;
+    warm_takeover_ = warm;
+  }
   bool failed() const { return failed_; }
   /// Fail-slow (gray failure) injection: scale this node's CPU and disk
   /// service times. The node keeps serving — slowly — which is exactly
@@ -195,9 +200,22 @@ class MdsNode final : public NetEndpoint {
     cpu_.set_service_time_multiplier(cpu_mult);
     disk_.set_service_time_multiplier(disk_mult);
   }
-  /// Survivors stop considering a downed peer as a migration target.
-  void mark_peer_down(MdsId peer);
-  void mark_peer_up(MdsId peer);
+  /// This node now believes `peer` dead (recovery.cc): it leaves the
+  /// migration targets and the fragmented directories' dentry
+  /// authorities, and the detection is counted and logged. Heartbeat
+  /// silence calls it; without heartbeats the cluster does, at the crash.
+  void peer_down(MdsId peer);
+  /// This node believes `peer` alive again (no-op if it already did): the
+  /// reverse of peer_down, logged as the incident's re-mark-up. The first
+  /// heartbeat heard calls it; without heartbeats the cluster does, at
+  /// the restart.
+  void peer_up(MdsId peer);
+  /// Redistribute a dead peer's delegations to the survivors this node
+  /// believes alive and (warm crash) replay its journal into the heirs;
+  /// hashed placements re-map rather than re-delegate, so there the
+  /// coordinator alone replays it. Run by the coordinator, the lowest
+  /// live id.
+  void take_over_failed_peer(MdsId dead);
   /// Restart after a crash (recovery.cc): reset liveness views and stale
   /// protocol state, then replay the bounded journal against the object
   /// store (sequential log read + coalesced writebacks, real disk
@@ -544,10 +562,8 @@ class MdsNode final : public NetEndpoint {
   void failure_tick(SimTime now);
   void check_peer_liveness(SimTime now);
   void on_peer_detected_down(MdsId peer);
-  /// Redistribute a dead peer's delegations to the survivors and (warm
-  /// takeover) replay its journal into the heirs. Run by the lowest live
-  /// id; a no-op if another coordinator already handled it.
-  void take_over_failed_peer(MdsId dead);
+  /// The takeover coordinator: the lowest id this node believes alive.
+  MdsId coordinator() const;
 
   // ---- partition tolerance (recovery.cc) -----------------------------------
   /// Lease/quorum machinery is active only where it can work: subtree
@@ -682,6 +698,9 @@ class MdsNode final : public NetEndpoint {
   double lh_drain_carry_ = 0.0;  // fractional drain budget between ticks
 
   bool failed_ = false;
+  // The current crash's takeover mode; true while up, so a live node
+  // falsely detected dead (partition) is taken over warm.
+  bool warm_takeover_ = true;
   bool recovering_ = false;
 
   // Peer liveness, derived from heartbeat arrivals (survivors detect a

@@ -107,9 +107,6 @@ struct MdsParams {
   /// dead node's delegations. Only strategies that run the heartbeat
   /// (i.e. those that balance load) detect failures.
   int heartbeat_miss_threshold = 3;
-  /// Takeover nodes replay the failed node's bounded journal from shared
-  /// storage to preload its working set (vs a cold takeover).
-  bool warm_takeover = true;
   /// Double-commit watchdog: an exporter with no ack (or an importer with
   /// no commit) after this long resolves the migration unilaterally —
   /// abort before the commit point, importer ownership after. Checked on

@@ -7,6 +7,9 @@
 // survivors and (warm takeover) has each heir replay the dead node's
 // bounded journal from shared storage — the paper's "journal [as] a very
 // recent or current picture of the failed node's working metadata set".
+// Strategies without heartbeats have no detector: the cluster tells every
+// survivor at the crash instant (ClusterSim::fail_mds), and the lowest
+// runs the same takeover.
 // A false positive (flaky link, not a dead peer) degenerates into a
 // forced re-delegation: the partition map stays consistent, the "dead"
 // node simply starts forwarding, and the first heartbeat heard marks it
@@ -89,16 +92,43 @@ void MdsNode::check_peer_liveness(SimTime now) {
   }
 }
 
-void MdsNode::on_peer_detected_down(MdsId peer) {
-  const SimTime now = ctx_.sim.now();
-  peer_alive_[static_cast<std::size_t>(peer)] = 0;
-  mark_peer_down(peer);
+void MdsNode::peer_down(MdsId peer) {
+  const auto idx = static_cast<std::size_t>(peer);
+  peer_alive_[idx] = 0;
+  // Infinite load: never chosen as a migration target.
+  peer_loads_[idx] = 1e300;
   // Dentry authorities of fragmented directories route around the dead
   // node from here on (the hash otherwise keeps sending its share of the
   // directory into a black hole until the peer recovers).
   ctx_.dirfrag.set_node_alive(peer, false);
   ++stats_.peer_down_detections;
-  if (ctx_.faults != nullptr) ctx_.faults->note_detection(peer, id_, now);
+  if (ctx_.faults != nullptr) {
+    ctx_.faults->note_detection(peer, id_, ctx_.sim.now());
+  }
+}
+
+void MdsNode::peer_up(MdsId peer) {
+  const auto idx = static_cast<std::size_t>(peer);
+  if (peer_alive_[idx] != 0) return;
+  // Back as a migration and forwarding target, and as a dentry-authority
+  // candidate for fragmented directories.
+  peer_alive_[idx] = 1;
+  peer_loads_[idx] = 0.0;
+  ctx_.dirfrag.set_node_alive(peer, true);
+  if (ctx_.faults != nullptr) {
+    ctx_.faults->note_marked_up(peer, ctx_.sim.now());
+  }
+}
+
+MdsId MdsNode::coordinator() const {
+  for (MdsId i = 0; i < id_; ++i) {
+    if (peer_alive_[static_cast<std::size_t>(i)] != 0) return i;
+  }
+  return id_;
+}
+
+void MdsNode::on_peer_detected_down(MdsId peer) {
+  peer_down(peer);
 
   // A migration in flight with the dead peer resolves unilaterally.
   if (outbound_ != nullptr && outbound_->target == peer) {
@@ -113,22 +143,17 @@ void MdsNode::on_peer_detected_down(MdsId peer) {
     // the earliest re-delegation time; the watchdog sweep executes it once
     // the grace has covered the victim's lease expiry — or cancels it if
     // the peer comes back (flapping link, transient cut).
-    pending_takeover_.emplace(peer, now + ctx_.params.takeover_grace);
+    pending_takeover_.emplace(peer,
+                              ctx_.sim.now() + ctx_.params.takeover_grace);
     return;
   }
 
-  // Legacy immediate path (2-node clusters, safety disabled): the lowest
-  // id that believes itself alive coordinates the takeover. Sweeping every
-  // dead peer (not just this one) covers a coordinator that died before
-  // acting: the next-lowest survivor redoes the sweep, and
-  // already-redistributed peers are skipped inside.
-  MdsId coordinator = id_;
-  for (MdsId i = 0; i < ctx_.num_mds; ++i) {
-    if (i != id_ && peer_alive_[static_cast<std::size_t>(i)] == 0) continue;
-    coordinator = i;
-    break;
-  }
-  if (coordinator != id_) return;
+  // Legacy immediate path (2-node clusters, safety disabled): the
+  // coordinator takes over. Sweeping every dead peer (not just this one)
+  // covers a coordinator that died before acting: the next-lowest
+  // survivor redoes the sweep, and already-redistributed peers are
+  // skipped inside.
+  if (coordinator() != id_) return;
   for (MdsId dead = 0; dead < ctx_.num_mds; ++dead) {
     if (dead == id_ || peer_alive_[static_cast<std::size_t>(dead)] != 0)
       continue;
@@ -253,11 +278,9 @@ void MdsNode::sweep_pending_takeovers(SimTime now) {
     ++stats_.takeovers_deferred;
     return;
   }
-  // Lowest id believed alive coordinates; everyone else holds its pending
-  // set as a backstop in case the coordinator dies before acting.
-  for (MdsId i = 0; i < id_; ++i) {
-    if (peer_alive_[static_cast<std::size_t>(i)] != 0) return;
-  }
+  // The coordinator acts; everyone else holds its pending set as a
+  // backstop in case the coordinator dies before acting.
+  if (coordinator() != id_) return;
   std::vector<MdsId> ready;
   for (const auto& [dead, eligible] : pending_takeover_) {
     if (now >= eligible) ready.push_back(dead);
@@ -270,9 +293,6 @@ void MdsNode::sweep_pending_takeovers(SimTime now) {
 }
 
 void MdsNode::take_over_failed_peer(MdsId dead) {
-  auto* subtree = dynamic_cast<SubtreePartition*>(&ctx_.partition);
-  if (subtree == nullptr) return;  // hashed placements re-map, out of scope
-
   std::vector<MdsId> survivors;
   for (MdsId i = 0; i < ctx_.num_mds; ++i) {
     if (i == dead) continue;
@@ -281,9 +301,20 @@ void MdsNode::take_over_failed_peer(MdsId dead) {
   }
   if (survivors.empty()) return;
 
-  const auto delegations = subtree->delegations_of(dead);
-  const bool owns_root = subtree->authority_of(ctx_.tree.root()) == dead;
-  if (delegations.empty() && !owns_root) return;  // already taken over
+  // Hashed placements (no subtree map) would re-map rather than
+  // re-delegate — out of scope: the coordinator alone replays the journal.
+  SubtreePartition* subtree = subtree_map_;
+  const auto delegations = subtree != nullptr
+                               ? subtree->delegations_of(dead)
+                               : std::vector<const FsNode*>{};
+  const bool owns_root =
+      subtree != nullptr && subtree->authority_of(ctx_.tree.root()) == dead;
+  // The heartbeat sweeps revisit every peer believed dead; one with no
+  // territory left was taken over already. A heartbeat-less crash is
+  // taken over once, at the crash.
+  if (ctx_.traits.load_balancing && delegations.empty() && !owns_root) {
+    return;
+  }
 
   if (lease_quorum_on()) {
     // Failure-driven reconfiguration: stamp the new assignments with a
@@ -319,13 +350,13 @@ void MdsNode::take_over_failed_peer(MdsId dead) {
     ctx_.faults->note_takeover(dead, ctx_.sim.now());
   }
 
-  if (ctx_.params.warm_takeover) {
+  const MdsNode& victim = *ctx_.nodes[static_cast<std::size_t>(dead)];
+  if (victim.warm_takeover_) {
     // The dead node's journal lives on shared storage (section 4.6):
     // every heir replays it and installs the items it now owns.
     std::sort(heirs.begin(), heirs.end());
     heirs.erase(std::unique(heirs.begin(), heirs.end()), heirs.end());
-    const auto working_set =
-        ctx_.nodes[static_cast<std::size_t>(dead)]->journal().replay();
+    const auto working_set = victim.journal_.replay();
     for (MdsId heir : heirs) {
       ctx_.nodes[static_cast<std::size_t>(heir)]->warm_from_journal(
           working_set, /*own_log=*/false);

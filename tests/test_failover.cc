@@ -207,5 +207,96 @@ TEST(Failover, DoubleFailureStillServes) {
   EXPECT_TRUE(subtree->delegations_of(3).empty());
 }
 
+TEST(Failover, HeartbeatlessCrashGoesThroughSurvivors) {
+  // Without heartbeats nothing detects a crash, so every survivor is told
+  // at the crash instant and the lowest runs the same takeover a
+  // heartbeat coordinator would. Crashing node 0 makes node 1 the
+  // coordinator.
+  for (StrategyKind kind :
+       {StrategyKind::kStaticSubtree, StrategyKind::kDirHash}) {
+    for (bool warm : {true, false}) {
+      SCOPED_TRACE(std::string(strategy_name(kind)) +
+                   (warm ? " warm" : " cold"));
+      SimConfig cfg = failover_config();
+      cfg.strategy = kind;
+      ClusterSim cluster(cfg);
+      cluster.run_until(8 * kSecond);
+      const MdsId victim = 0;
+      const SimTime crash_at = cluster.sim().now();
+      cluster.fail_mds(victim, warm);
+
+      const FaultIncident& inc = cluster.fault_log().incidents().at(0);
+      EXPECT_EQ(inc.detected_at, crash_at);
+      EXPECT_EQ(inc.detected_by, 1);
+      EXPECT_EQ(inc.takeover_at, crash_at);
+      if (kind == StrategyKind::kStaticSubtree) {
+        auto* subtree = dynamic_cast<SubtreePartition*>(&cluster.partition());
+        ASSERT_NE(subtree, nullptr);
+        EXPECT_TRUE(subtree->delegations_of(victim).empty());
+        EXPECT_NE(subtree->authority_of(cluster.tree().root()), victim);
+      }
+      for (MdsId i = 1; i < cluster.num_mds(); ++i) {
+        EXPECT_FALSE(cluster.mds(i).peer_alive(victim)) << i;
+        EXPECT_EQ(cluster.mds(i).stats().peer_down_detections, 1u) << i;
+        EXPECT_EQ(cluster.mds(i).stats().takeovers, i == 1 ? 1u : 0u) << i;
+      }
+
+      // The heirs' journal replay lands after a log read and a CPU charge.
+      cluster.run_until(10 * kSecond);
+      std::uint64_t warm_items = 0;
+      for (MdsId i = 1; i < cluster.num_mds(); ++i) {
+        warm_items += cluster.mds(i).stats().takeover_warm_items;
+      }
+      if (warm) {
+        EXPECT_GT(warm_items, 0u);
+      } else {
+        EXPECT_EQ(warm_items, 0u);
+      }
+
+      cluster.recover_mds(victim);
+      for (MdsId i = 1; i < cluster.num_mds(); ++i) {
+        EXPECT_TRUE(cluster.mds(i).peer_alive(victim)) << i;
+      }
+      EXPECT_EQ(cluster.fault_log().incidents().at(0).remarked_up_at,
+                cluster.sim().now());
+      // Its own journal replay finishes the rejoin and closes the incident.
+      cluster.run_until(14 * kSecond);
+      EXPECT_FALSE(cluster.fault_log().incidents().at(0).open);
+    }
+  }
+}
+
+TEST(Failover, WarmFlagBelongsToTheCrash) {
+  // Crash A, then crash B cold before A's grace-delayed takeover runs. A's
+  // takeover must use A's own flag: warm replays A's journal into its
+  // heirs, and with A cold too nobody replays anything (so B's cold
+  // takeover replayed nothing either).
+  const MdsId a = 1, b = 3;
+  auto warm_items = [&](bool a_warm) {
+    SimConfig cfg = failover_config();
+    cfg.num_mds = 5;
+    ClusterSim cluster(cfg);
+    cluster.run_until(6 * kSecond);
+    cluster.fail_mds(a, a_warm);
+    cluster.run_until(8 * kSecond);
+    cluster.fail_mds(b, /*warm_takeover=*/false);
+    cluster.run_until(24 * kSecond);
+
+    const auto& incidents = cluster.fault_log().incidents();
+    EXPECT_EQ(incidents.size(), 2u);
+    for (const FaultIncident& inc : incidents) {
+      EXPECT_TRUE(inc.has(inc.takeover_at)) << inc.node;
+    }
+    EXPECT_GT(incidents.at(0).takeover_at, incidents.at(1).crashed_at);
+    std::uint64_t items = 0;
+    for (MdsId i = 0; i < cluster.num_mds(); ++i) {
+      items += cluster.mds(i).stats().takeover_warm_items;
+    }
+    return items;
+  };
+  EXPECT_GT(warm_items(true), 0u);
+  EXPECT_EQ(warm_items(false), 0u);
+}
+
 }  // namespace
 }  // namespace mdsim
