@@ -115,6 +115,13 @@ int main(int argc, char** argv) {
       usage(argv[0]);
     }
   }
+  // A crash needs a surviving peer to take over, and the victim must exist.
+  if (fail_at > 0 &&
+      (cfg.num_mds < 2 || fail_node < 0 || fail_node >= cfg.num_mds)) {
+    std::cerr << "--fail-node must name one of the " << cfg.num_mds
+              << " MDS, and --fail-at needs at least 2\n";
+    return 2;
+  }
   if (cfg.workload == WorkloadKind::kScientific && cfg.fs.num_projects == 0) {
     cfg.fs.num_projects = 2;
   }

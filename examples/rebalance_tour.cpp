@@ -47,8 +47,7 @@ int main() {
   std::cout << "Dynamic subtree rebalancing demo: " << cfg.num_clients
             << " clients on " << cfg.num_mds << " MDS nodes.\n"
             << "At t=" << to_seconds(cfg.shifting.shift_at)
-            << "s, half the clients move into MDS "
-            << cfg.shifting.hot_mds
+            << "s, half the clients move into MDS " << kHotMds
             << "'s territory and start creating files (paper fig. 5).\n";
 
   ClusterSim cluster(cfg);

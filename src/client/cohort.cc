@@ -144,8 +144,7 @@ MdsId ClientCohort::pick_mds(std::uint32_t idx, const Operation& op) {
         if (g != nullptr) {
           const std::uint64_t h = giga_name_hash(
               dir->ino(), namespace_op ? op.name : op.target->name());
-          const std::uint32_t p =
-              giga_partition(h, g->bitmap, dirfrag_.max_depth());
+          const std::uint32_t p = giga_partition(h, g->bitmap);
           return giga_node(g->home, p, num_mds_);
         }
       }

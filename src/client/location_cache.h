@@ -78,7 +78,6 @@ class LocationCache {
   /// Fast guard for the routing hot path: true in every run where no
   /// directory ever fragmented (the common case).
   bool giga_empty() const { return giga_.empty(); }
-  std::size_t giga_size() const { return giga_.size(); }
 
   /// Drop everything (the cluster told us its authority layout was
   /// reconfigured; per-item invalidation is not worth modeling). Split

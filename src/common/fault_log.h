@@ -10,6 +10,7 @@
 // stamps.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -203,9 +204,6 @@ class FaultLog {
 
   const std::vector<FaultIncident>& incidents() const { return incidents_; }
   const std::vector<FenceIncident>& fence_incidents() const { return fences_; }
-  const std::vector<OverloadIncident>& overload_incidents() const {
-    return overloads_;
-  }
   const std::vector<GrayIncident>& gray_incidents() const { return grays_; }
   const std::vector<FailSlowIncident>& fail_slow_incidents() const {
     return fail_slows_;
@@ -226,11 +224,16 @@ class FaultLog {
     return span([](const FaultIncident& i) { return i.detected_at; },
                 [](const FaultIncident& i) { return i.crashed_at; }, asof);
   }
-  /// Crash -> delegations redistributed: the window in which the dead
-  /// node's territory has no authority at all.
+  /// Crash -> delegations redistributed, or the node restarted, whichever
+  /// came first: the window in which the dead node's territory has no
+  /// authority at all. (A restart inside the detection + grace window
+  /// cancels the pending takeover.)
   Summary unavailability_seconds(SimTime asof) const {
-    return span([](const FaultIncident& i) { return i.takeover_at; },
-                [](const FaultIncident& i) { return i.crashed_at; }, asof);
+    return span(
+        [](const FaultIncident& i) {
+          return std::min(i.takeover_at, i.restarted_at);  // kUnset is max
+        },
+        [](const FaultIncident& i) { return i.crashed_at; }, asof);
   }
   /// Restart -> journal replay finished (the node serves again).
   Summary recovery_time_seconds(SimTime asof) const {

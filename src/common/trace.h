@@ -187,11 +187,6 @@ class TraceCollector {
     return op_count_[static_cast<std::size_t>(op)];
   }
 
-  /// Latency histogram (nanosecond values) for one stage of one op type.
-  const LogHistogram& stage_hist(TraceStage s, OpType op) const {
-    return stage_hist_[static_cast<std::size_t>(op)]
-                      [static_cast<std::size_t>(s)];
-  }
   /// End-to-end latency histogram for one op type.
   const LogHistogram& total_hist(OpType op) const {
     return total_hist_[static_cast<std::size_t>(op)];

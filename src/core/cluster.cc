@@ -53,8 +53,7 @@ void ClusterSim::build() {
   net_ = std::make_unique<Network>(sim_, net_params);
   if (slice_.link != nullptr) net_->set_shard(slice_.index, slice_.link);
   partition_ = make_partitioner(config_.strategy, num_mds_, tree_);
-  dirfrag_ =
-      std::make_unique<DirFragRegistry>(num_mds_, config_.mds.giga_max_depth);
+  dirfrag_ = std::make_unique<DirFragRegistry>(num_mds_);
   if (config_.strategy == StrategyKind::kLazyHybrid) {
     lazy_ = std::make_unique<LazyHybridManager>(tree_);
   }
@@ -133,10 +132,8 @@ void ClusterSim::build() {
       auto* subtree = dynamic_cast<SubtreePartition*>(partition_.get());
       assert(subtree != nullptr &&
              "shifting workload requires a subtree strategy");
-      ShiftingWorkloadParams sp = config_.shifting;
-      sp.base = config_.general;
-      workload_ = make_shifting_workload(tree_, ns_info_.user_roots,
-                                         *subtree, sp);
+      workload_ = make_shifting_workload(tree_, ns_info_.user_roots, *subtree,
+                                         config_.general, config_.shifting);
       break;
     }
   }

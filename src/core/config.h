@@ -25,6 +25,10 @@ enum class WorkloadKind : std::uint8_t {
   kShifting,
 };
 
+/// Remote targets a sharded run samples per (shard, other-shard) pair at
+/// build time.
+inline constexpr int kShardCatalogSize = 64;
+
 constexpr const char* workload_name(WorkloadKind k) {
   switch (k) {
     case WorkloadKind::kGeneral: return "general";
@@ -86,8 +90,6 @@ struct SimConfig {
   /// Probability that a cohort client's think-turn targets another shard
   /// (a stat against a remote tree, routed over the cross-shard fabric).
   double shard_remote_fraction = 0.05;
-  /// Remote targets sampled per (shard, other-shard) pair at build time.
-  int shard_catalog_size = 64;
 
   /// Per-request tracing / latency attribution (src/common/trace.h).
   /// Disabled by default: no trace records exist, every hook reduces to a

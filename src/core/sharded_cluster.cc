@@ -21,11 +21,10 @@ void ShardedClusterSim::Fabric::deliver(NetAddr global_from,
 
 ShardedClusterSim::ShardedClusterSim(SimConfig config)
     : config_(std::move(config)),
-      engine_(std::min(config_.shards, kMaxShards),
-              config_.net.cross_base_latency) {
+      engine_(std::min(config_.shards, kMaxShards), kCrossBaseLatency) {
+  static_assert(kCrossBaseLatency > 0,
+                "cross-shard lookahead requires a positive base latency");
   assert(config_.shards >= 1 && config_.shards <= kMaxShards);
-  assert(config_.net.cross_base_latency > 0 &&
-         "cross-shard lookahead requires a positive base latency");
   fabric_.owner = this;
   const int S = engine_.shard_count();
   ClientId first = 0;
@@ -40,10 +39,7 @@ ShardedClusterSim::~ShardedClusterSim() = default;
 
 void ShardedClusterSim::build_catalogs() {
   const int S = engine_.shard_count();
-  if (S < 2 || config_.shard_remote_fraction <= 0.0 ||
-      config_.shard_catalog_size <= 0) {
-    return;
-  }
+  if (S < 2 || config_.shard_remote_fraction <= 0.0) return;
   for (int s = 0; s < S; ++s) {
     // One dedicated stream per destination cohort; iteration order over
     // source shards is fixed, so the catalog is a pure function of the
@@ -55,7 +51,7 @@ void ShardedClusterSim::build_catalogs() {
       ClusterSim& other = shard(t);
       const auto& files = other.tree().files();
       if (files.empty()) continue;
-      for (int k = 0; k < config_.shard_catalog_size; ++k) {
+      for (int k = 0; k < kShardCatalogSize; ++k) {
         FsNode* node = files[rng.uniform(files.size())];
         MdsId authority = other.partition().authority_of(node);
         if (authority == kInvalidMds) authority = 0;

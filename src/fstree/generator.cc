@@ -60,10 +60,10 @@ void fill_directory(GenContext& ctx, FsNode* dir, int depth) {
 
   // File count: geometric around the mean, with a Zipf-flavoured heavy
   // tail so a few directories are very large (mirrors real namespaces).
-  int files = static_cast<int>(ctx.rng.exponential(P.mean_files_per_dir));
+  int files = static_cast<int>(ctx.rng.exponential(kMeanFilesPerDir));
   if (ctx.rng.bernoulli(0.02)) {
     files += static_cast<int>(
-        ctx.rng.pareto(P.mean_files_per_dir * 4.0, P.dir_size_skew));
+        ctx.rng.pareto(kMeanFilesPerDir * 4.0, kDirSizeSkew));
   }
   // Home directories are never near-empty: real ones hold dotfiles etc.
   if (depth == 0) files = std::max(files, 4);
@@ -83,7 +83,7 @@ void fill_directory(GenContext& ctx, FsNode* dir, int depth) {
 
   // Subdirectory fan-out decays with depth so trees stay finite.
   const double mean_dirs =
-      P.mean_dirs_per_dir * std::pow(0.8, static_cast<double>(depth));
+      kMeanDirsPerDir * std::pow(0.8, static_cast<double>(depth));
   int subdirs = static_cast<int>(ctx.rng.exponential(mean_dirs) + 0.5);
   if (depth == 0) subdirs = std::max(subdirs, 1);
   subdirs = std::min(subdirs, ctx.budget);
@@ -112,9 +112,9 @@ NamespaceInfo generate_namespace(FsTree& tree,
 
   // Shard homes into group directories (bounded top-level fanout).
   std::vector<FsNode*> groups;
-  const int group_size = params.home_group_size;
-  if (group_size > 0 && params.num_users > group_size) {
-    const int n_groups = (params.num_users + group_size - 1) / group_size;
+  if (params.num_users > kHomeGroupSize) {
+    const int n_groups =
+        (params.num_users + kHomeGroupSize - 1) / kHomeGroupSize;
     for (int g = 0; g < n_groups; ++g) {
       FsNode* grp =
           tree.mkdir(info.home, "g" + std::to_string(g), root_perms);

@@ -18,25 +18,26 @@
 
 namespace mdsim {
 
+/// Home directories are sharded into alphabetical-style group dirs
+/// (/home/g3/u117) of about this size, like large sites do; keeps the
+/// top-level fanout bounded.
+inline constexpr int kHomeGroupSize = 64;
+/// Mean files per directory (geometric-ish, Zipf-skewed sizes).
+inline constexpr double kMeanFilesPerDir = 8.0;
+/// Mean subdirectories per directory; decays with depth.
+inline constexpr double kMeanDirsPerDir = 2.4;
+/// Zipf skew of directory sizes (bigger -> a few huge directories).
+inline constexpr double kDirSizeSkew = 1.1;
+
 struct NamespaceParams {
   std::uint64_t seed = 42;
 
   /// Number of user home directories under /home.
   int num_users = 64;
-  /// Home directories are sharded into alphabetical-style group dirs
-  /// (/home/g3/u117) of about this size, like large sites do; keeps the
-  /// top-level fanout bounded. 0 = flat /home.
-  int home_group_size = 64;
   /// Approximate total node budget per user subtree.
   int nodes_per_user = 600;
-  /// Mean files per directory (geometric-ish, Zipf-skewed sizes).
-  double mean_files_per_dir = 8.0;
-  /// Mean subdirectories per directory; decays with depth.
-  double mean_dirs_per_dir = 2.4;
   /// Maximum directory nesting below a home directory.
   int max_depth = 8;
-  /// Zipf skew of directory sizes (bigger -> a few huge directories).
-  double dir_size_skew = 1.1;
 
   /// Scientific projects under /proj (0 disables).
   int num_projects = 0;

@@ -115,8 +115,7 @@ void MdsNode::handle_attr_dirty(NetAddr from, const AttrDirtyMsg& m) {
 }
 
 void MdsNode::handle_attr_flush(NetAddr from, const AttrFlushMsg& m) {
-  charge_cpu(ctx_.params.cpu_replica, [this, from, ino = m.ino,
-                                       updates = m.updates]() {
+  charge_cpu(kCpuReplica, [this, from, ino = m.ino, updates = m.updates]() {
     FsNode* node = ctx_.tree.by_ino(ino);
     if (node != nullptr) {
       // Apply the batch as one update: the authority keeps the max.

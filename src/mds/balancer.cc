@@ -136,7 +136,7 @@ void MdsNode::handle_heartbeat(const HeartbeatMsg& m) {
     const double sample =
         static_cast<double>((ctx_.sim.now() - m.sent_at) + m.svc_lag);
     double& score = peer_health_[idx];
-    score += ctx_.params.health.alpha * (sample - score);
+    score += kHealthAlpha * (sample - score);
   }
 }
 
@@ -152,7 +152,7 @@ void MdsNode::health_tick(SimTime now) {
   // healthy.
   const double raw =
       static_cast<double>(cpu_.backlog() + disk_.store_backlog());
-  svc_ewma_self_ += hp.alpha * (raw - svc_ewma_self_);
+  svc_ewma_self_ += kHealthAlpha * (raw - svc_ewma_self_);
   peer_health_[static_cast<std::size_t>(id_)] = svc_ewma_self_;
 
   // Degraded means slow *relative to the cluster*: compare each alive
@@ -172,7 +172,7 @@ void MdsNode::health_tick(SimTime now) {
   const double median = scores[scores.size() / 2];
   const double floor = static_cast<double>(hp.min_lag);
   const double flag_at = std::max(hp.degraded_factor * median, floor);
-  const double unflag_at = std::max(hp.recovered_factor * median, floor);
+  const double unflag_at = std::max(kRecoveredFactor * median, floor);
   for (MdsId p = 0; p < ctx_.num_mds; ++p) {
     const auto i = static_cast<std::size_t>(p);
     if (p != id_ && peer_alive_[i] == 0) {
@@ -196,10 +196,9 @@ void MdsNode::health_tick(SimTime now) {
 void MdsNode::bump_subtree_load(const FsNode* node) {
   // Attribute the request to the enclosing delegation point, so the
   // balancer can judge whole delegated trees.
-  const auto* subtree = dynamic_cast<const SubtreePartition*>(&ctx_.partition);
-  if (subtree == nullptr) return;
+  if (subtree_map_ == nullptr) return;
   for (const FsNode* n = node; n != nullptr; n = n->parent()) {
-    if (subtree->is_delegation_point(n) || n->parent() == nullptr) {
+    if (subtree_map_->is_delegation_point(n) || n->parent() == nullptr) {
       auto [it, inserted] = subtree_load_.try_emplace(
           n->ino(), DecayCounter(ctx_.params.popularity_half_life));
       it->second.hit(ctx_.sim.now());
@@ -217,8 +216,7 @@ void MdsNode::maybe_rebalance() {
   // for evacuating a sick node round after round.
   const bool health_on = ctx_.params.health.enabled;
   const bool volunteer = health_on && self_degraded();
-  const SimTime cooldown = volunteer ? ctx_.params.health.volunteer_cooldown
-                                     : ctx_.params.migration_cooldown;
+  const SimTime cooldown = volunteer ? kVolunteerCooldown : kMigrationCooldown;
   if (now - last_migration_ < cooldown) return;
 
   // Mean over the nodes believed alive: a dead peer's sentinel load must
@@ -239,7 +237,7 @@ void MdsNode::maybe_rebalance() {
   // its queues grow), so waiting for the ordinary over-mean trigger would
   // keep the territory pinned to the sick node.
   const double trigger =
-      volunteer ? ctx_.params.health.volunteer_trigger : ctx_.params.balance_trigger;
+      volunteer ? kVolunteerTrigger : ctx_.params.balance_trigger;
   if (last_load_ <= trigger * mean) return;
 
   // Busiest node ships work to the least-busy below-target node. Gray
@@ -247,7 +245,7 @@ void MdsNode::maybe_rebalance() {
   // it *look* underloaded, so without the health veto the balancer would
   // steer the cluster's work straight at the sick node.
   MdsId target = kInvalidMds;
-  double target_load = ctx_.params.balance_target * mean;
+  double target_load = kBalanceTarget * mean;
   for (MdsId peer = 0; peer < ctx_.num_mds; ++peer) {
     if (peer == id_) continue;
     if (peer_alive_[static_cast<std::size_t>(peer)] == 0) continue;
@@ -273,10 +271,24 @@ void MdsNode::maybe_rebalance() {
   begin_migration(root, target, std::move(extras));
 }
 
+FsNode* MdsNode::exportable_delegation(InodeId ino, SimTime now) const {
+  auto iit = imported_.find(ino);
+  if (iit == imported_.end() && subtree_map_->delegation_at(ino) != id_) {
+    return nullptr;  // not a tree delegated to us (e.g. default territory)
+  }
+  // Freshly imported trees stay put (no ping-pong).
+  if (iit != imported_.end() && now - iit->second < kMinSubtreeResidency) {
+    return nullptr;
+  }
+  FsNode* n = ctx_.tree.by_ino(ino);
+  if (n == nullptr || n->parent() == nullptr) return nullptr;  // never the root
+  if (frozen_.count(ino)) return nullptr;
+  return n;
+}
+
 FsNode* MdsNode::pick_export_subtree(double excess_fraction) {
   const SimTime now = ctx_.sim.now();
-  const auto* subtree = dynamic_cast<const SubtreePartition*>(&ctx_.partition);
-  if (subtree == nullptr) return nullptr;
+  if (subtree_map_ == nullptr) return nullptr;
 
   // Phase 1: whole trees that were delegated to this node, judged by the
   // per-delegation decayed load counters. Pick the one whose share of our
@@ -288,19 +300,8 @@ FsNode* MdsNode::pick_export_subtree(double excess_fraction) {
   double best_score = 1e300;
   if (total > 1.0) {
     for (auto& [ino, counter] : subtree_load_) {
-      if (!imported_.count(ino) &&
-          subtree->delegation_at(ino) != id_) {
-        continue;  // not a tree delegated to us (e.g. default territory)
-      }
-      // Freshly imported trees stay put (no ping-pong).
-      auto iit = imported_.find(ino);
-      if (iit != imported_.end() &&
-          now - iit->second < ctx_.params.min_subtree_residency) {
-        continue;
-      }
-      FsNode* n = ctx_.tree.by_ino(ino);
-      if (n == nullptr || n->parent() == nullptr) continue;  // never the root
-      if (frozen_.count(ino)) continue;
+      FsNode* n = exportable_delegation(ino, now);
+      if (n == nullptr) continue;
       const double share = counter.get(now) / total;
       if (share < 0.02) continue;  // too cold to help
       const double score = std::abs(share - excess_fraction);
@@ -324,7 +325,7 @@ FsNode* MdsNode::pick_export_subtree(double excess_fraction) {
     const double pop = e.popularity.get(now);
     if (e.node->depth() == 1) total_pop += pop;
     if (pop < 1.0) return;
-    if (subtree->is_delegation_point(e.node)) return;  // phase 1 covered
+    if (subtree_map_->is_delegation_point(e.node)) return;  // phase 1 covered
     if (subtree_frozen(e.node)) return;
     dirs.emplace_back(e.node, pop);
   });
@@ -347,8 +348,7 @@ FsNode* MdsNode::pick_export_subtree(double excess_fraction) {
 
 std::vector<FsNode*> MdsNode::pick_evacuation_extras(FsNode* primary) {
   std::vector<FsNode*> extras;
-  const auto* subtree = dynamic_cast<const SubtreePartition*>(&ctx_.partition);
-  if (subtree == nullptr) return extras;
+  if (subtree_map_ == nullptr) return extras;
   const SimTime now = ctx_.sim.now();
 
   // Candidates from both pick_export_subtree phases: whole trees delegated
@@ -358,23 +358,16 @@ std::vector<FsNode*> MdsNode::pick_evacuation_extras(FsNode* primary) {
   // both order "hot before cold".
   std::vector<std::pair<FsNode*, double>> cands;
   for (auto& [ino, counter] : subtree_load_) {
-    if (!imported_.count(ino) && subtree->delegation_at(ino) != id_) continue;
-    auto iit = imported_.find(ino);
-    if (iit != imported_.end() &&
-        now - iit->second < ctx_.params.min_subtree_residency) {
-      continue;  // freshly imported trees stay put (no ping-pong)
+    if (FsNode* n = exportable_delegation(ino, now)) {
+      cands.emplace_back(n, counter.get(now));
     }
-    FsNode* n = ctx_.tree.by_ino(ino);
-    if (n == nullptr || n->parent() == nullptr) continue;
-    if (frozen_.count(ino)) continue;
-    cands.emplace_back(n, counter.get(now));
   }
   cache_.for_each([&](CacheEntry& e) {
     if (!e.authoritative || !e.node->is_dir()) return;
     if (e.node->parent() == nullptr) return;
     const double pop = e.popularity.get(now);
     if (pop < 1.0) return;
-    if (subtree->is_delegation_point(e.node)) return;  // listed above
+    if (subtree_map_->is_delegation_point(e.node)) return;  // listed above
     if (subtree_frozen(e.node)) return;
     cands.emplace_back(e.node, pop);
   });
@@ -389,10 +382,8 @@ std::vector<FsNode*> MdsNode::pick_evacuation_extras(FsNode* primary) {
   // an already-picked root: exporting an ancestor covers the descendant,
   // and double-freezing one path would wedge the unfreeze bookkeeping.
   std::vector<FsNode*> picked{primary};
-  const std::size_t cap =
-      std::max<std::size_t>(ctx_.params.health.evacuation_max_roots, 1);
   for (auto& [n, w] : cands) {
-    if (picked.size() >= cap) break;
+    if (picked.size() >= kEvacuationMaxRoots) break;
     bool overlaps = false;
     for (FsNode* p : picked) {
       if (n == p || FsTree::is_ancestor_of(p, n) ||

@@ -76,16 +76,9 @@ void MdsNode::handle_invalidate(const CacheInvalidateMsg& m) {
     std::vector<CacheEntry*> victims;
     ++stats_.move_sweeps;
     stats_.move_sweep_nodes += collect_move_victims(moved, victims);
-    for (CacheEntry* v : victims) {
-      const bool was_replica = !v->authoritative;
-      const InodeId vino = v->node->ino();
-      const MdsId auth = authority_for(v->node);
-      if (cache_.erase(vino) && was_replica && auth != id_) {
-        // Silent drop: the mover already discarded its registry state via
-        // the broadcast; no per-item drop message needed.
-        (void)auth;
-      }
-    }
+    // Silent drop: the mover already discarded its registry state via
+    // the broadcast; no per-item drop message needed.
+    for (CacheEntry* v : victims) cache_.erase(v->node->ino());
     // The moved directory's own entry (if any) stays if authoritative
     // under the *new* position, else drop it too.
     CacheEntry* e = cache_.peek(m.ino);

@@ -14,7 +14,7 @@ void DirFragRegistry::fragment(InodeId dir, MdsId home, bool giga,
   g.giga = giga;
   g.by_size = by_size;
   g.half_life = half_life;
-  const std::size_t slots = std::size_t{1} << max_depth_;
+  const std::size_t slots = std::size_t{1} << kGigaMaxDepth;
   g.counts.assign(slots, 0);
   g.temps.assign(slots, DecayCounter(half_life));
   g.counts[0] = child_count;
@@ -33,8 +33,8 @@ std::uint32_t DirFragRegistry::split(InodeId dir, std::uint32_t p,
   auto it = dirs_.find(dir);
   if (it == dirs_.end()) return p;
   GigaDir& g = it->second;
-  const int d = giga_depth_of(g.bitmap, p, max_depth_);
-  if (d >= max_depth_) return p;
+  const int d = giga_depth_of(g.bitmap, p);
+  if (d >= kGigaMaxDepth) return p;
   const std::uint32_t c = p + (1u << d);
   g.bitmap |= std::uint64_t{1} << c;
   g.counts[p] = parent_count;
@@ -91,7 +91,7 @@ void DirFragRegistry::note_create(InodeId dir, const std::string& name) {
   auto it = dirs_.find(dir);
   if (it == dirs_.end() || !it->second.giga) return;
   GigaDir& g = it->second;
-  ++g.counts[giga_partition(giga_name_hash(dir, name), g.bitmap, max_depth_)];
+  ++g.counts[giga_partition(giga_name_hash(dir, name), g.bitmap)];
 }
 
 void DirFragRegistry::note_remove(InodeId dir, const std::string& name) {
@@ -100,7 +100,7 @@ void DirFragRegistry::note_remove(InodeId dir, const std::string& name) {
   if (it == dirs_.end() || !it->second.giga) return;
   GigaDir& g = it->second;
   std::uint64_t& n =
-      g.counts[giga_partition(giga_name_hash(dir, name), g.bitmap, max_depth_)];
+      g.counts[giga_partition(giga_name_hash(dir, name), g.bitmap)];
   if (n > 0) --n;
 }
 
@@ -110,16 +110,14 @@ void DirFragRegistry::note_heat(InodeId dir, const std::string& name,
   auto it = dirs_.find(dir);
   if (it == dirs_.end() || !it->second.giga) return;
   GigaDir& g = it->second;
-  g.temps[giga_partition(giga_name_hash(dir, name), g.bitmap, max_depth_)].hit(
-      now);
+  g.temps[giga_partition(giga_name_hash(dir, name), g.bitmap)].hit(now);
 }
 
 MdsId DirFragRegistry::dentry_authority(const GigaDir* g,
                                         std::uint64_t name_hash) const {
   MdsId a;
   if (g != nullptr && g->giga) {
-    a = giga_node(g->home, giga_partition(name_hash, g->bitmap, max_depth_),
-                  num_mds_);
+    a = giga_node(g->home, giga_partition(name_hash, g->bitmap), num_mds_);
   } else {
     a = static_cast<MdsId>(name_hash % static_cast<std::uint64_t>(num_mds_));
   }

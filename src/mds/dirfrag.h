@@ -14,7 +14,7 @@
 // or temperature crosses the threshold, and merges reverse one split at
 // a time. Bit `i` of the bitmap is set iff partition `i` exists; bit 0
 // is always set. A dentry maps to the partition found by taking the low
-// `max_depth` bits of its name hash and clearing the most-significant
+// kGigaMaxDepth bits of its name hash and clearing the most-significant
 // set bit until it lands on an existing partition. Partitions map to
 // MDS nodes round-robin from the directory's home (its subtree
 // authority at fragment time), so the initial fragmentation moves
@@ -36,16 +36,16 @@
 #include "common/stats.h"
 #include "common/types.h"
 #include "fstree/tree.h"
+#include "mds/params.h"
 
 namespace mdsim {
 
 /// Partition index for a name hash under a split bitmap: take the low
-/// `max_depth` bits, then clear the most-significant set bit until the
+/// kGigaMaxDepth bits, then clear the most-significant set bit until the
 /// candidate partition exists. Bit 0 is always set, so this terminates.
-inline std::uint32_t giga_partition(std::uint64_t hash, std::uint64_t bitmap,
-                                    int max_depth) {
+inline std::uint32_t giga_partition(std::uint64_t hash, std::uint64_t bitmap) {
   std::uint32_t i =
-      static_cast<std::uint32_t>(hash & ((1ULL << max_depth) - 1));
+      static_cast<std::uint32_t>(hash & ((1ULL << kGigaMaxDepth) - 1));
   while (i != 0 && ((bitmap >> i) & 1) == 0) {
     i ^= 1u << (std::bit_width(i) - 1);
   }
@@ -55,10 +55,9 @@ inline std::uint32_t giga_partition(std::uint64_t hash, std::uint64_t bitmap,
 /// Current radix depth of partition `p`: its birth depth (the depth of
 /// the split that created it) plus one per own split it has performed
 /// since (child `p + 2^d` present in the bitmap).
-inline int giga_depth_of(std::uint64_t bitmap, std::uint32_t p,
-                         int max_depth) {
+inline int giga_depth_of(std::uint64_t bitmap, std::uint32_t p) {
   int d = p == 0 ? 0 : static_cast<int>(std::bit_width(p));
-  while (d < max_depth && ((bitmap >> (p + (1u << d))) & 1) != 0) ++d;
+  while (d < kGigaMaxDepth && ((bitmap >> (p + (1u << d))) & 1) != 0) ++d;
   return d;
 }
 
@@ -82,14 +81,8 @@ class DirFragRegistry {
     std::vector<DecayCounter> temps;    // per-partition op temperature
   };
 
-  // max_depth is capped at 6: the bitmap is a uint64, so at most 64
-  // partitions (indices 0..63) exist per directory.
-  DirFragRegistry(int num_mds, int giga_max_depth)
-      : num_mds_(num_mds),
-        max_depth_(giga_max_depth < 1   ? 1
-                   : giga_max_depth > 6 ? 6
-                                        : giga_max_depth),
-        alive_(static_cast<std::size_t>(num_mds), 1) {}
+  explicit DirFragRegistry(int num_mds)
+      : num_mds_(num_mds), alive_(static_cast<std::size_t>(num_mds), 1) {}
 
   bool is_fragmented(InodeId dir) const {
     // Fragmentation is rare; the registry is empty in most runs and this
@@ -103,8 +96,6 @@ class DirFragRegistry {
     auto it = dirs_.find(dir);
     return it == dirs_.end() ? nullptr : &it->second;
   }
-
-  int max_depth() const { return max_depth_; }
 
   // --- transitions (each bumps the generation) -----------------------------
 
@@ -217,7 +208,6 @@ class DirFragRegistry {
   }
 
   int num_mds_;
-  int max_depth_;
   bool all_alive_ = true;
   std::vector<std::uint8_t> alive_;
   std::uint64_t gen_ = 0;

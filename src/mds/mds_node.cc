@@ -317,15 +317,13 @@ void MdsNode::route(RequestPtr req) {
   req->target = ctx_.tree.by_ino(m.target);
   if (req->target == nullptr) {
     // Target vanished (raced with an unlink) — fail after a cheap check.
-    charge_cpu(ctx_.params.cpu_forward, cpu_span(req),
-               [this, req]() { fail(req); });
+    charge_cpu(kCpuForward, cpu_span(req), [this, req]() { fail(req); });
     return;
   }
   if (m.secondary != kInvalidInode) {
     req->secondary = ctx_.tree.by_ino(m.secondary);
     if (req->secondary == nullptr) {
-      charge_cpu(ctx_.params.cpu_forward, cpu_span(req),
-                 [this, req]() { fail(req); });
+      charge_cpu(kCpuForward, cpu_span(req), [this, req]() { fail(req); });
       return;
     }
   }
@@ -379,7 +377,7 @@ void MdsNode::route(RequestPtr req) {
       if (m.hops == 0 && m.client_addr != kInvalidAddr) {
         send_giga_redirect(m, giga_gov);
       }
-      if (m.hops >= ctx_.params.giga_max_hops) {
+      if (m.hops >= kGigaMaxHops) {
         const SimTime cost =
             ctx_.params.cpu_request +
             ctx_.params.cpu_per_component * (req->target->depth() + 1);
@@ -404,7 +402,7 @@ void MdsNode::route(RequestPtr req) {
     auto fwd = std::make_unique<ForwardMsg>();
     fwd->inner = req->msg;
     ++fwd->inner.hops;
-    charge_cpu(ctx_.params.cpu_forward, cpu_span(req),
+    charge_cpu(kCpuForward, cpu_span(req),
                [this, to = auth, f = std::move(fwd)]() mutable {
                  ctx_.net.send(id_, to, std::move(f));
                });
@@ -826,7 +824,7 @@ void MdsNode::warm_from_journal(std::vector<InodeId> log, bool own_log) {
         disk_.write_object(1 + count / 16, []() {});
       }
     }
-    const SimTime cpu = ctx_.params.cpu_migrate_per_item * items->size();
+    const SimTime cpu = kCpuMigratePerItem * items->size();
     charge_cpu(cpu, [this, items, own_log]() {
       std::uint64_t installed = 0;
       for (InodeId ino : *items) {

@@ -239,14 +239,6 @@ class MdsNode final : public NetEndpoint {
            peer_alive_[static_cast<std::size_t>(peer)] != 0;
   }
   // ---- gray-failure health scoring (balancer.cc) ---------------------------
-  /// Health score this node holds for `peer`, in ns of estimated lag
-  /// (EWMA of the peer's self-reported service lag plus the heartbeat
-  /// one-way delay). 0.0 until a scored heartbeat has arrived.
-  double peer_health(MdsId peer) const {
-    return peer >= 0 && static_cast<std::size_t>(peer) < peer_health_.size()
-               ? peer_health_[static_cast<std::size_t>(peer)]
-               : 0.0;
-  }
   /// Does this node currently consider `peer` gray-degraded?
   bool peer_degraded(MdsId peer) const {
     return peer >= 0 &&
@@ -276,13 +268,6 @@ class MdsNode final : public NetEndpoint {
     return outbound_ != nullptr || inbound_ != nullptr;
   }
 
-  /// In-flight fetch diagnostics (tests).
-  std::size_t pending_disk_fetches() const {
-    return cache_.inflight_fetches(FetchChannel::kDisk);
-  }
-  std::size_t pending_replica_fetches() const {
-    return cache_.inflight_fetches(FetchChannel::kReplica);
-  }
   std::size_t cpu_queue_depth() const { return cpu_.queue_depth(); }
   /// CPU queue observer (depth high-water / mean depth / backlog stats).
   const QueueServer& cpu() const { return cpu_; }
@@ -521,10 +506,14 @@ class MdsNode final : public NetEndpoint {
   /// then compare every alive peer's score against the cluster median and
   /// flag/unflag with hysteresis (first detector opens the incident).
   void health_tick(SimTime now);
+  /// The whole tree delegated at `ino` if it may be exported now:
+  /// delegated here, past the residency window, not the root, not frozen.
+  /// Otherwise nullptr.
+  FsNode* exportable_delegation(InodeId ino, SimTime now) const;
   FsNode* pick_export_subtree(double excess_fraction);
   /// Additional subtrees a self-degraded volunteer ships alongside the
   /// primary pick, hottest first, non-overlapping, capped by
-  /// health.evacuation_max_roots. Empty for healthy-path balancing.
+  /// kEvacuationMaxRoots. Empty for healthy-path balancing.
   std::vector<FsNode*> pick_evacuation_extras(FsNode* primary);
   void bump_subtree_load(const FsNode* node);
 

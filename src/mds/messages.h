@@ -200,7 +200,7 @@ struct MigratePrepareMsg final : Message {
   std::vector<InodeId> items;
   /// Additional subtree roots riding in the same transaction. Empty for
   /// ordinary balancing; a self-degraded volunteer evacuates several
-  /// trees per journal round-trip (see HealthParams::evacuation_max_roots).
+  /// trees per journal round-trip (see kEvacuationMaxRoots).
   std::vector<InodeId> extra_roots;
 };
 

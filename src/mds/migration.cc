@@ -86,7 +86,7 @@ void MdsNode::begin_migration(FsNode* root, MdsId target,
   outbound_->root = root->ino();
   for (FsNode* r : extra_roots) outbound_->extra_roots.push_back(r->ino());
   outbound_->target = target;
-  outbound_->deadline = ctx_.sim.now() + ctx_.params.migration_timeout;
+  outbound_->deadline = ctx_.sim.now() + kMigrationTimeout;
   outbound_->items.reserve(collected.size());
   for (CacheEntry* e : collected) outbound_->items.push_back(e->node->ino());
 
@@ -112,8 +112,7 @@ void MdsNode::begin_migration(FsNode* root, MdsId target,
   const MdsId target_copy = target;
   disk_.journal_append([this, mig_id, target_copy, m = std::move(msg)]() mutable {
     if (outbound_ == nullptr || outbound_->id != mig_id) return;  // aborted
-    const SimTime pack_cost =
-        ctx_.params.cpu_migrate_per_item * outbound_->items.size();
+    const SimTime pack_cost = kCpuMigratePerItem * outbound_->items.size();
     charge_cpu(pack_cost, [this, mig_id, target_copy, m = std::move(m)]() mutable {
       if (outbound_ == nullptr || outbound_->id != mig_id) return;
       ctx_.net.send(id_, target_copy, std::move(m));
@@ -170,12 +169,12 @@ void MdsNode::handle_migrate_prepare(NetAddr from, const MigratePrepareMsg& m) {
   inbound_->root = m.subtree_root;
   inbound_->extra_roots = m.extra_roots;
   inbound_->items = m.items;
-  inbound_->deadline = ctx_.sim.now() + ctx_.params.migration_timeout;
+  inbound_->deadline = ctx_.sim.now() + kMigrationTimeout;
 
   auto items = std::make_shared<std::vector<InodeId>>(m.items);
   const InodeId root_ino = m.subtree_root;
 
-  const SimTime unpack_cost = ctx_.params.cpu_migrate_per_item * items->size();
+  const SimTime unpack_cost = kCpuMigratePerItem * items->size();
   charge_cpu(unpack_cost, [this, mig_id, root_ino, items]() {
     if (inbound_ == nullptr || inbound_->id != mig_id) return;  // resolved
     // Rebuild the ack closure from the inbound record (keeps the CPU

@@ -11,6 +11,26 @@
 
 namespace mdsim {
 
+/// Gray-failure detection constants (see MdsParams::health below).
+/// EWMA weight for new health samples (per heartbeat period).
+inline constexpr double kHealthAlpha = 0.3;
+/// A degraded peer recovers once back under this factor of the alive-peer
+/// median (hysteresis; must be < HealthParams::degraded_factor).
+inline constexpr double kRecoveredFactor = 2.0;
+/// Self-detected degraded nodes volunteer load away once their load
+/// exceeds this fraction of the cluster mean (vs balance_trigger for
+/// healthy nodes).
+inline constexpr double kVolunteerTrigger = 0.60;
+/// Migration cooldown while self-degraded (vs kMigrationCooldown for
+/// healthy nodes): a sick node sheds territory round after round
+/// instead of waiting out the anti-thrash pause tuned for load spikes.
+inline constexpr SimTime kVolunteerCooldown = 1 * kSecond;
+/// Max subtree roots a volunteer evacuates per migration transaction.
+/// Batching matters because the exporter journals the migration intent
+/// on the very disk that made it sick: one multi-second append buys the
+/// whole batch instead of one subtree.
+inline constexpr std::size_t kEvacuationMaxRoots = 6;
+
 /// Gray-failure detection knobs (see MdsParams::health below). Thresholds
 /// are deliberately relative — a gray node is one that is slow *compared
 /// to its peers*, not one that crosses an absolute constant — with a small
@@ -19,31 +39,95 @@ struct HealthParams {
   /// Master switch. Off: no EWMA updates, no flags, no balancer bias —
   /// the healthy path is byte-identical to a build without the layer.
   bool enabled = false;
-  /// EWMA weight for new health samples (per heartbeat period).
-  double alpha = 0.3;
   /// A peer is degraded when its score exceeds the alive-peer median by
-  /// this factor...
+  /// this factor (and recovers under kRecoveredFactor, which must be
+  /// smaller).
   double degraded_factor = 4.0;
-  /// ...and recovers once back under this factor (hysteresis;
-  /// must be < degraded_factor).
-  double recovered_factor = 2.0;
   /// Absolute score floor (ns of lag) below which no one is ever flagged,
   /// regardless of relative spread.
   SimTime min_lag = 2 * kMillisecond;
-  /// Self-detected degraded nodes volunteer load away once their load
-  /// exceeds this fraction of the cluster mean (vs balance_trigger for
-  /// healthy nodes).
-  double volunteer_trigger = 0.60;
-  /// Migration cooldown while self-degraded (vs migration_cooldown for
-  /// healthy nodes): a sick node sheds territory round after round
-  /// instead of waiting out the anti-thrash pause tuned for load spikes.
-  SimTime volunteer_cooldown = 1 * kSecond;
-  /// Max subtree roots a volunteer evacuates per migration transaction.
-  /// Batching matters because the exporter journals the migration intent
-  /// on the very disk that made it sick: one multi-second append buys the
-  /// whole batch instead of one subtree.
-  std::size_t evacuation_max_roots = 6;
 };
+
+// --- Calibration constants ------------------------------------------------
+// Fixed across every experiment (paper section 5.1 varies cluster size,
+// cache size, strategy and workload only); the settable values are the
+// MdsParams fields below.
+
+/// CPU to forward a request to another node.
+inline constexpr SimTime kCpuForward = from_micros(5);
+/// CPU to serve a replica grant / handle coherence traffic.
+inline constexpr SimTime kCpuReplica = from_micros(15);
+/// CPU per cache item packed/unpacked during subtree migration.
+inline constexpr SimTime kCpuMigratePerItem = from_micros(2);
+
+/// Load balancer: ship work to nodes below the cluster mean times this
+/// factor.
+inline constexpr double kBalanceTarget = 0.90;
+/// Minimum spacing between migrations initiated by one node.
+inline constexpr SimTime kMigrationCooldown = 4 * kSecond;
+/// A freshly imported subtree must stay this long before it can be
+/// re-exported (stops hot subtrees ping-ponging around the cluster).
+inline constexpr SimTime kMinSubtreeResidency = 8 * kSecond;
+
+/// Survivors declare a peer dead once no heartbeat has arrived for this
+/// many heartbeat periods, then the lowest live id redistributes the
+/// dead node's delegations. Only strategies that run the heartbeat
+/// (i.e. those that balance load) detect failures.
+inline constexpr int kHeartbeatMissThreshold = 3;
+/// Double-commit watchdog: an exporter with no ack (or an importer with
+/// no commit) after this long resolves the migration unilaterally —
+/// abort before the commit point, importer ownership after. Checked on
+/// the heartbeat, so effective resolution is rounded up to a period.
+inline constexpr SimTime kMigrationTimeout = 3 * kSecond;
+/// Replica fetches whose grant never arrives (dropped message, dead
+/// authority) fail their waiters after this long instead of wedging the
+/// inode's fetch-coalescing slot forever.
+inline constexpr SimTime kReplicaFetchTimeout = 2 * kSecond;
+/// Attribute gathers park reads while calling deltas in from dirty
+/// holders; if a flush is lost the read resumes with what it has.
+inline constexpr SimTime kAttrGatherTimeout = 2 * kSecond;
+
+// Partition tolerance (leases, epochs, quorum takeover). Split-brain
+// safety for subtree strategies: authority is held under a renewable
+// lease (renewed by heartbeats from peers that still list us in their
+// alive-mask), takeover is deferred by a grace period and gated on a
+// strict-majority quorum, and every failure-driven reconfiguration bumps
+// the partition-map epoch. Active wherever there are heartbeats
+// (load-balancing strategies) and at least 3 nodes; below that takeover
+// is immediate.
+
+/// Authority lease duration. A node that has not been acked by a strict
+/// majority within this window self-fences: it parks writes (reads are
+/// still served stale) until the lease renews. Must be shorter than
+/// detection horizon + kTakeoverGrace so a minority node is fenced
+/// before the majority re-delegates its subtrees.
+inline constexpr SimTime kAuthorityLease = 2 * kSecond;
+/// Delay between declaring a peer dead and re-delegating its subtrees.
+/// Covers the victim's lease expiry (see above) and rides out transient
+/// suspicion: a peer that comes back within the grace (flapping link)
+/// cancels the takeover instead of losing its territory.
+inline constexpr SimTime kTakeoverGrace = 4 * kSecond;
+// The detection horizon is a positive number of heartbeat periods, so a
+// lease shorter than the grace alone is shorter than their sum for every
+// heartbeat_period.
+static_assert(kAuthorityLease < kTakeoverGrace,
+              "a minority node must fence before its subtrees are taken");
+
+/// Tick period of the Lazy Hybrid lazy-update log drain.
+inline constexpr SimTime kLhDrainTickPeriod = from_millis(10);
+
+/// Dirfrag merge hysteresis: merge back when size and popularity fall
+/// below this fraction of the thresholds.
+inline constexpr double kDirfragHysteresis = 0.25;
+/// GIGA+ maximum split depth: at most 2^depth partitions per directory.
+/// At most 6: the split bitmap is a uint64, so at most 64 partitions
+/// (indices 0..63) exist per directory.
+inline constexpr int kGigaMaxDepth = 6;
+static_assert(kGigaMaxDepth >= 1 && kGigaMaxDepth <= 6);
+/// A mis-routed dentry op is redirected+forwarded at most this many
+/// times before being served locally (the shared tree makes a local
+/// serve correct, just cache-cold).
+inline constexpr int kGigaMaxHops = 8;
 
 struct MdsParams {
   // --- CPU ------------------------------------------------------------
@@ -51,12 +135,6 @@ struct MdsParams {
   SimTime cpu_request = from_micros(40);
   /// Extra CPU per path component traversed.
   SimTime cpu_per_component = from_micros(3);
-  /// CPU to forward a request to another node.
-  SimTime cpu_forward = from_micros(5);
-  /// CPU to serve a replica grant / handle coherence traffic.
-  SimTime cpu_replica = from_micros(15);
-  /// CPU per cache item packed/unpacked during subtree migration.
-  SimTime cpu_migrate_per_item = from_micros(2);
 
   // --- Cache ------------------------------------------------------------
   /// Metadata cache capacity, in items (inodes).
@@ -86,8 +164,6 @@ struct MdsParams {
   SimTime heartbeat_period = kSecond;
   /// Rebalance when own load exceeds cluster mean by this factor.
   double balance_trigger = 1.50;
-  /// ... and ship work to nodes below mean times this factor.
-  double balance_target = 0.90;
   /// Weight of throughput vs cache-miss rate in the load metric (paper
   /// section 5.1: "a weighted combination of node throughput and cache
   /// misses").
@@ -95,51 +171,6 @@ struct MdsParams {
   double load_weight_miss = 3.0;
   /// Smallest subtree worth migrating (items in cache).
   std::size_t min_migration_items = 8;
-  /// Minimum spacing between migrations initiated by one node.
-  SimTime migration_cooldown = 4 * kSecond;
-  /// A freshly imported subtree must stay this long before it can be
-  /// re-exported (stops hot subtrees ping-ponging around the cluster).
-  SimTime min_subtree_residency = 8 * kSecond;
-
-  // --- Failure lifecycle (paper section 4.6) ------------------------------
-  /// Survivors declare a peer dead once no heartbeat has arrived for this
-  /// many heartbeat periods, then the lowest live id redistributes the
-  /// dead node's delegations. Only strategies that run the heartbeat
-  /// (i.e. those that balance load) detect failures.
-  int heartbeat_miss_threshold = 3;
-  /// Double-commit watchdog: an exporter with no ack (or an importer with
-  /// no commit) after this long resolves the migration unilaterally —
-  /// abort before the commit point, importer ownership after. Checked on
-  /// the heartbeat, so effective resolution is rounded up to a period.
-  SimTime migration_timeout = 3 * kSecond;
-  /// Replica fetches whose grant never arrives (dropped message, dead
-  /// authority) fail their waiters after this long instead of wedging the
-  /// inode's fetch-coalescing slot forever.
-  SimTime replica_fetch_timeout = 2 * kSecond;
-  /// Attribute gathers park reads while calling deltas in from dirty
-  /// holders; if a flush is lost the read resumes with what it has.
-  SimTime attr_gather_timeout = 2 * kSecond;
-
-  // --- Partition tolerance (leases, epochs, quorum takeover) --------------
-  // Split-brain safety for subtree strategies: authority is held under a
-  // renewable lease (renewed by heartbeats from peers that still list us
-  // in their alive-mask), takeover is deferred by a grace period and
-  // gated on a strict-majority quorum, and every failure-driven
-  // reconfiguration bumps the partition-map epoch. Active wherever there
-  // are heartbeats (load-balancing strategies) and at least 3 nodes;
-  // below that takeover is immediate.
-
-  /// Authority lease duration. A node that has not been acked by a strict
-  /// majority within this window self-fences: it parks writes (reads are
-  /// still served stale) until the lease renews. Must be shorter than
-  /// detection horizon + takeover_grace so a minority node is fenced
-  /// before the majority re-delegates its subtrees.
-  SimTime authority_lease = 2 * kSecond;
-  /// Delay between declaring a peer dead and re-delegating its subtrees.
-  /// Covers the victim's lease expiry (see above) and rides out transient
-  /// suspicion: a peer that comes back within the grace (flapping link)
-  /// cancels the takeover instead of losing its territory.
-  SimTime takeover_grace = 4 * kSecond;
 
   // --- Overload protection (admission control) ----------------------------
   /// Bounded queues + token-bucket admission in handle_client_request;
@@ -179,7 +210,6 @@ struct MdsParams {
   /// Background drain rate of the LH lazy-update log, cluster-wide
   /// (entries per second; one network trip per affected file).
   double lh_drain_rate = 2000.0;
-  SimTime lh_drain_tick_period = from_millis(10);
 
   // --- Dynamic directory fragmentation ------------------------------------
   bool dirfrag_enabled = true;
@@ -187,8 +217,6 @@ struct MdsParams {
   /// many entries or its popularity exceeds the replication threshold.
   std::size_t dirfrag_size_threshold = 4000;
   double dirfrag_temp_threshold = 1200.0;
-  /// Merge back when size and popularity fall below half the thresholds.
-  double dirfrag_hysteresis = 0.25;
 
   // --- GIGA+ incremental splitting (within dirfrag) -----------------------
   /// Fragment incrementally: start as a single partition at the home node
@@ -196,12 +224,6 @@ struct MdsParams {
   /// the whole directory across the cluster in one step. Off restores the
   /// paper's all-at-once behavior exactly.
   bool giga_enabled = true;
-  /// Maximum split depth: at most 2^depth partitions per directory.
-  int giga_max_depth = 6;
-  /// A mis-routed dentry op is redirected+forwarded at most this many
-  /// times before being served locally (the shared tree makes a local
-  /// serve correct, just cache-cold).
-  int giga_max_hops = 8;
 };
 
 }  // namespace mdsim

@@ -67,7 +67,7 @@ void MdsNode::failure_tick(SimTime now) {
   if (!attr_waiters_.empty()) {
     std::vector<InodeId> stale;
     for (const auto& [ino, gather] : attr_waiters_) {
-      if (now - gather.since >= ctx_.params.attr_gather_timeout) {
+      if (now - gather.since >= kAttrGatherTimeout) {
         stale.push_back(ino);
       }
     }
@@ -79,9 +79,8 @@ void MdsNode::failure_tick(SimTime now) {
 }
 
 void MdsNode::check_peer_liveness(SimTime now) {
-  const SimTime horizon =
-      static_cast<SimTime>(ctx_.params.heartbeat_miss_threshold) *
-      ctx_.params.heartbeat_period;
+  const SimTime horizon = static_cast<SimTime>(kHeartbeatMissThreshold) *
+                          ctx_.params.heartbeat_period;
   for (MdsId peer = 0; peer < ctx_.num_mds; ++peer) {
     if (peer == id_) continue;
     const auto idx = static_cast<std::size_t>(peer);
@@ -143,8 +142,7 @@ void MdsNode::on_peer_detected_down(MdsId peer) {
     // the earliest re-delegation time; the watchdog sweep executes it once
     // the grace has covered the victim's lease expiry — or cancels it if
     // the peer comes back (flapping link, transient cut).
-    pending_takeover_.emplace(peer,
-                              ctx_.sim.now() + ctx_.params.takeover_grace);
+    pending_takeover_.emplace(peer, ctx_.sim.now() + kTakeoverGrace);
     return;
   }
 
@@ -183,7 +181,7 @@ int MdsNode::quorum_ackers(SimTime now) const {
   for (MdsId peer = 0; peer < ctx_.num_mds; ++peer) {
     if (peer == id_) continue;
     if (now - peer_ack_time_[static_cast<std::size_t>(peer)] <=
-        ctx_.params.authority_lease) {
+        kAuthorityLease) {
       ++ackers;
     }
   }

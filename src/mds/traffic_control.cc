@@ -215,7 +215,7 @@ void MdsNode::maybe_fragment_dir(FsNode* dir, CacheEntry* entry) {
   // unhashes no matter how many children it keeps (children don't
   // vanish, so a size term in the merge condition made size-fragmented
   // directories permanent).
-  const double floor = P.dirfrag_temp_threshold * P.dirfrag_hysteresis;
+  const double floor = P.dirfrag_temp_threshold * kDirfragHysteresis;
 
   // Only the directory's authority makes these calls.
   if (ctx_.partition.authority_of(dir) != id_) return;
@@ -248,7 +248,7 @@ void MdsNode::maybe_fragment_dir(FsNode* dir, CacheEntry* entry) {
   // trigger that fragmented it (size-fragmented directories need a
   // deeper chill before re-consolidating — the size condition that
   // hashed them still holds, so plain hysteresis would flap).
-  const double cooled_at = floor * (g->by_size ? P.dirfrag_hysteresis : 1.0);
+  const double cooled_at = floor * (g->by_size ? kDirfragHysteresis : 1.0);
   if (pop >= cooled_at) return;
   ctx_.dirfrag.unfragment(dir->ino(), dir->child_count());
   broadcast_dirfrag_notify(dir->ino(), /*fragmented=*/false);
@@ -277,14 +277,12 @@ void MdsNode::maybe_split_partition(FsNode* dir, const std::string& name) {
   const auto* g = ctx_.dirfrag.find(ino);
   if (g == nullptr || !g->giga) return;
 
-  const std::uint32_t p =
-      giga_partition(giga_name_hash(ino, name), g->bitmap,
-                     ctx_.dirfrag.max_depth());
-  const int d = giga_depth_of(g->bitmap, p, ctx_.dirfrag.max_depth());
-  if (d >= ctx_.dirfrag.max_depth()) return;
+  const std::uint32_t p = giga_partition(giga_name_hash(ino, name), g->bitmap);
+  const int d = giga_depth_of(g->bitmap, p);
+  if (d >= kGigaMaxDepth) return;
 
   // A partition splits on the directory-level dirfrag thresholds.
-  const double floor = P.dirfrag_temp_threshold * P.dirfrag_hysteresis;
+  const double floor = P.dirfrag_temp_threshold * kDirfragHysteresis;
   const double temp = g->temps[p].get(now);
   const bool hot = temp >= P.dirfrag_temp_threshold;
   const bool full = g->counts[p] >= P.dirfrag_size_threshold && temp >= floor;
@@ -301,8 +299,8 @@ void MdsNode::maybe_split_partition(FsNode* dir, const std::string& name) {
   std::uint64_t move = 0;
   for (const FsNode* child : dir->children_list()) {
     const std::uint64_t h = child->dentry_hash();
-    if (giga_partition(h, g->bitmap, ctx_.dirfrag.max_depth()) != p) continue;
-    if (giga_partition(h, next_bitmap, ctx_.dirfrag.max_depth()) == c) {
+    if (giga_partition(h, g->bitmap) != p) continue;
+    if (giga_partition(h, next_bitmap) == c) {
       ++move;
     } else {
       ++stay;
@@ -320,7 +318,7 @@ void MdsNode::maybe_merge_partitions(FsNode* dir) {
   const InodeId ino = dir->ino();
   const auto* g = ctx_.dirfrag.find(ino);
   if (g == nullptr || !g->giga) return;
-  const double floor = P.dirfrag_temp_threshold * P.dirfrag_hysteresis;
+  const double floor = P.dirfrag_temp_threshold * kDirfragHysteresis;
 
   if (g->bitmap != 1) {
     // Fold at most one cold leaf back into its parent per sweep (merges
@@ -330,13 +328,13 @@ void MdsNode::maybe_merge_partitions(FsNode* dir) {
       if (((g->bitmap >> c) & 1) == 0) continue;
       const std::uint32_t cp = static_cast<std::uint32_t>(c);
       // A partition with split-off children of its own is not a leaf.
-      if (giga_depth_of(g->bitmap, cp, ctx_.dirfrag.max_depth()) !=
+      if (giga_depth_of(g->bitmap, cp) !=
           static_cast<int>(std::bit_width(cp))) {
         continue;
       }
       const std::uint32_t q = cp ^ (1u << (std::bit_width(cp) - 1));
       const double combined = g->temps[q].get(now) + g->temps[cp].get(now);
-      if (combined >= floor * P.dirfrag_hysteresis) continue;
+      if (combined >= floor * kDirfragHysteresis) continue;
       ctx_.dirfrag.merge_pair(ino, q, cp, now);
       broadcast_dirfrag_notify(ino, /*fragmented=*/true);
       drop_foreign_dentries(dir);
@@ -348,7 +346,7 @@ void MdsNode::maybe_merge_partitions(FsNode* dir) {
 
   // Fully merged back to one partition at home: unhash once cold, with
   // the same trigger-dependent chill as the legacy path.
-  const double cooled_at = floor * (g->by_size ? P.dirfrag_hysteresis : 1.0);
+  const double cooled_at = floor * (g->by_size ? kDirfragHysteresis : 1.0);
   if (ctx_.dirfrag.total_temp(ino, now) >= cooled_at) return;
   ctx_.dirfrag.unfragment(ino);
   broadcast_dirfrag_notify(ino, /*fragmented=*/false);

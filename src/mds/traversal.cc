@@ -168,8 +168,7 @@ void MdsNode::fetch_replica(FsNode* node, MdsId auth, InsertKind kind,
   // Heartbeat-swept give-up deadline: if the grant is lost (dropped
   // message, authority died) the waiters fail instead of coalescing
   // behind a request that will never complete.
-  replica_fetch_deadline_[ino] =
-      ctx_.sim.now() + ctx_.params.replica_fetch_timeout;
+  replica_fetch_deadline_[ino] = ctx_.sim.now() + kReplicaFetchTimeout;
 
   ++stats_.replica_requests_sent;
   auto msg = std::make_unique<ReplicaRequestMsg>();
@@ -181,7 +180,7 @@ void MdsNode::fetch_replica(FsNode* node, MdsId auth, InsertKind kind,
 void MdsNode::handle_replica_request(NetAddr from, const ReplicaRequestMsg& m) {
   const InodeId ino = m.ino;
   const MdsId requester = from;  // MDS addresses == ids
-  charge_cpu(ctx_.params.cpu_replica, [this, ino, requester]() {
+  charge_cpu(kCpuReplica, [this, ino, requester]() {
     FsNode* node = ctx_.tree.by_ino(ino);
     auto grant = [this, ino, requester](CacheEntry* entry) {
       auto g = std::make_unique<ReplicaGrantMsg>();
@@ -339,7 +338,7 @@ void MdsNode::insert_with_prefixes(FsNode* node, InsertKind kind,
 void MdsNode::lh_drain_tick() {
   assert(ctx_.lazy != nullptr);
   const MdsParams& P = ctx_.params;
-  lh_drain_carry_ += P.lh_drain_rate * to_seconds(P.lh_drain_tick_period);
+  lh_drain_carry_ += P.lh_drain_rate * to_seconds(kLhDrainTickPeriod);
   int budget = static_cast<int>(lh_drain_carry_);
   lh_drain_carry_ -= budget;
   while (budget-- > 0) {
@@ -352,12 +351,12 @@ void MdsNode::lh_drain_tick() {
     msg->ino = f->ino();
     ctx_.net.send(id_, auth, std::move(msg));
   }
-  ctx_.sim.schedule(P.lh_drain_tick_period, [this]() { lh_drain_tick(); });
+  ctx_.sim.schedule(kLhDrainTickPeriod, [this]() { lh_drain_tick(); });
 }
 
 void MdsNode::handle_lh_update(const LazyHybridUpdateMsg& m) {
   const InodeId ino = m.ino;
-  charge_cpu(ctx_.params.cpu_replica, [this, ino]() {
+  charge_cpu(kCpuReplica, [this, ino]() {
     journal_.append(ino);
     disk_.journal_append([]() {});
   });

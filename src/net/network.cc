@@ -108,10 +108,10 @@ void Network::send_cross(NetAddr from, NetAddr global_to, MessagePtr msg) {
   counts_[static_cast<std::size_t>(msg->type)]++;
   // Sender-side latency draw, from the same jitter stream as local
   // traffic, so one shard's cross traffic is a deterministic function of
-  // that shard's own execution. cross_base_latency is the engine
+  // that shard's own execution. kCrossBaseLatency is the engine
   // lookahead, so deliver_at >= now + lookahead always holds (jitter and
   // floors only push later).
-  SimTime latency = params_.cross_base_latency;
+  SimTime latency = kCrossBaseLatency;
   if (params_.jitter_mean > 0) {
     latency += static_cast<SimTime>(
         rng_.exponential(static_cast<double>(params_.jitter_mean)));

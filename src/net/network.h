@@ -29,15 +29,16 @@
 
 namespace mdsim {
 
+/// Base latency of cross-shard links (sharded runs only): shards model
+/// distant MDS groups — different racks or rows, not LAN neighbors — so
+/// their interconnect is an order of magnitude slower. This is also the
+/// parallel engine's lookahead, so it bounds how much work each shard
+/// can execute per synchronization window.
+inline constexpr SimTime kCrossBaseLatency = from_micros(1200);
+
 struct NetworkParams {
   SimTime base_latency = from_micros(120);
   SimTime jitter_mean = from_micros(20);
-  /// Base latency of cross-shard links (sharded runs only): shards model
-  /// distant MDS groups — different racks or rows, not LAN neighbors — so
-  /// their interconnect is an order of magnitude slower. This is also the
-  /// parallel engine's lookahead, so it bounds how much work each shard
-  /// can execute per synchronization window.
-  SimTime cross_base_latency = from_micros(1200);
   std::uint64_t seed = 7;
 };
 

@@ -8,7 +8,6 @@ namespace mdsim {
 
 struct DirBTree::Node {
   bool leaf = true;
-  std::uint64_t write_epoch = 0;  // last COW epoch this node was written in
   std::vector<std::string> keys;
   // Internal nodes: children.size() == keys.size() + 1.
   std::vector<Node*> children;
@@ -31,8 +30,7 @@ DirBTree::DirBTree(DirBTree&& o) noexcept
     : root_(o.root_),
       order_(o.order_),
       size_(o.size_),
-      node_count_(o.node_count_),
-      epoch_(o.epoch_) {
+      node_count_(o.node_count_) {
   o.root_ = nullptr;
   o.size_ = 0;
   o.node_count_ = 0;
@@ -45,7 +43,6 @@ DirBTree& DirBTree::operator=(DirBTree&& o) noexcept {
     order_ = o.order_;
     size_ = o.size_;
     node_count_ = o.node_count_;
-    epoch_ = o.epoch_;
     o.root_ = nullptr;
     o.size_ = 0;
     o.node_count_ = 0;
@@ -56,7 +53,6 @@ DirBTree& DirBTree::operator=(DirBTree&& o) noexcept {
 DirBTree::Node* DirBTree::new_node(bool leaf) {
   Node* n = new Node;
   n->leaf = leaf;
-  n->write_epoch = epoch_;
   ++node_count_;
   return n;
 }
@@ -73,13 +69,8 @@ void DirBTree::free_subtree(Node* n) {
   free_node(n);
 }
 
-void DirBTree::touch_write(Node* n, BTreeIoCost* cost) {
-  if (cost != nullptr) {
-    ++cost->nodes_written;
-    // First write in this COW epoch clones the node.
-    if (n->write_epoch != epoch_) ++cost->nodes_written;
-  }
-  n->write_epoch = epoch_;
+void DirBTree::touch_write(Node* /*n*/, BTreeIoCost* cost) {
+  if (cost != nullptr) ++cost->nodes_written;
 }
 
 std::uint32_t DirBTree::height() const {

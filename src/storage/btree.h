@@ -6,9 +6,7 @@
 // This is a real B+tree: internal nodes route by key, leaves hold
 // (name -> record) pairs and are chained for in-order scans. Every
 // operation reports how many tree nodes it read and dirtied, which the
-// object store converts into simulated I/O cost. A copy-on-write epoch
-// counter supports cheap snapshot semantics: bumping the epoch makes the
-// next write to each node count as a fresh node write (the COW clone).
+// object store converts into simulated I/O cost.
 #pragma once
 
 #include <cstdint>
@@ -71,10 +69,6 @@ class DirBTree {
   std::size_t node_count() const { return node_count_; }
   std::uint32_t order() const { return order_; }
 
-  /// Begin a copy-on-write snapshot epoch: subsequent first-touch writes to
-  /// each node count an extra node write (the clone).
-  void begin_cow_epoch() { ++epoch_; }
-
   /// Verify structural invariants (ordering, occupancy, uniform leaf
   /// depth, chain consistency). Returns empty string if healthy, else a
   /// description of the first violation. For tests.
@@ -88,7 +82,6 @@ class DirBTree {
   std::uint32_t order_;
   std::size_t size_ = 0;
   std::size_t node_count_ = 0;
-  std::uint64_t epoch_ = 0;
 
   void touch_write(Node* n, BTreeIoCost* cost);
   Node* new_node(bool leaf);

@@ -50,9 +50,6 @@ class DiskModel {
   std::uint64_t reads() const { return reads_; }
   std::uint64_t writes() const { return writes_; }
   std::uint64_t journal_appends() const { return journal_appends_; }
-  double store_utilization(SimTime now) const {
-    return store_.utilization(now);
-  }
   SimTime store_busy_time() const { return store_.busy_time(); }
   double journal_utilization(SimTime now) const {
     return journal_.utilization(now);

@@ -58,10 +58,6 @@ std::uint32_t ObjectStore::apply_update(FsNode* dir, const std::string& name,
   return cost.nodes_written;
 }
 
-void ObjectStore::begin_snapshot(FsNode* dir) {
-  materialize(dir).begin_cow_epoch();
-}
-
 void ObjectStore::drop(FsNode* dir) { objects_.erase(dir->ino()); }
 
 std::uint64_t ObjectStore::total_object_nodes() const {

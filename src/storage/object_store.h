@@ -46,9 +46,6 @@ class ObjectStore {
   std::uint32_t apply_update(FsNode* dir, const std::string& name,
                              const DirRecord& rec);
 
-  /// Begin a copy-on-write epoch on a directory's object (snapshot).
-  void begin_snapshot(FsNode* dir);
-
   /// Drop the materialized object (e.g. after rmdir).
   void drop(FsNode* dir);
 

@@ -23,8 +23,7 @@ GeneralWorkload::GeneralWorkload(FsTree& tree, std::vector<FsNode*> home_roots,
       mix_(std::move(mix)),
       params_(params) {
   assert(!homes_.empty());
-  home_zipf_ = std::make_unique<ZipfSampler>(homes_.size(),
-                                             params_.home_zipf_skew);
+  home_zipf_ = std::make_unique<ZipfSampler>(homes_.size(), kHomeZipfSkew);
 }
 
 GeneralWorkload::ClientState& GeneralWorkload::state(ClientId c) {
@@ -42,7 +41,7 @@ const FsNode* GeneralWorkload::region_of(ClientId c) const {
 FsNode* GeneralWorkload::random_home(ClientId c, Rng& rng) {
   // Mostly the client's own home (permissions always allow it); otherwise
   // a Zipf-popular home — a few homes are cluster-wide hot.
-  if (rng.uniform_double() < params_.p_own_home) {
+  if (rng.uniform_double() < kPOwnHome) {
     ClientState& s = state(c);
     if (s.home_override != nullptr && tree_.alive(s.home_override)) {
       return s.home_override;
@@ -74,7 +73,7 @@ void GeneralWorkload::maybe_drift(ClientId c, ClientState& s, Rng& rng) {
   const double r = rng.uniform_double();
   const GeneralWorkloadParams& P = params_;
   if (r < P.p_stay) return;
-  if (r < P.p_stay + P.p_move_child) {
+  if (r < P.p_stay + kPMoveChild) {
     // Descend into a random subdirectory.
     std::vector<FsNode*>& dirs = scratch_nodes();
     for (FsNode* c : s.region->children_list()) {
@@ -83,13 +82,13 @@ void GeneralWorkload::maybe_drift(ClientId c, ClientState& s, Rng& rng) {
     if (!dirs.empty()) s.region = dirs[rng.uniform(dirs.size())];
     return;
   }
-  if (r < P.p_stay + P.p_move_child + P.p_move_parent) {
+  if (r < P.p_stay + kPMoveChild + kPMoveParent) {
     if (s.region->parent() != nullptr && s.region->depth() > 1) {
       s.region = s.region->parent();
     }
     return;
   }
-  if (r < P.p_stay + P.p_move_child + P.p_move_parent + P.p_move_sibling) {
+  if (r < P.p_stay + kPMoveChild + kPMoveParent + kPMoveSibling) {
     FsNode* parent = s.region->parent();
     if (parent != nullptr) {
       std::vector<FsNode*>& sibs = scratch_nodes();
@@ -166,7 +165,7 @@ SimTime GeneralWorkload::next(ClientId c, SimTime now, Rng& rng,
       out->secondary = nullptr;
       out->name.clear();
       return static_cast<SimTime>(
-          rng.exponential(static_cast<double>(params_.mean_seq_think)));
+          rng.exponential(static_cast<double>(kMeanSeqThink)));
     }
   }
   while (s.stat_head < s.stat_queue.size()) {
@@ -181,7 +180,7 @@ SimTime GeneralWorkload::next(ClientId c, SimTime now, Rng& rng,
     out->secondary = nullptr;
     out->name.clear();
     return static_cast<SimTime>(
-        rng.exponential(static_cast<double>(params_.mean_seq_think)));
+        rng.exponential(static_cast<double>(kMeanSeqThink)));
   }
 
   maybe_drift(c, s, rng);
@@ -190,7 +189,7 @@ SimTime GeneralWorkload::next(ClientId c, SimTime now, Rng& rng,
     if (generate(c, s, rng, out)) {
       SimTime think = static_cast<SimTime>(
           rng.exponential(static_cast<double>(params_.mean_think)));
-      if (!s.started) think += rng.uniform(params_.start_jitter);
+      if (!s.started) think += rng.uniform(kStartJitter);
       return think;
     }
   }

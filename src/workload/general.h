@@ -23,27 +23,30 @@
 
 namespace mdsim {
 
+/// Think time within a sequence (close-after-open, stats-after-readdir).
+inline constexpr SimTime kMeanSeqThink = from_millis(4);
+/// Per-step region transition probabilities besides
+/// GeneralWorkloadParams::p_stay.
+inline constexpr double kPMoveChild = 0.10;
+inline constexpr double kPMoveParent = 0.05;
+inline constexpr double kPMoveSibling = 0.04;
+/// Remaining probability: jump to another home directory.
+/// When jumping, probability the client returns to its *own* home
+/// (whose permissions it always satisfies); otherwise a Zipf-popular
+/// home is chosen (a few homes are cluster-wide hot).
+inline constexpr double kPOwnHome = 0.7;
+/// Zipf skew for cross-client popularity of home directories.
+inline constexpr double kHomeZipfSkew = 0.8;
+/// Start-up jitter so clients do not tick in lockstep.
+inline constexpr SimTime kStartJitter = from_millis(200);
+
 struct GeneralWorkloadParams {
   /// Mean think time between operations.
   SimTime mean_think = from_millis(30);
-  /// Think time within a sequence (close-after-open, stats-after-readdir).
-  SimTime mean_seq_think = from_millis(4);
-  /// Per-step region transition probabilities.
+  /// Probability a client's region stays put on a step.
   double p_stay = 0.78;
-  double p_move_child = 0.10;
-  double p_move_parent = 0.05;
-  double p_move_sibling = 0.04;
-  /// Remaining probability: jump to another home directory.
-  /// When jumping, probability the client returns to its *own* home
-  /// (whose permissions it always satisfies); otherwise a Zipf-popular
-  /// home is chosen (a few homes are cluster-wide hot).
-  double p_own_home = 0.7;
   /// After a readdir, stat up to this many entries.
   int readdir_stat_burst = 6;
-  /// Zipf skew for cross-client popularity of home directories.
-  double home_zipf_skew = 0.8;
-  /// Start-up jitter so clients do not tick in lockstep.
-  SimTime start_jitter = from_millis(200);
 };
 
 struct WorkloadShift {

@@ -66,7 +66,7 @@ SimTime ScientificWorkload::next(ClientId c, SimTime now, Rng& rng,
                   std::to_string(s.name_counter++);
     }
     out->secondary = nullptr;
-    return params_.compute_phase + rng.uniform(params_.burst_skew);
+    return params_.compute_phase + rng.uniform(kBurstSkew);
   }
 
   --s.remaining;
@@ -82,7 +82,7 @@ SimTime ScientificWorkload::next(ClientId c, SimTime now, Rng& rng,
       out->target = s.open_target;
       out->secondary = nullptr;
       return static_cast<SimTime>(
-          rng.exponential(static_cast<double>(params_.burst_think)));
+          rng.exponential(static_cast<double>(kBurstThink)));
     }
     // Alternate open/close on the shared file; sprinkle stats.
     const std::uint64_t phase = rng.uniform(4);
@@ -98,7 +98,7 @@ SimTime ScientificWorkload::next(ClientId c, SimTime now, Rng& rng,
   }
   out->secondary = nullptr;
   return static_cast<SimTime>(
-      rng.exponential(static_cast<double>(params_.burst_think)));
+      rng.exponential(static_cast<double>(kBurstThink)));
 }
 
 }  // namespace mdsim

@@ -17,21 +17,22 @@
 
 namespace mdsim {
 
+/// Think time between ops inside a burst.
+inline constexpr SimTime kBurstThink = from_millis(2);
+/// Small desynchronization of burst starts across clients.
+inline constexpr SimTime kBurstSkew = from_millis(50);
+
 struct ScientificWorkloadParams {
   /// Quiet compute time between bursts, per client.
   SimTime compute_phase = 4 * kSecond;
   /// Ops each client performs per burst.
   int ops_per_burst = 20;
-  /// Think time between ops inside a burst.
-  SimTime burst_think = from_millis(2);
   /// Fraction of bursts that are N-to-1 opens (rest are N-to-N creates).
   double n_to_1_fraction = 0.5;
   /// Within an N-to-1 burst, probability that an op is a shared *write*
   /// (setattr on the common file — concurrent writers updating size/mtime,
   /// the GPFS scenario of paper section 4.2) instead of an open/stat.
   double n_to_1_write_fraction = 0.0;
-  /// Small desynchronization of burst starts across clients.
-  SimTime burst_skew = from_millis(50);
 };
 
 class ScientificWorkload final : public Workload {

@@ -14,19 +14,20 @@
 
 namespace mdsim {
 
+/// MDS whose initial territory absorbs the shifted clients.
+inline constexpr MdsId kHotMds = 0;
+
 struct ShiftingWorkloadParams {
-  GeneralWorkloadParams base;
   SimTime shift_at = 25 * kSecond;
   double fraction = 0.5;
-  /// MDS whose initial territory absorbs the shifted clients.
-  MdsId hot_mds = 0;
 };
 
-/// Build the shifted workload. `partition` must be the run's subtree
-/// partition *after* initialization (its delegation map selects the
-/// destination subtrees).
+/// Build the shifted workload: clients run `general` until the shift.
+/// `partition` must be the run's subtree partition *after* initialization
+/// (its delegation map selects the destination subtrees).
 std::unique_ptr<GeneralWorkload> make_shifting_workload(
     FsTree& tree, std::vector<FsNode*> home_roots,
-    const SubtreePartition& partition, ShiftingWorkloadParams params = {});
+    const SubtreePartition& partition, const GeneralWorkloadParams& general,
+    const ShiftingWorkloadParams& params);
 
 }  // namespace mdsim

@@ -109,21 +109,15 @@ TEST(BTree, InsertCostIncludesSplits) {
   EXPECT_GT(max_writes, 1u);
 }
 
-TEST(BTree, CowEpochChargesCloneOnce) {
+TEST(BTree, OverwriteDirtiesOneNode) {
   DirBTree t(8);
   for (int i = 0; i < 50; ++i) t.insert(key(i), rec(1), nullptr);
-  // Steady state: overwriting a key dirties the leaf (already cloned this
-  // epoch at insert time) — 1 write.
-  BTreeIoCost warm;
-  t.insert(key(10), rec(2), &warm);
-  EXPECT_EQ(warm.nodes_written, 1u);
-  t.begin_cow_epoch();
-  BTreeIoCost first;
-  t.insert(key(10), rec(3), &first);
-  EXPECT_EQ(first.nodes_written, 2u);  // write + clone
-  BTreeIoCost second;
-  t.insert(key(10), rec(4), &second);
-  EXPECT_EQ(second.nodes_written, 1u);  // already cloned this epoch
+  // Overwriting a key dirties its leaf only, every time.
+  for (std::uint64_t v = 2; v < 4; ++v) {
+    BTreeIoCost c;
+    t.insert(key(10), rec(v), &c);
+    EXPECT_EQ(c.nodes_written, 1u);
+  }
 }
 
 TEST(BTree, MoveTransfersOwnership) {

@@ -13,7 +13,7 @@ namespace mdsim {
 namespace {
 
 TEST(DirFragRegistry, DentryAuthorityDeterministicAndSpread) {
-  DirFragRegistry reg(8, 6);
+  DirFragRegistry reg(8);
   std::map<MdsId, int> counts;
   for (int i = 0; i < 4000; ++i) {
     const std::string name = "entry" + std::to_string(i);
@@ -39,7 +39,7 @@ TEST(DirFragRegistry, DentryAuthorityDeterministicAndSpread) {
 }
 
 TEST(DirFragRegistry, FragmentUnfragmentLifecycle) {
-  DirFragRegistry reg(4, 6);
+  DirFragRegistry reg(4);
   EXPECT_FALSE(reg.is_fragmented(7));
   reg.fragment(7, /*home=*/0, /*giga=*/false, /*by_size=*/false,
                /*child_count=*/0, /*seed_temp=*/0.0, /*now=*/0,

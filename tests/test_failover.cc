@@ -298,5 +298,18 @@ TEST(Failover, WarmFlagBelongsToTheCrash) {
   EXPECT_EQ(warm_items(false), 0u);
 }
 
+TEST(FaultLog, RestartBeforeTakeoverEndsUnavailability) {
+  // A restart inside the detection + grace window cancels the takeover:
+  // the territory is back with its owner at the restart, so the outage
+  // ends there, not at the end of the run.
+  FaultLog log;
+  log.note_crash(2, 10 * kSecond);
+  log.note_detection(2, 0, 13 * kSecond);
+  log.note_restart(2, 14 * kSecond);
+  const Summary s = log.unavailability_seconds(40 * kSecond);
+  ASSERT_EQ(s.count(), 1u);
+  EXPECT_DOUBLE_EQ(s.mean(), 4.0);
+}
+
 }  // namespace
 }  // namespace mdsim

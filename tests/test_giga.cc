@@ -20,35 +20,35 @@ namespace {
 TEST(GigaBitmap, PartitionWalksDownToExisting) {
   // Only partition 0: everything maps there.
   for (std::uint64_t h = 0; h < 64; ++h) {
-    EXPECT_EQ(giga_partition(h, 1, 6), 0u);
+    EXPECT_EQ(giga_partition(h, 1), 0u);
   }
   // {0,1}: the low hash bit decides.
-  EXPECT_EQ(giga_partition(0b1000, 0b11, 6), 0u);
-  EXPECT_EQ(giga_partition(0b1001, 0b11, 6), 1u);
+  EXPECT_EQ(giga_partition(0b1000, 0b11), 0u);
+  EXPECT_EQ(giga_partition(0b1001, 0b11), 1u);
   // {0,1,3}: suffix 3 (mod 4) owns its own partition; suffix 2 falls
   // back to 0; suffix 1 stays at 1.
-  EXPECT_EQ(giga_partition(7, 0b1011, 6), 3u);
-  EXPECT_EQ(giga_partition(2, 0b1011, 6), 0u);
-  EXPECT_EQ(giga_partition(5, 0b1011, 6), 1u);
+  EXPECT_EQ(giga_partition(7, 0b1011), 3u);
+  EXPECT_EQ(giga_partition(2, 0b1011), 0u);
+  EXPECT_EQ(giga_partition(5, 0b1011), 1u);
 }
 
 TEST(GigaBitmap, DepthTracksSplits) {
-  EXPECT_EQ(giga_depth_of(0b1, 0, 6), 0);
-  EXPECT_EQ(giga_depth_of(0b11, 0, 6), 1);
-  EXPECT_EQ(giga_depth_of(0b11, 1, 6), 1);
+  EXPECT_EQ(giga_depth_of(0b1, 0), 0);
+  EXPECT_EQ(giga_depth_of(0b11, 0), 1);
+  EXPECT_EQ(giga_depth_of(0b11, 1), 1);
   // {0,1,2}: partition 0 split twice, 1 and 2 once each (birth depth).
-  EXPECT_EQ(giga_depth_of(0b111, 0, 6), 2);
-  EXPECT_EQ(giga_depth_of(0b111, 1, 6), 1);
-  EXPECT_EQ(giga_depth_of(0b111, 2, 6), 2);
+  EXPECT_EQ(giga_depth_of(0b111, 0), 2);
+  EXPECT_EQ(giga_depth_of(0b111, 1), 1);
+  EXPECT_EQ(giga_depth_of(0b111, 2), 2);
 }
 
 TEST(GigaBitmap, LargerMaxDepthConverges) {
-  // As long as every existing partition index fits in the smaller depth,
-  // walking from a deeper suffix lands on the same partition — which is
-  // why clients can simply share the registry's max_depth.
+  // As long as every existing partition index fits in d bits, walking
+  // from the deeper kGigaMaxDepth-bit suffix lands on the same partition
+  // as the d-bit suffix: hash bits above the deepest split never matter.
   for (std::uint64_t h = 0; h < 4096; ++h) {
-    EXPECT_EQ(giga_partition(h, 0b1011, 6), giga_partition(h, 0b1011, 3));
-    EXPECT_EQ(giga_partition(h, 0b111, 6), giga_partition(h, 0b111, 2));
+    EXPECT_EQ(giga_partition(h, 0b1011), giga_partition(h & 0b11, 0b1011));
+    EXPECT_EQ(giga_partition(h, 0b111), giga_partition(h & 0b11, 0b111));
   }
 }
 
@@ -63,7 +63,7 @@ TEST(GigaBitmap, NodePlacementRoundRobinFromHome) {
 // Registry transitions.
 
 TEST(GigaRegistry, SplitMovesOnlyOnePartitionsShare) {
-  DirFragRegistry reg(4, 6);
+  DirFragRegistry reg(4);
   reg.fragment(42, /*home=*/1, /*giga=*/true, /*by_size=*/false,
                /*child_count=*/100, /*seed_temp=*/5.0, /*now=*/0,
                /*half_life=*/kSecond);
@@ -96,7 +96,7 @@ TEST(GigaRegistry, SplitMovesOnlyOnePartitionsShare) {
 }
 
 TEST(GigaRegistry, GenerationAdvancesAndChangesSinceCoversDepartures) {
-  DirFragRegistry reg(4, 6);
+  DirFragRegistry reg(4);
   EXPECT_EQ(reg.generation(), 0u);
   reg.fragment(7, 0, /*giga=*/true, false, 0, 0.0, 0, kSecond);
   const std::uint64_t g1 = reg.generation();
@@ -114,7 +114,7 @@ TEST(GigaRegistry, GenerationAdvancesAndChangesSinceCoversDepartures) {
 }
 
 TEST(GigaRegistry, DentryAuthorityRoutesAroundDeadNodes) {
-  DirFragRegistry reg(4, 6);
+  DirFragRegistry reg(4);
   // Legacy hashing over all nodes must skip a node known dead instead of
   // routing dentries into a black hole.
   reg.set_node_alive(2, false);
@@ -514,7 +514,7 @@ TEST_F(GigaTest, DropForeignDentriesMatchesWholeCacheScan) {
   // The placement the directory gets below: giga-fragmented at home, with
   // partition 0 split once, so partition 1's dentries move to the next
   // node. Planned on a separate registry to pick names and children.
-  DirFragRegistry plan(cluster.num_mds(), cluster.dirfrag().max_depth());
+  DirFragRegistry plan(cluster.num_mds());
   FsNode* dir = nullptr;
   MdsId home = kInvalidMds;
   auto foreign = [&](const FsNode* parent, const std::string& name) {

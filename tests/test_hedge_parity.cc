@@ -136,7 +136,7 @@ RunOutcome run_world(Script& script, const HedgeParams& hp, SimTime horizon) {
   fs.nodes_per_user = 60;
   generate_namespace(tree, fs);
   auto partition = make_partitioner(StrategyKind::kDynamicSubtree, 2, tree);
-  DirFragRegistry dirfrag(2, 6);
+  DirFragRegistry dirfrag(2);
   FixedWorkload workload;
   workload.target = tree.files().front();
 

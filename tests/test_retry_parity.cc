@@ -123,7 +123,7 @@ RunOutcome run_world(const ClientRetryParams& rp, SimTime horizon,
   fs.nodes_per_user = 60;
   generate_namespace(tree, fs);
   auto partition = make_partitioner(StrategyKind::kDynamicSubtree, 1, tree);
-  DirFragRegistry dirfrag(1, 6);
+  DirFragRegistry dirfrag(1);
   FixedWorkload workload;
   workload.target = tree.files().front();
   workload.think = think;

@@ -249,18 +249,6 @@ TEST_F(ObjectStoreTest, IncrementalUpdatesTrackTree) {
   EXPECT_EQ(obj->check_invariants(), "");
 }
 
-TEST_F(ObjectStoreTest, SnapshotRaisesNextWriteCost) {
-  store.full_fetch_nodes(dir);
-  FsNode* f = tree.create_file(dir, "a1");
-  const std::uint32_t before =
-      store.apply_create(dir, "a1", DirRecord{f->ino(), 1, false});
-  store.begin_snapshot(dir);
-  FsNode* g = tree.create_file(dir, "a2");
-  const std::uint32_t after =
-      store.apply_create(dir, "a2", DirRecord{g->ino(), 1, false});
-  EXPECT_GT(after, before);
-}
-
 TEST_F(ObjectStoreTest, DropReleasesObject) {
   store.full_fetch_nodes(dir);
   EXPECT_EQ(store.materialized_objects(), 1u);
