@@ -4,7 +4,9 @@
 // Not a paper figure — this measures the *simulator*, not the simulated
 // system. Each rung runs the same dense configuration at a different
 // client count / thread count and reports wall-clock, simulated events,
-// and throughput (simulated ops per wall-second). Emits a
+// and throughput (simulated ops per wall-second); sharded rungs also print
+// where the parallel engine's time went (windows, shard busy time,
+// coordinator wait, mailbox drain, worker parks). Emits a
 // google-benchmark-compatible JSON (BENCH_sim_scale.json, usable with
 // tools/bench_compare.py) and a determinism CSV: the CSV carries only
 // simulation-derived values, so two runs of the same rung — at any two
@@ -17,9 +19,11 @@
 //   --threads=N,M    thread sweep for the sharded rungs (default 1)
 //   --no-legacy      skip the monolithic engine rung
 //   --tag=NAME       suffix for the CSV file name
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -39,6 +43,9 @@ struct Timing {
   RunResult result;
   std::uint64_t events = 0;
   std::uint64_t cross_posts = 0;
+  /// Parallel engine's window attribution (sharded rungs only; printed,
+  /// never written to the CSV or JSON).
+  std::optional<ShardedSimulation::Counters> engine;
   /// Simulated client operations completed per wall-clock second: the
   /// ladder's figure of merit (events/s flatters rungs with more
   /// bookkeeping traffic; replies/s is what the user of the simulator
@@ -89,6 +96,7 @@ Timing run_sharded(const SimConfig& cfg, const std::string& name) {
   t.result = cluster.result();
   t.events = cluster.engine().events_executed();
   t.cross_posts = cluster.engine().cross_posts();
+  t.engine = cluster.engine().counters();
   return t;
 }
 
@@ -138,6 +146,20 @@ void announce(const Timing& t) {
             << " replies";
   if (t.cross_posts != 0) std::cout << ", " << t.cross_posts << " cross-shard";
   std::cout << ", " << fmt_double(t.ops_per_wall_sec(), 0) << " ops/wall-s\n";
+  if (!t.engine) return;
+  const ShardedSimulation::Counters& c = *t.engine;
+  const auto ms = [](std::uint64_t ns) {
+    return fmt_double(static_cast<double>(ns) / 1e6, 1);
+  };
+  std::uint64_t busy = 0, busiest = 0;
+  for (std::uint64_t b : c.busy_ns) {
+    busy += b;
+    busiest = std::max(busiest, b);
+  }
+  std::cout << "    " << c.windows << " windows, shard busy " << ms(busy)
+            << " ms (busiest shard " << ms(busiest) << " ms), coordinator wait "
+            << ms(c.coordinator_wait_ns) << " ms, drain " << ms(c.drain_ns)
+            << " ms, " << c.worker_parks << " worker parks\n";
 }
 
 std::vector<int> parse_threads(const std::string& list) {

@@ -72,7 +72,10 @@ class LogHistogram {
 /// on read/update, so idle counters cost nothing.
 class DecayCounter {
  public:
-  explicit DecayCounter(SimTime half_life = 5 * kSecond)
+  /// Not explicit, so aggregates holding a counter (the cache's slab
+  /// entries) can be reset with `T{}`.
+  DecayCounter() : DecayCounter(5 * kSecond) {}
+  explicit DecayCounter(SimTime half_life)
       : half_life_(half_life),
         inv_half_life_(1.0 / static_cast<double>(half_life)) {}
 

@@ -68,10 +68,15 @@ void ShardedClusterSim::build_catalogs() {
 void ShardedClusterSim::run() {
   if (ran_) return;
   ran_ = true;
-  for (auto& sh : shards_) sh->build();
+  engine_.set_threads(config_.threads);
+  // Shards build in parallel: a build touches only its own unit and
+  // engine (src/ keeps no mutable globals, only thread_local scratch and
+  // free lists), and every value it derives comes from the unit's own
+  // slice and seeds, so which thread builds which shard is invisible.
+  engine_.for_each_shard(
+      [this](int s) { shards_[static_cast<std::size_t>(s)]->build(); });
   build_catalogs();
   for (auto& sh : shards_) sh->start();
-  engine_.set_threads(config_.threads);
   engine_.run_until(config_.duration);
 
   std::vector<const Metrics*> metrics;

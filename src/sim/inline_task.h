@@ -101,7 +101,10 @@ class InlineFunction<R(Args...)> {
   struct Ops {
     R (*invoke)(void* buf, Args&&... args);
     /// Move-construct the callable into `dst` and destroy the `src` copy.
-    /// Null when a whole-buffer memcpy is a correct relocation.
+    /// Null when a whole-buffer memcpy is a correct relocation: the
+    /// callable is trivially copyable and not empty (nothing ever writes
+    /// an empty callable's buffer, so copying it would read indeterminate
+    /// bytes).
     void (*relocate)(void* src, void* dst) noexcept;
     /// Null when destruction is a no-op.
     void (*destroy)(void* buf) noexcept;
@@ -125,7 +128,9 @@ class InlineFunction<R(Args...)> {
     static void destroy(void* buf) noexcept { self(buf)->~Fn(); }
     static constexpr Ops kOps{
         &invoke,
-        std::is_trivially_copyable_v<Fn> ? nullptr : &relocate,
+        std::is_trivially_copyable_v<Fn> && !std::is_empty_v<Fn>
+            ? nullptr
+            : &relocate,
         std::is_trivially_destructible_v<Fn> ? nullptr : &destroy,
         /*heap=*/false};
   };

@@ -169,7 +169,9 @@ TEST(Failover, RecoveryRejoinsAndServesAgain) {
   EXPECT_GT(rejoined_tput, 0.0);
   for (int i = 0; i < cluster.num_mds(); ++i) {
     EXPECT_EQ(cluster.mds(i).cache().check_invariants(), "") << i;
-    if (i != 2) EXPECT_TRUE(cluster.mds(i).peer_alive(2)) << i;
+    if (i != 2) {
+      EXPECT_TRUE(cluster.mds(i).peer_alive(2)) << i;
+    }
   }
 
   // The incident traversed its whole lifecycle: crash, detection,

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -183,6 +186,183 @@ TEST(ShardedSim, MeshRepeatsByteIdenticalAtSameThreadCount) {
   const MeshRun b = run_mesh(7, 4, 4);
   EXPECT_EQ(a.lines, b.lines);
   EXPECT_EQ(a.events, b.events);
+}
+
+// --- worker pool and window handoff -------------------------------------
+
+TEST(ShardedSim, LoweredThreadCountIsHonoured) {
+  // Every shard fires at every window start; after 4 -> 2 threads, at
+  // most two distinct threads may execute shards.
+  constexpr int kShards = 4;
+  ShardedSimulation eng(kShards, /*lookahead=*/10);
+  std::vector<std::vector<std::thread::id>> ran_on(kShards);
+  for (int s = 0; s < kShards; ++s) {
+    auto* ids = &ran_on[static_cast<std::size_t>(s)];
+    eng.shard(s).every(10, 0, [ids] {
+      ids->push_back(std::this_thread::get_id());
+      return true;
+    });
+  }
+  eng.set_threads(4);
+  eng.run_until(20000);
+  for (auto& ids : ran_on) ids.clear();
+  eng.set_threads(2);
+  eng.run_until(40000);
+  std::set<std::thread::id> distinct;
+  for (const auto& ids : ran_on) {
+    EXPECT_FALSE(ids.empty());
+    distinct.insert(ids.begin(), ids.end());
+  }
+  EXPECT_LE(distinct.size(), 2u);
+}
+
+// Tokens hop between shards, one event per hop, each hop posting the next
+// one lookahead (plus 0-2 ns) away into a random other shard: thousands of
+// windows that each run one or two events, every one of them followed by
+// a cross-shard drain.
+constexpr SimTime kRingLookahead = 10;
+constexpr int kRingShards = 4;
+
+struct TokenRing {
+  ShardedSimulation* eng = nullptr;
+  std::vector<std::vector<std::string>> traces;
+  std::vector<Rng> rngs;
+
+  TokenRing(ShardedSimulation& e, std::uint64_t seed) : eng(&e) {
+    traces.resize(kRingShards);
+    for (int s = 0; s < kRingShards; ++s) {
+      rngs.emplace_back(seed, static_cast<std::uint64_t>(s));
+    }
+    for (int token = 0; token < 2; ++token) {
+      const int s = token * 2;
+      eng->shard(s).schedule_at(token, [this, s, token] { hop(s, token); });
+    }
+  }
+
+  void hop(int s, int token) {
+    Simulation& sim = eng->shard(s);
+    traces[static_cast<std::size_t>(s)].push_back(
+        std::to_string(sim.now()) + ":" + std::to_string(token));
+    Rng& rng = rngs[static_cast<std::size_t>(s)];
+    int d = static_cast<int>(rng.uniform(kRingShards - 1));
+    if (d >= s) ++d;
+    const SimTime when =
+        sim.now() + kRingLookahead + static_cast<SimTime>(rng.uniform(3));
+    eng->post(s, d, when, InlineTask([this, d, token] { hop(d, token); }));
+  }
+};
+
+struct RingRun {
+  std::vector<std::string> lines;
+  std::uint64_t events = 0;
+  std::uint64_t crossings = 0;
+  std::uint64_t windows = 0;
+};
+
+/// One run_until per leg, each at the leg's thread count. With
+/// `idle_gaps`, every leg is followed by a wait until the pool's workers
+/// have parked, so the next leg (or the destructor) must wake them;
+/// without, the engine is destroyed right after the last window, while
+/// its workers still spin.
+struct RingLeg {
+  int threads;
+  SimTime until;
+};
+
+bool wait_for_parks(const ShardedSimulation& eng, std::uint64_t parks) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (eng.counters().worker_parks < parks) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+RingRun run_ring(const std::vector<RingLeg>& legs, bool idle_gaps) {
+  RingRun out;
+  ShardedSimulation eng(kRingShards, kRingLookahead);
+  TokenRing ring(eng, 11);
+  for (const RingLeg& leg : legs) {
+    eng.set_threads(leg.threads);
+    const std::uint64_t parks = eng.counters().worker_parks;
+    out.events += eng.run_until(leg.until);
+    if (idle_gaps && eng.threads() > 1) {
+      EXPECT_TRUE(wait_for_parks(
+          eng, parks + static_cast<std::uint64_t>(eng.threads() - 1)))
+          << "workers never parked after a leg at " << leg.threads
+          << " threads";
+    }
+  }
+  EXPECT_EQ(out.events, eng.events_executed());
+  out.crossings = eng.cross_posts();
+  out.windows = eng.counters().windows;
+  for (int s = 0; s < kRingShards; ++s) {
+    out.lines.push_back("shard " + std::to_string(s));
+    for (auto& l : ring.traces[static_cast<std::size_t>(s)]) {
+      out.lines.push_back(std::move(l));
+    }
+  }
+  return out;
+}
+
+void expect_same_ring(const RingRun& base, const RingRun& run,
+                      const std::string& what) {
+  EXPECT_EQ(base.lines, run.lines) << what;
+  EXPECT_EQ(base.events, run.events) << what;
+  EXPECT_EQ(base.crossings, run.crossings) << what;
+}
+
+TEST(ShardedSim, BarrierStressIdenticalAcrossThreadsAndTeardown) {
+  constexpr SimTime kEnd = 40000;
+  const RingRun base = run_ring({{1, kEnd}}, /*idle_gaps=*/false);
+  EXPECT_GT(base.windows, 3000u);
+  EXPECT_EQ(base.crossings, base.events);    // every hop crosses
+  EXPECT_LT(base.events, 2 * base.windows);  // mostly 1-event windows
+
+  for (int threads : {1, 2, 3, 4, 8}) {
+    const RingRun run = run_ring({{threads, kEnd}}, false);
+    expect_same_ring(base, run, "threads " + std::to_string(threads));
+    EXPECT_EQ(base.windows, run.windows) << "threads " << threads;
+  }
+  // Thread count changed between run_until calls (each call boundary
+  // clamps a window, so only the window count may differ).
+  expect_same_ring(base,
+                   run_ring({{4, kEnd / 4}, {1, kEnd / 2}, {3, kEnd}}, false),
+                   "threads 4 -> 1 -> 3");
+  // Workers parked between legs and before destruction.
+  expect_same_ring(base,
+                   run_ring({{4, kEnd / 3}, {4, 2 * kEnd / 3}, {2, kEnd}},
+                            /*idle_gaps=*/true),
+                   "idle gaps at 4 -> 4 -> 2 threads");
+}
+
+TEST(ShardedSim, WindowCountersIdenticalAcrossThreadCounts) {
+  std::vector<ShardedSimulation::Counters> runs;
+  for (int threads : {1, 2, 4}) {
+    SimConfig cfg;
+    cfg.num_mds = 4;
+    cfg.num_clients = 40;
+    cfg.fs.num_users = 4;
+    cfg.fs.nodes_per_user = 200;
+    cfg.duration = 400 * kMillisecond;
+    cfg.warmup = 100 * kMillisecond;
+    cfg.shards = 2;
+    cfg.threads = threads;
+    ShardedClusterSim cluster(cfg);
+    cluster.run();
+    runs.push_back(cluster.engine().counters());
+  }
+  EXPECT_GT(runs[0].windows, 0u);
+  EXPECT_EQ(runs[0].windows, runs[1].windows);
+  EXPECT_EQ(runs[0].windows, runs[2].windows);
+  // One thread never hands off: nothing parks and nothing is waited for.
+  EXPECT_EQ(runs[0].worker_parks, 0u);
+  EXPECT_EQ(runs[0].coordinator_wait_ns, 0u);
+  for (const auto& c : runs) {
+    ASSERT_EQ(c.busy_ns.size(), 2u);
+    for (std::uint64_t busy : c.busy_ns) EXPECT_GT(busy, 0u);
+  }
 }
 
 // --- full-cluster determinism ------------------------------------------
