@@ -49,12 +49,6 @@ std::uint64_t Rng::uniform(std::uint64_t n) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
-  return lo + static_cast<std::int64_t>(
-                  uniform(static_cast<std::uint64_t>(hi - lo) + 1));
-}
-
 double Rng::uniform_double() {
   // 53 uniform mantissa bits.
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
@@ -70,40 +64,12 @@ double Rng::exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::normal(double mean, double stddev) {
-  if (have_spare_normal_) {
-    have_spare_normal_ = false;
-    return mean + stddev * spare_normal_;
-  }
-  double u, v, s;
-  do {
-    u = 2.0 * uniform_double() - 1.0;
-    v = 2.0 * uniform_double() - 1.0;
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double mul = std::sqrt(-2.0 * std::log(s) / s);
-  spare_normal_ = v * mul;
-  have_spare_normal_ = true;
-  return mean + stddev * u * mul;
-}
-
 double Rng::pareto(double xm, double alpha) {
   double u;
   do {
     u = uniform_double();
   } while (u <= 0.0);
   return xm / std::pow(u, 1.0 / alpha);
-}
-
-std::size_t Rng::weighted_pick(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) total += w;
-  double r = uniform_double() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r <= 0.0) return i;
-  }
-  return weights.size() - 1;
 }
 
 // ---------------------------------------------------------------------------

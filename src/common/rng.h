@@ -45,26 +45,17 @@ class Rng {
 
   /// Uniform in [0, n). n must be > 0. Uses rejection to avoid modulo bias.
   std::uint64_t uniform(std::uint64_t n);
-  /// Uniform in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
   /// Uniform in [0, 1).
   double uniform_double();
   /// True with probability p.
   bool bernoulli(double p);
   /// Exponentially distributed with the given mean.
   double exponential(double mean);
-  /// Normal via Marsaglia polar method.
-  double normal(double mean, double stddev);
   /// Pareto with scale xm and shape alpha.
   double pareto(double xm, double alpha);
 
-  /// Pick an index according to a (non-normalized) weight vector.
-  std::size_t weighted_pick(const std::vector<double>& weights);
-
  private:
   std::uint64_t s_[4];
-  bool have_spare_normal_ = false;
-  double spare_normal_ = 0.0;
 };
 
 /// Zipf(s, n) sampler over {0, 1, ..., n-1} using the rejection-inversion

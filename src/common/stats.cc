@@ -6,9 +6,7 @@ namespace mdsim {
 
 void Summary::add(double x) {
   ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
 }
@@ -19,20 +17,12 @@ void Summary::merge(const Summary& other) {
     *this = other;
     return;
   }
-  const double na = static_cast<double>(count_);
   const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
+  const double n = static_cast<double>(count_) + nb;
+  mean_ += (other.mean_ - mean_) * nb / n;
   count_ += other.count_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-double Summary::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
 }
 
 LogHistogram::LogHistogram(double min_value, double max_value,

@@ -14,7 +14,7 @@
 
 namespace mdsim {
 
-/// Running min/max/mean/variance (Welford) over double samples.
+/// Running min/max/mean over double samples.
 class Summary {
  public:
   void add(double x);
@@ -24,14 +24,11 @@ class Summary {
   double mean() const { return count_ ? mean_ : 0.0; }
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
-  double variance() const;
-  double stddev() const { return std::sqrt(variance()); }
   double sum() const { return mean_ * static_cast<double>(count_); }
 
  private:
   std::uint64_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };

@@ -62,14 +62,6 @@ FaultPlan& FaultPlan::fail_slow(SimTime from, SimTime until, MdsId node,
       [=](ClusterSim& c) { c.set_fail_slow(node, 1.0, 1.0); });
 }
 
-FaultPlan& FaultPlan::degrade_link(SimTime from, SimTime until, NetAddr a,
-                                   NetAddr b, const LinkDegrade& degrade) {
-  return window(
-      Kind::kDegrade, from, until,
-      [=](ClusterSim& c) { c.network().set_link_degrade(a, b, degrade); },
-      [=](ClusterSim& c) { c.network().clear_link_degrade(a, b); });
-}
-
 FaultPlan FaultPlan::randomize(std::uint64_t seed, int num_mds,
                                SimTime duration) {
   FaultPlan plan;
@@ -104,30 +96,45 @@ FaultPlan FaultPlan::randomize(std::uint64_t seed, int num_mds,
     plan.fail_slow(at, end, victim, cpu_mult, disk_mult);
   }
   // One transient flaky window and one sustained lossy-degrade window on
-  // random MDS<->MDS links.
+  // two different random MDS<->MDS links: a link holds one fault record,
+  // so windows sharing a link would cut each other short. Ordered pairs
+  // (a, b != a) are numbered a*(n-1) + (b-a-1 mod n).
+  const auto n1 = static_cast<std::uint64_t>(num_mds - 1);
+  const auto index_of = [&](MdsId a, MdsId b) {
+    return static_cast<std::uint64_t>(a) * n1 +
+           static_cast<std::uint64_t>((b - a - 1 + num_mds) % num_mds);
+  };
+  std::uint64_t flaky_ab = 0;
+  std::uint64_t flaky_ba = 0;
   {
     const SimTime at = at_in(lo, hi - duration / 20);
     const SimTime end = at_in(at + duration / 20, hi);
     const MdsId a = pick_node();
-    const MdsId b = static_cast<MdsId>((a + 1 + rng.uniform(
-        static_cast<std::uint64_t>(num_mds - 1))) % num_mds);
+    const MdsId b = static_cast<MdsId>((a + 1 + rng.uniform(n1)) % num_mds);
     LinkFault f;
     f.drop = 0.05 + 0.1 * rng.uniform_double();
     f.duplicate = 0.02;
     f.spike = 0.05;
     plan.flaky_link(at, end, a, b, f);
+    flaky_ab = index_of(a, b);
+    flaky_ba = index_of(b, a);
   }
-  {
+  // With two MDS there is no other link.
+  if (num_mds >= 3) {
     const SimTime at = at_in(lo, hi - duration / 20);
     const SimTime end = at_in(at + duration / 20, hi);
-    const MdsId a = pick_node();
-    const MdsId b = static_cast<MdsId>((a + 1 + rng.uniform(
-        static_cast<std::uint64_t>(num_mds - 1))) % num_mds);
-    LinkDegrade d;
+    // Any ordered pair but the flaky link's two, the lower index skipped
+    // first.
+    std::uint64_t k = rng.uniform(static_cast<std::uint64_t>(num_mds) * n1 - 2);
+    if (k >= std::min(flaky_ab, flaky_ba)) ++k;
+    if (k >= std::max(flaky_ab, flaky_ba)) ++k;
+    const auto a = static_cast<MdsId>(k / n1);
+    const auto b = static_cast<MdsId>((a + 1 + k % n1) % num_mds);
+    LinkFault d;
     d.latency_factor = 2.0 + 6.0 * rng.uniform_double();
     d.extra_latency = from_micros(200);
-    d.loss = 0.02 * rng.uniform_double();
-    plan.degrade_link(at, end, a, b, d);
+    d.drop = 0.02 * rng.uniform_double();
+    plan.flaky_link(at, end, a, b, d);
   }
   // Occasionally a short partition isolating one node (only with enough
   // survivors for a quorum on the majority side).

@@ -26,7 +26,9 @@ class FaultPlan {
   FaultPlan& restart(SimTime at, MdsId node);
 
   /// Degrade the a<->b link (both directions) with `fault` from `from`
-  /// until `until`, then restore it (`until <= from` = never).
+  /// until `until`, then restore it (`until <= from` = never). One fault
+  /// record per link: a later window on the same link replaces it, and
+  /// the earlier window's close clears it.
   FaultPlan& flaky_link(SimTime from, SimTime until, NetAddr a, NetAddr b,
                         const LinkFault& fault);
 
@@ -49,14 +51,9 @@ class FaultPlan {
   FaultPlan& fail_slow(SimTime from, SimTime until, MdsId node,
                        double cpu_mult, double disk_mult);
 
-  /// Gray failure: sustained latency inflation + loss on the a<->b link
-  /// from `from` until `until` (`until <= from` = never; distinct from
-  /// flaky_link's transient per-message spikes).
-  FaultPlan& degrade_link(SimTime from, SimTime until, NetAddr a, NetAddr b,
-                          const LinkDegrade& degrade);
-
   /// Chaos-schedule generator: compose crash/restart, partition, flaky,
-  /// fail-slow and lossy-degrade windows from one seeded stream. The same
+  /// fail-slow and sustained lossy-degrade windows from one seeded
+  /// stream; the two link windows fall on different links. The same
   /// (seed, num_mds, duration) always yields the same plan, so randomized
   /// chaos sweeps are exactly as reproducible as hand-written ones. All
   /// windows open after `duration/5` (past typical warmup) and close by
@@ -66,15 +63,14 @@ class FaultPlan {
 
   /// Schedule every scripted action on the cluster's simulation clock.
   /// Actions due at the same instant run in the builders' order above
-  /// (crashes, restarts, link faults, partitions, cuts, fail-slow,
-  /// degrades), in the order they were added within one kind. The
-  /// cluster must outlive the run; call once.
+  /// (crashes, restarts, link faults, partitions, cuts, fail-slow), in
+  /// the order they were added within one kind. The cluster must outlive
+  /// the run; call once.
   void arm(ClusterSim& cluster) const;
 
  private:
   /// Declaration order is arm()'s order for actions due at one instant.
-  enum class Kind { kCrash, kRestart, kLink, kPartition, kCut, kFailSlow,
-                    kDegrade };
+  enum class Kind { kCrash, kRestart, kLink, kPartition, kCut, kFailSlow };
   using Call = std::function<void(ClusterSim&)>;
   /// One timed ClusterSim call.
   struct Action {

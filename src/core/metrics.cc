@@ -136,16 +136,6 @@ double Metrics::mean_prefix_fraction() const {
   return sum / static_cast<double>(nodes_.size());
 }
 
-double Metrics::mean_cache_fill() const {
-  if (nodes_.empty()) return 0.0;
-  double sum = 0.0;
-  for (MdsNode* n : nodes_) {
-    sum += static_cast<double>(n->cache().size()) /
-           static_cast<double>(n->cache().capacity());
-  }
-  return sum / static_cast<double>(nodes_.size());
-}
-
 double Metrics::overall_forward_fraction() const {
   return totals().forward_fraction();
 }

@@ -75,7 +75,6 @@ class Metrics {
   double cluster_hit_rate() const;
   /// Mean fraction of cache consumed by prefix inodes (figure 3).
   double mean_prefix_fraction() const;
-  double mean_cache_fill() const;
   /// Total forwarded / total client requests since reset.
   double overall_forward_fraction() const;
   Summary client_latency() const;

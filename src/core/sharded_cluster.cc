@@ -95,12 +95,6 @@ int ShardedClusterSim::total_mds() const {
   return n;
 }
 
-int ShardedClusterSim::total_clients() const {
-  int n = 0;
-  for (const auto& sh : shards_) n += sh->num_clients();
-  return n;
-}
-
 std::uint64_t ShardedClusterSim::remote_ops() const {
   std::uint64_t n = 0;
   for (const auto& sh : shards_) n += sh->cohort().remote_ops_issued();

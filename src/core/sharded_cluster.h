@@ -53,7 +53,6 @@ class ShardedClusterSim {
   /// Shard `s`'s cluster unit (arm a FaultPlan on it before run()).
   ClusterSim& shard(int s) { return *shards_[static_cast<std::size_t>(s)]; }
   int total_mds() const;
-  int total_clients() const;
   std::uint64_t remote_ops() const;
   /// Merged per-request trace aggregation (null when tracing is off).
   const TraceCollector* tracer() const { return merged_tracer_.get(); }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "fstree/path.h"
-
 namespace mdsim {
 
 namespace {
@@ -308,10 +306,14 @@ bool FsTree::link(FsNode* target, FsNode* dir, const std::string& name) {
 
 FsNode* FsTree::lookup(const std::string& path) const {
   FsNode* cur = root_.get();
-  for (const std::string& comp : split_path(path)) {
-    if (!cur->is_dir()) return nullptr;
-    cur = cur->child(comp);
-    if (cur == nullptr) return nullptr;
+  for (std::size_t i = 0; i < path.size();) {
+    const std::size_t j = std::min(path.find('/', i), path.size());
+    if (j > i) {
+      if (!cur->is_dir()) return nullptr;
+      cur = cur->child(path.substr(i, j - i));
+      if (cur == nullptr) return nullptr;
+    }
+    i = j + 1;
   }
   return cur;
 }

@@ -240,6 +240,7 @@ class FsTree {
   const std::vector<RemoteLink>& remote_links() const { return links_; }
 
   // --- Lookup ------------------------------------------------------------
+  /// Resolve "/a/b/c"; leading and repeated slashes are ignored.
   FsNode* lookup(const std::string& path) const;
   /// O(1) dense lookup: inode numbers are handed out sequentially, so the
   /// index is a flat vector (tombstoned inos read back as nullptr). This

@@ -524,6 +524,10 @@ class MdsNode final : public NetEndpoint {
   void begin_migration(FsNode* root, MdsId target,
                        std::vector<FsNode*> extra_roots = {});
   void handle_migrate_prepare(NetAddr from, const MigratePrepareMsg& m);
+  void send_migrate_ack(MdsId exporter, std::uint64_t mig_id, bool accepted);
+  /// Importer refuses the inbound migration it is installing: record its
+  /// id as resolved, drop the record and nack the exporter.
+  void refuse_inbound();
   /// Anchor the next unanchored extra root of the inbound batch (resuming
   /// at InboundMigration::anchor_next); installs the items and acks once
   /// every root is anchored. Any anchor failure fails the whole

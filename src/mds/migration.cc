@@ -120,35 +120,45 @@ void MdsNode::begin_migration(FsNode* root, MdsId target,
   });
 }
 
+void MdsNode::send_migrate_ack(MdsId exporter, std::uint64_t mig_id,
+                               bool accepted) {
+  auto ack = std::make_unique<MigrateAckMsg>();
+  ack->migration_id = mig_id;
+  ack->accepted = accepted;
+  ack->epoch = view_epoch_;
+  ctx_.net.send(id_, exporter, std::move(ack));
+}
+
+void MdsNode::refuse_inbound() {
+  const MdsId exporter = inbound_->exporter;
+  const std::uint64_t mig_id = inbound_->id;
+  inbound_done_[exporter] = std::max(inbound_done_[exporter], mig_id);
+  inbound_.reset();
+  send_migrate_ack(exporter, mig_id, /*accepted=*/false);
+}
+
 void MdsNode::handle_migrate_prepare(NetAddr from, const MigratePrepareMsg& m) {
   const MdsId exporter = from;
   const std::uint64_t mig_id = m.migration_id;
-
-  auto send_ack = [this, exporter, mig_id](bool accepted) {
-    auto ack = std::make_unique<MigrateAckMsg>();
-    ack->migration_id = mig_id;
-    ack->accepted = accepted;
-    ack->epoch = view_epoch_;
-    ctx_.net.send(id_, exporter, std::move(ack));
-  };
 
   if (m.epoch < view_epoch_) {
     // Proposed under a superseded regime (the exporter was fenced across a
     // reconfiguration, or the prepare crossed an epoch bump in flight).
     // Refusing is always safe: the map has not flipped for this id.
     ++stats_.stale_epoch_rejects;
-    send_ack(false);
+    send_migrate_ack(exporter, mig_id, /*accepted=*/false);
     return;
   }
-  if (fenced_) {
-    send_ack(false);  // cannot accept authority without a lease
+  if (fenced_) {  // cannot accept authority without a lease
+    send_migrate_ack(exporter, mig_id, /*accepted=*/false);
     return;
   }
   if (inbound_ != nullptr) {
     if (inbound_->id == mig_id && inbound_->exporter == exporter) {
       return;  // duplicate prepare (network duplication); already installing
     }
-    send_ack(false);  // one inbound transaction at a time
+    // One inbound transaction at a time.
+    send_migrate_ack(exporter, mig_id, /*accepted=*/false);
     return;
   }
   if (auto it = inbound_done_.find(exporter);
@@ -177,21 +187,9 @@ void MdsNode::handle_migrate_prepare(NetAddr from, const MigratePrepareMsg& m) {
   const SimTime unpack_cost = kCpuMigratePerItem * items->size();
   charge_cpu(unpack_cost, [this, mig_id, root_ino, items]() {
     if (inbound_ == nullptr || inbound_->id != mig_id) return;  // resolved
-    // Rebuild the ack closure from the inbound record (keeps the CPU
-    // continuation inside InlineTask's inline-capture budget).
-    auto send_ack = [this, exporter = inbound_->exporter, mig_id](bool ok) {
-      auto ack = std::make_unique<MigrateAckMsg>();
-      ack->migration_id = mig_id;
-      ack->accepted = ok;
-      ack->epoch = view_epoch_;
-      ctx_.net.send(id_, exporter, std::move(ack));
-    };
     FsNode* root = ctx_.tree.by_ino(root_ino);
-    if (root == nullptr) {
-      inbound_done_[inbound_->exporter] =
-          std::max(inbound_done_[inbound_->exporter], mig_id);
-      inbound_.reset();
-      send_ack(false);
+    if (root == nullptr) {  // the subtree root was unlinked meanwhile
+      refuse_inbound();
       return;
     }
     // Anchor the subtree root's prefix inodes (the per-delegation overhead
@@ -204,18 +202,7 @@ void MdsNode::handle_migrate_prepare(NetAddr from, const MigratePrepareMsg& m) {
         /*have_payload=*/true, [this, mig_id, items](CacheEntry* anchor) {
           if (inbound_ == nullptr || inbound_->id != mig_id) return;
           if (anchor == nullptr) {
-            auto send_ack = [this, exporter = inbound_->exporter,
-                             mig_id](bool ok) {
-              auto ack = std::make_unique<MigrateAckMsg>();
-              ack->migration_id = mig_id;
-              ack->accepted = ok;
-              ack->epoch = view_epoch_;
-              ctx_.net.send(id_, exporter, std::move(ack));
-            };
-            inbound_done_[inbound_->exporter] =
-                std::max(inbound_done_[inbound_->exporter], mig_id);
-            inbound_.reset();
-            send_ack(false);
+            refuse_inbound();
             return;
           }
           continue_inbound_anchoring(mig_id, items);
@@ -226,13 +213,6 @@ void MdsNode::handle_migrate_prepare(NetAddr from, const MigratePrepareMsg& m) {
 void MdsNode::continue_inbound_anchoring(
     std::uint64_t mig_id, std::shared_ptr<std::vector<InodeId>> items) {
   if (inbound_ == nullptr || inbound_->id != mig_id) return;
-  auto send_ack = [this, exporter = inbound_->exporter, mig_id](bool ok) {
-    auto ack = std::make_unique<MigrateAckMsg>();
-    ack->migration_id = mig_id;
-    ack->accepted = ok;
-    ack->epoch = view_epoch_;
-    ctx_.net.send(id_, exporter, std::move(ack));
-  };
   while (inbound_->anchor_next < inbound_->extra_roots.size()) {
     const InodeId rino = inbound_->extra_roots[inbound_->anchor_next];
     ++inbound_->anchor_next;
@@ -240,13 +220,10 @@ void MdsNode::continue_inbound_anchoring(
     if (r == nullptr) continue;  // whole tree unlinked in flight
     insert_with_prefixes(
         r, InsertKind::kDemand, /*authoritative=*/true, /*have_payload=*/true,
-        [this, mig_id, items, send_ack](CacheEntry* a) {
+        [this, mig_id, items](CacheEntry* a) {
           if (inbound_ == nullptr || inbound_->id != mig_id) return;
           if (a == nullptr) {
-            inbound_done_[inbound_->exporter] =
-                std::max(inbound_done_[inbound_->exporter], mig_id);
-            inbound_.reset();
-            send_ack(false);
+            refuse_inbound();
             return;
           }
           continue_inbound_anchoring(mig_id, items);
@@ -266,7 +243,7 @@ void MdsNode::continue_inbound_anchoring(
     ++installed;
   }
   stats_.items_migrated_in += installed;
-  send_ack(true);
+  send_migrate_ack(inbound_->exporter, mig_id, /*accepted=*/true);
 }
 
 void MdsNode::handle_migrate_ack(NetAddr from, const MigrateAckMsg& m) {

@@ -24,21 +24,6 @@ const LinkFault* Network::link_fault(NetAddr a, NetAddr b) const {
   return it == link_faults_.end() ? nullptr : &it->second;
 }
 
-void Network::set_link_degrade(NetAddr a, NetAddr b,
-                               const LinkDegrade& degrade) {
-  assert(a != b);
-  link_degrades_[link_key(a, b)] = degrade;
-}
-
-void Network::clear_link_degrade(NetAddr a, NetAddr b) {
-  link_degrades_.erase(link_key(a, b));
-}
-
-const LinkDegrade* Network::link_degrade(NetAddr a, NetAddr b) const {
-  auto it = link_degrades_.find(link_key(a, b));
-  return it == link_degrades_.end() ? nullptr : &it->second;
-}
-
 NetAddr Network::attach(NetEndpoint* endpoint) {
   assert(endpoint != nullptr);
   endpoints_.push_back(endpoint);
@@ -171,32 +156,20 @@ void Network::send(NetAddr from, NetAddr to, MessagePtr msg) {
   // actually installed somewhere.
   bool duplicate = false;
   SimTime spike = 0;
-  if (!link_faults_.empty() && from != to) {
-    if (const LinkFault* f = link_fault(from, to)) {
-      if (f->drop > 0 && fault_rng_.bernoulli(f->drop)) {
-        ++fault_counters_.dropped;
-        return;
-      }
-      if (f->duplicate > 0 && fault_rng_.bernoulli(f->duplicate)) {
-        duplicate = true;
-        ++fault_counters_.duplicated;
-      }
-      if (f->spike > 0 && fault_rng_.bernoulli(f->spike)) {
-        spike = f->spike_latency;
-        ++fault_counters_.spiked;
-      }
+  const LinkFault* f = nullptr;
+  if (!link_faults_.empty() && from != to &&
+      (f = link_fault(from, to)) != nullptr) {
+    if (f->drop > 0 && fault_rng_.bernoulli(f->drop)) {
+      ++fault_counters_.dropped;
+      return;
     }
-  }
-  // Sustained gray degradation: the lookup fires only while a degrade is
-  // installed somewhere; losses draw from the fault stream so the jitter
-  // sequence of healthy traffic is untouched.
-  const LinkDegrade* degrade = nullptr;
-  if (!link_degrades_.empty() && from != to) {
-    if ((degrade = link_degrade(from, to)) != nullptr) {
-      if (degrade->loss > 0 && fault_rng_.bernoulli(degrade->loss)) {
-        ++fault_counters_.degrade_dropped;
-        return;
-      }
+    if (f->duplicate > 0 && fault_rng_.bernoulli(f->duplicate)) {
+      duplicate = true;
+      ++fault_counters_.duplicated;
+    }
+    if (f->spike > 0 && fault_rng_.bernoulli(f->spike)) {
+      spike = f->spike_latency;
+      ++fault_counters_.spiked;
     }
   }
   counts_[static_cast<std::size_t>(msg->type)]++;
@@ -204,10 +177,10 @@ void Network::send(NetAddr from, NetAddr to, MessagePtr msg) {
   SimTime latency = 0;
   if (from != to) {
     latency = params_.base_latency + spike;
-    if (degrade != nullptr) {
+    if (f != nullptr) {
       latency = static_cast<SimTime>(static_cast<double>(latency) *
-                                     degrade->latency_factor) +
-                degrade->extra_latency;
+                                     f->latency_factor) +
+                f->extra_latency;
     }
     if (params_.jitter_mean > 0) {
       latency += static_cast<SimTime>(

@@ -42,29 +42,23 @@ struct NetworkParams {
   std::uint64_t seed = 7;
 };
 
-/// Per-link fault injection knobs (chaos harness). Probabilities are per
-/// message; a fault is keyed symmetrically, covering both directions of
-/// the link. Draws come from a dedicated RNG stream, so enabling faults on
-/// one link never perturbs the latency jitter of healthy traffic — and
-/// with no faults installed the send path is byte-for-byte the healthy
-/// one.
+/// Per-link fault injection knobs (chaos harness). A fault is keyed
+/// symmetrically, covering both directions of the link. The three
+/// probabilities are per-message lotteries; the latency factor and the
+/// extra latency are paid by every message while the fault is installed
+/// (a sustained gray degradation: a flaky NIC or cable that is always
+/// slow). A message's latency is (base + spike) * latency_factor +
+/// extra_latency, plus jitter. Draws come from a dedicated RNG stream, so
+/// enabling faults on one link never perturbs the latency jitter of
+/// healthy traffic — and with no faults installed the send path is
+/// byte-for-byte the healthy one.
 struct LinkFault {
   double drop = 0.0;       // P(message silently lost)
   double duplicate = 0.0;  // P(message delivered twice)
   double spike = 0.0;      // P(spike_latency added before delivery)
   SimTime spike_latency = 50 * kMillisecond;
-};
-
-/// Sustained gray degradation of a link: every message pays the inflated
-/// latency (and loss probability) for as long as the degrade is installed —
-/// unlike LinkFault's transient per-message spike lottery, this models a
-/// flaky NIC/cable that is *always* slow. Keyed symmetrically like
-/// LinkFault; the two compose. Same zero-cost-off contract: an empty
-/// degrade table adds one boolean check to the send path and nothing else.
-struct LinkDegrade {
-  double latency_factor = 1.0;  // multiplies the base latency
+  double latency_factor = 1.0;  // multiplies base (+ spike) latency
   SimTime extra_latency = 0;    // flat addition on top
-  double loss = 0.0;            // P(message silently lost)
 };
 
 class Network {
@@ -107,7 +101,8 @@ class Network {
 
   /// Total messages lost in the fabric, and the attribution split: drops
   /// at a downed endpoint, drops across a partition/cut boundary, and
-  /// drops from an installed link fault.
+  /// drops from an installed link fault. Every send is either counted in
+  /// total_messages() or here.
   std::uint64_t dropped_messages() const {
     return down_dropped_ + partition_dropped_ + fault_counters_.dropped;
   }
@@ -123,17 +118,10 @@ class Network {
   void clear_link_faults() { link_faults_.clear(); }
   const LinkFault* link_fault(NetAddr a, NetAddr b) const;
 
-  /// Install (or replace) a sustained degrade on the a<->b link; both
-  /// directions are affected. clear restores the link to nominal.
-  void set_link_degrade(NetAddr a, NetAddr b, const LinkDegrade& degrade);
-  void clear_link_degrade(NetAddr a, NetAddr b);
-  const LinkDegrade* link_degrade(NetAddr a, NetAddr b) const;
-
   struct FaultCounters {
     std::uint64_t dropped = 0;
     std::uint64_t duplicated = 0;
     std::uint64_t spiked = 0;
-    std::uint64_t degrade_dropped = 0;  // losses from sustained degrades
   };
   const FaultCounters& fault_counters() const { return fault_counters_; }
 
@@ -191,7 +179,6 @@ class Network {
   std::uint64_t partition_dropped_ = 0;
   std::array<std::uint64_t, kNumMsgTypes> counts_{};
   std::unordered_map<std::uint64_t, LinkFault> link_faults_;
-  std::unordered_map<std::uint64_t, LinkDegrade> link_degrades_;
   FaultCounters fault_counters_;
   /// Partition state: side_[addr] is the endpoint's group while a
   /// partition is active (unlisted endpoints sit in group 0).

@@ -22,33 +22,7 @@ DirBTree::DirBTree(std::uint32_t order) : order_(order) {
   root_ = new_node(/*leaf=*/true);
 }
 
-DirBTree::~DirBTree() {
-  if (root_ != nullptr) free_subtree(root_);
-}
-
-DirBTree::DirBTree(DirBTree&& o) noexcept
-    : root_(o.root_),
-      order_(o.order_),
-      size_(o.size_),
-      node_count_(o.node_count_) {
-  o.root_ = nullptr;
-  o.size_ = 0;
-  o.node_count_ = 0;
-}
-
-DirBTree& DirBTree::operator=(DirBTree&& o) noexcept {
-  if (this != &o) {
-    if (root_ != nullptr) free_subtree(root_);
-    root_ = o.root_;
-    order_ = o.order_;
-    size_ = o.size_;
-    node_count_ = o.node_count_;
-    o.root_ = nullptr;
-    o.size_ = 0;
-    o.node_count_ = 0;
-  }
-  return *this;
-}
+DirBTree::~DirBTree() { free_subtree(root_); }
 
 DirBTree::Node* DirBTree::new_node(bool leaf) {
   Node* n = new Node;

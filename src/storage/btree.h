@@ -46,8 +46,6 @@ class DirBTree {
   /// (order-1)/2 except for the root.
   explicit DirBTree(std::uint32_t order = 32);
   ~DirBTree();
-  DirBTree(DirBTree&&) noexcept;
-  DirBTree& operator=(DirBTree&&) noexcept;
   DirBTree(const DirBTree&) = delete;
   DirBTree& operator=(const DirBTree&) = delete;
 

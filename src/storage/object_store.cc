@@ -60,10 +60,4 @@ std::uint32_t ObjectStore::apply_update(FsNode* dir, const std::string& name,
 
 void ObjectStore::drop(FsNode* dir) { objects_.erase(dir->ino()); }
 
-std::uint64_t ObjectStore::total_object_nodes() const {
-  std::uint64_t total = 0;
-  for (const auto& [_, t] : objects_) total += t->node_count();
-  return total;
-}
-
 }  // namespace mdsim

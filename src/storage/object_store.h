@@ -50,7 +50,6 @@ class ObjectStore {
   void drop(FsNode* dir);
 
   std::size_t materialized_objects() const { return objects_.size(); }
-  std::uint64_t total_object_nodes() const;
 
   /// Direct access for tests.
   DirBTree* object_for_testing(FsNode* dir) { return find(dir); }

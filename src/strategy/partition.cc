@@ -64,8 +64,6 @@ MdsId SubtreePartition::authority_of(const FsNode* node) const {
   for (const FsNode* n = node; n != nullptr; n = n->parent()) {
     const MdsId holder = current(n->ino());
     if (holder >= 0) return holder;
-    // kNoRecord or tombstone (folded back into the enclosing
-    // delegation): keep walking.
   }
   return 0;  // root default: MDS 0 owns undelegated territory
 }
@@ -77,9 +75,7 @@ MdsId SubtreePartition::authority_of_at(const FsNode* node,
     if (it != delegation_.end()) {
       const auto& recs = it->second;
       for (auto r = recs.rbegin(); r != recs.rend(); ++r) {
-        if (r->epoch > epoch) continue;  // newer than the frozen view
-        if (r->mds != kInvalidMds) return r->mds;
-        break;  // visible tombstone: keep walking up
+        if (r->epoch <= epoch) return r->mds;  // newer ones are invisible
       }
     }
   }
@@ -100,33 +96,10 @@ MdsId SubtreePartition::delegate(const FsNode* subtree_root, MdsId to) {
   return prev;
 }
 
-void SubtreePartition::undelegate(const FsNode* subtree_root) {
-  if (subtree_root->parent() == nullptr) return;
-  auto it = delegation_.find(subtree_root->ino());
-  if (it == delegation_.end()) return;
-  auto& recs = it->second;
-  if (recs.back().epoch == epoch_) recs.pop_back();
-  if (recs.empty()) {
-    delegation_.erase(it);
-    nodes_.erase(subtree_root->ino());
-    set_current(subtree_root->ino(), kNoRecord);
-    return;
-  }
-  if (recs.back().mds != kInvalidMds) {
-    recs.push_back(Record{epoch_, kInvalidMds});
-  }
-  set_current(subtree_root->ino(), recs.back().mds);
-}
-
 bool SubtreePartition::is_delegation_point(const FsNode* node) const {
-  // current_ mirrors back().mds exactly (kNoRecord when absent), so this
-  // is one load instead of a hash probe.
+  // current_ mirrors back().mds exactly (kInvalidMds when absent), so
+  // this is one load instead of a hash probe.
   return current(node->ino()) >= 0;
-}
-
-MdsId SubtreePartition::delegation_at(InodeId ino) const {
-  const MdsId c = current(ino);
-  return c >= 0 ? c : kInvalidMds;
 }
 
 std::vector<const FsNode*> SubtreePartition::delegations_of(MdsId mds) const {
@@ -138,11 +111,7 @@ std::vector<const FsNode*> SubtreePartition::delegations_of(MdsId mds) const {
 }
 
 std::size_t SubtreePartition::delegation_count() const {
-  std::size_t n = 0;
-  for (const auto& [ino, recs] : delegation_) {
-    if (recs.back().mds != kInvalidMds) ++n;
-  }
-  return n;
+  return delegation_.size();
 }
 
 std::vector<const FsNode*> SubtreePartition::known_roots() const {

@@ -119,11 +119,8 @@ class SubtreePartition final : public Partitioner {
   /// Returns the previous holder of the subtree (its effective authority
   /// before this call).
   MdsId delegate(const FsNode* subtree_root, MdsId to);
-  /// Remove a delegation point, folding the subtree back into the
-  /// enclosing delegation. No-op on the root.
-  void undelegate(const FsNode* subtree_root);
   bool is_delegation_point(const FsNode* node) const;
-  MdsId delegation_at(InodeId ino) const;
+  MdsId delegation_at(InodeId ino) const { return current(ino); }
 
   /// All delegation points currently assigned to `mds`, with their nodes.
   std::vector<const FsNode*> delegations_of(MdsId mds) const;
@@ -141,22 +138,17 @@ class SubtreePartition final : public Partitioner {
   int num_mds() const { return num_mds_; }
 
  private:
-  /// One holder assignment; mds == kInvalidMds is a tombstone (the point
-  /// was undelegated at that epoch).
+  /// One holder assignment, made at `epoch`.
   struct Record {
     std::uint64_t epoch = 1;
     MdsId mds = kInvalidMds;
   };
 
-  /// Sentinel in `current_` for "no delegation record at all" (distinct
-  /// from kInvalidMds, which is a visible tombstone).
-  static constexpr MdsId kNoRecord = -2;
-
   MdsId current(InodeId ino) const {
-    return ino < current_.size() ? current_[ino] : kNoRecord;
+    return ino < current_.size() ? current_[ino] : kInvalidMds;
   }
   void set_current(InodeId ino, MdsId mds) {
-    if (ino >= current_.size()) current_.resize(ino + 1, kNoRecord);
+    if (ino >= current_.size()) current_.resize(ino + 1, kInvalidMds);
     current_[ino] = mds;
   }
 
@@ -168,8 +160,8 @@ class SubtreePartition final : public Partitioner {
   std::unordered_map<InodeId, const FsNode*> nodes_;
   /// Dense mirror of each point's back() record, indexed by ino: the
   /// authority_of parent-chain walk runs ~1 M times per sharded run and
-  /// must not hash-probe per ancestor. kNoRecord where delegation_ has no
-  /// entry; kInvalidMds mirrors a tombstoned back() record.
+  /// must not hash-probe per ancestor. kInvalidMds where delegation_ has
+  /// no entry.
   std::vector<MdsId> current_;
 };
 

@@ -45,7 +45,6 @@ class FlashCrowdWorkload final : public Workload {
   }
 
   SimTime next(ClientId c, SimTime now, Rng& rng, Operation* out) override;
-  std::string name() const override { return "flash_crowd"; }
 
   FsNode* target() const { return target_; }
 

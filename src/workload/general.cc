@@ -51,11 +51,6 @@ FsNode* GeneralWorkload::random_home(ClientId c, Rng& rng) {
   return homes_[(*home_zipf_)(rng)];
 }
 
-FsNode* GeneralWorkload::random_dir_in_region(ClientState& s, Rng& rng) {
-  (void)rng;
-  return s.region;
-}
-
 FsNode* GeneralWorkload::random_file_in(FsNode* dir, Rng& rng) {
   if (dir->children_list().empty()) return nullptr;
   // Reservoir-pick a file child; directories are skipped.

@@ -70,7 +70,6 @@ class GeneralWorkload final : public Workload {
   void set_shift(WorkloadShift shift) { shift_ = std::move(shift); }
 
   SimTime next(ClientId c, SimTime now, Rng& rng, Operation* out) override;
-  std::string name() const override { return "general"; }
 
   /// Test hook: the region a client currently works in.
   const FsNode* region_of(ClientId c) const;
@@ -98,7 +97,6 @@ class GeneralWorkload final : public Workload {
   void maybe_drift(ClientId c, ClientState& s, Rng& rng);
   void maybe_shift(ClientId c, ClientState& s, SimTime now, Rng& rng);
   FsNode* random_home(ClientId c, Rng& rng);
-  FsNode* random_dir_in_region(ClientState& s, Rng& rng);
   FsNode* random_file_in(FsNode* dir, Rng& rng);
   bool generate(ClientId c, ClientState& s, Rng& rng, Operation* out);
 

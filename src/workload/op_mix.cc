@@ -38,13 +38,6 @@ OpMix OpMix::create_heavy() {
                             /*chmod=*/0.3, /*setattr=*/5.5, /*link=*/0.0));
 }
 
-OpMix OpMix::read_only() {
-  return OpMix(make_weights(/*stat=*/50.0, /*open=*/20.0, /*close=*/20.0,
-                            /*readdir=*/10.0, /*create=*/0.0, /*mkdir=*/0.0,
-                            /*unlink=*/0.0, /*rmdir=*/0.0, /*rename=*/0.0,
-                            /*chmod=*/0.0, /*setattr=*/0.0, /*link=*/0.0));
-}
-
 OpMix OpMix::restructure_heavy() {
   return OpMix(make_weights(/*stat=*/30.0, /*open=*/12.0, /*close=*/12.0,
                             /*readdir=*/6.0, /*create=*/6.0, /*mkdir=*/1.0,

@@ -32,8 +32,6 @@ class OpMix {
   /// create new files in portions of the hierarchy served by a single
   /// MDS", figure 5).
   static OpMix create_heavy();
-  /// Read-only mix (stat/open/close/readdir).
-  static OpMix read_only();
   /// Mix with frequent directory chmod/rename — the LH update-storm
   /// stressor (section 3.1.3's caveat).
   static OpMix restructure_heavy();

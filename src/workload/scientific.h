@@ -43,7 +43,6 @@ class ScientificWorkload final : public Workload {
                      ScientificWorkloadParams params = {});
 
   SimTime next(ClientId c, SimTime now, Rng& rng, Operation* out) override;
-  std::string name() const override { return "scientific"; }
 
   /// The shared target of burst number `n` (tests).
   FsNode* burst_dir(std::uint64_t n) const {

@@ -59,9 +59,6 @@ class RecordingWorkload final : public Workload {
       : inner_(std::move(inner)) {}
 
   SimTime next(ClientId c, SimTime now, Rng& rng, Operation* out) override;
-  std::string name() const override {
-    return "recording(" + inner_->name() + ")";
-  }
 
   const Trace& trace() const { return trace_; }
   Trace take_trace() { return std::move(trace_); }
@@ -78,7 +75,6 @@ class TraceWorkload final : public Workload {
   TraceWorkload(FsTree& tree, Trace trace);
 
   SimTime next(ClientId c, SimTime now, Rng& rng, Operation* out) override;
-  std::string name() const override { return "trace_replay"; }
 
   std::size_t skipped() const { return skipped_; }
 

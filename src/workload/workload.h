@@ -38,8 +38,6 @@ class Workload {
   /// `now`) after which the client should issue it, or kNever if the
   /// client is finished. `out` is only valid for non-kNever returns.
   virtual SimTime next(ClientId c, SimTime now, Rng& rng, Operation* out) = 0;
-
-  virtual std::string name() const = 0;
 };
 
 }  // namespace mdsim

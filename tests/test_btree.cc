@@ -120,17 +120,6 @@ TEST(BTree, OverwriteDirtiesOneNode) {
   }
 }
 
-TEST(BTree, MoveTransfersOwnership) {
-  DirBTree a(8);
-  for (int i = 0; i < 100; ++i) a.insert(key(i), rec(1), nullptr);
-  DirBTree b = std::move(a);
-  EXPECT_EQ(b.size(), 100u);
-  EXPECT_EQ(b.check_invariants(), "");
-  DirBTree c(8);
-  c = std::move(b);
-  EXPECT_EQ(c.size(), 100u);
-}
-
 class BTreeRandomized : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(BTreeRandomized, RandomOpsMatchReferenceMap) {

@@ -57,6 +57,45 @@ TEST_F(CacheTest, HitAndMissAccounting) {
   EXPECT_EQ(c.stats().hits, 1u);
 }
 
+// The index is presized for the entries plus aux-only records at under
+// 2/3 load, and grows past it. Aux-only records are not bounded by the
+// capacity, so enough of them force the index to grow twice; every key
+// must stay reachable across the rehashes.
+TEST_F(CacheTest, IndexGrowsPastPresizeAndKeepsEveryKey) {
+  MetadataCache c(16);  // index presized to 64 slots
+  for (std::size_t i = 0; i < 14; ++i) insert_chain(c, files[i]);
+  ASSERT_EQ(c.size(), 16u);
+  std::vector<InodeId> aux_only;
+  for (InodeId ino = 1000; ino < 1100; ++ino) {
+    c.aux_ensure(ino).replicated_everywhere = true;
+    aux_only.push_back(ino);
+  }
+  c.aux_ensure(files[0]->ino()).replicated_everywhere = true;  // on an entry
+
+  EXPECT_NE(c.peek(tree.root()->ino()), nullptr);
+  EXPECT_NE(c.peek(dir_a->ino()), nullptr);
+  for (std::size_t i = 0; i < 14; ++i) {
+    EXPECT_NE(c.peek(files[i]->ino()), nullptr) << i;
+  }
+  for (InodeId ino : aux_only) {
+    const EntryAux* a = c.aux_peek(ino);
+    ASSERT_NE(a, nullptr) << ino;
+    EXPECT_TRUE(a->replicated_everywhere) << ino;
+    EXPECT_EQ(c.peek(ino), nullptr) << ino;
+  }
+  ASSERT_NE(c.aux_peek(files[0]->ino()), nullptr);
+  EXPECT_TRUE(c.aux_peek(files[0]->ino())->replicated_everywhere);
+  EXPECT_EQ(c.check_invariants(), "");
+
+  // Deleting from the grown index keeps the rest reachable.
+  for (std::size_t i = 7; i < 14; ++i) c.erase(files[i]->ino());
+  for (std::size_t i = 0; i < 7; ++i) {
+    EXPECT_NE(c.peek(files[i]->ino()), nullptr) << i;
+  }
+  for (InodeId ino : aux_only) EXPECT_NE(c.aux_peek(ino), nullptr) << ino;
+  EXPECT_EQ(c.check_invariants(), "");
+}
+
 TEST_F(CacheTest, LruEvictsColdestLeaf) {
   MetadataCache c(6);
   for (int i = 0; i < 4; ++i) insert_chain(c, files[i]);

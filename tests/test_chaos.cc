@@ -201,7 +201,7 @@ TEST(Chaos, SameSeedRandomizedPlanIsBitForBitReproducible) {
     return std::make_tuple(
         s.ops_completed, s.ops_failed, s.retries, s.stale_replies,
         s.hedges_fired, fc.dropped,
-        fc.duplicated, fc.spiked, fc.degrade_dropped,
+        fc.duplicated, fc.spiked,
         cluster.fault_log().gray_incidents().size(),
         cluster.fault_log().gray_degraded_seconds(cfg.duration),
         cluster.metrics().total_replies());

@@ -7,7 +7,6 @@
 
 #include "common/rng.h"
 #include "fstree/generator.h"
-#include "fstree/path.h"
 #include "fstree/tree.h"
 #include "storage/btree.h"
 #include "storage/object_store.h"
@@ -16,22 +15,6 @@
 
 namespace mdsim {
 namespace {
-
-TEST(Path, SplitAndJoin) {
-  EXPECT_EQ(split_path("/a/b/c"), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(split_path("//a///b/"), (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(split_path("/"), std::vector<std::string>{});
-  EXPECT_EQ(join_path({"a", "b"}), "/a/b");
-  EXPECT_EQ(join_path({}), "/");
-}
-
-TEST(Path, PrefixCheck) {
-  EXPECT_TRUE(path_has_prefix("/a/b/c", "/a/b"));
-  EXPECT_TRUE(path_has_prefix("/a/b", "/a/b"));
-  EXPECT_TRUE(path_has_prefix("/a/b", "/"));
-  EXPECT_FALSE(path_has_prefix("/a/b", "/a/b/c"));
-  EXPECT_FALSE(path_has_prefix("/a/bb", "/a/b"));
-}
 
 class FsTreeTest : public ::testing::Test {
  protected:
@@ -45,6 +28,19 @@ TEST_F(FsTreeTest, RootProperties) {
   EXPECT_EQ(root->depth(), 0u);
   EXPECT_EQ(root->path(), "/");
   EXPECT_EQ(tree.node_count(), 1u);
+}
+
+TEST_F(FsTreeTest, LookupIgnoresLeadingAndRepeatedSlashes) {
+  FsNode* a = tree.mkdir(tree.root(), "a");
+  FsNode* b = tree.mkdir(a, "b");
+  FsNode* f = tree.create_file(b, "f");
+  EXPECT_EQ(tree.lookup("/a/b/f"), f);
+  EXPECT_EQ(tree.lookup("//a///b/"), b);
+  EXPECT_EQ(tree.lookup("a/b"), b);
+  EXPECT_EQ(tree.lookup("/"), tree.root());
+  EXPECT_EQ(tree.lookup(""), tree.root());
+  EXPECT_EQ(tree.lookup("/a/b/f/g"), nullptr);  // a file has no children
+  EXPECT_EQ(tree.lookup("/a/bb"), nullptr);
 }
 
 TEST_F(FsTreeTest, CreateAndLookup) {

@@ -94,10 +94,12 @@ TEST(LinkDegrade, InflatesLatencyBothWaysAndDropsAtLossOne) {
   ASSERT_EQ(b.arrivals.size(), 1u);
   EXPECT_EQ(b.arrivals[0], np.base_latency);
 
-  LinkDegrade d;
+  // A sustained degrade is a link fault whose only knobs are the latency
+  // factor and the extra latency.
+  LinkFault d;
   d.latency_factor = 3.0;
   d.extra_latency = kMillisecond;
-  net.set_link_degrade(na, nb, d);
+  net.set_link_fault(na, nb, d);
   SimTime t0 = sim.now();
   net.send(na, nb, ping());
   net.send(nb, na, ping());  // symmetric: the reverse direction pays too
@@ -107,18 +109,18 @@ TEST(LinkDegrade, InflatesLatencyBothWaysAndDropsAtLossOne) {
   EXPECT_EQ(b.arrivals[1] - t0, 3 * np.base_latency + kMillisecond);
   EXPECT_EQ(a.arrivals[0] - t0, 3 * np.base_latency + kMillisecond);
 
-  // loss = 1.0: every message on the link disappears, attributed to the
-  // degrade counter (not the transient-fault counter).
-  d.loss = 1.0;
-  net.set_link_degrade(na, nb, d);
+  // drop = 1.0: every message on the link disappears, counted with the
+  // fabric's drops.
+  d.drop = 1.0;
+  net.set_link_fault(na, nb, d);
   net.send(na, nb, ping());
   net.send(na, nb, ping());
   sim.run_until(sim.now() + 10 * kMillisecond);
   EXPECT_EQ(b.arrivals.size(), 2u);
-  EXPECT_EQ(net.fault_counters().degrade_dropped, 2u);
-  EXPECT_EQ(net.fault_counters().dropped, 0u);
+  EXPECT_EQ(net.fault_counters().dropped, 2u);
+  EXPECT_EQ(net.dropped_messages(), 2u);
 
-  net.clear_link_degrade(na, nb);
+  net.clear_link_fault(na, nb);
   t0 = sim.now();
   net.send(na, nb, ping());
   sim.run_until(t0 + 10 * kMillisecond);

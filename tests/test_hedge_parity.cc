@@ -43,7 +43,6 @@ struct FixedWorkload final : Workload {
     out->target = target;
     return think;
   }
-  std::string name() const override { return "fixed"; }
 };
 
 struct Arrival {

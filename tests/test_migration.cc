@@ -9,9 +9,10 @@ namespace {
 
 class MigrationTest : public ::testing::Test {
  protected:
-  void build() {
+  void build(SimTime heartbeat_period = kSecond) {
     SimConfig cfg = manual_config(StrategyKind::kDynamicSubtree);
     cfg.mds.min_migration_items = 2;
+    cfg.mds.heartbeat_period = heartbeat_period;
     cluster = std::make_unique<ClusterSim>(cfg);
     client.attach(*cluster);
   }
@@ -149,6 +150,95 @@ TEST_F(MigrationTest, MigrationRefusedWhenTooSmallOrBusy) {
     EXPECT_FALSE(cluster->mds(src).migrate_subtree(other, dst));
   }
   run_for(2 * kSecond);
+}
+
+// The importer's two refusals after it accepted a prepare. Each nacks the
+// exporter at once: the exporter unfreezes and keeps the subtree well
+// before its 3 s watchdog, and the importer never installs or rolls back.
+void expect_refused(ClusterSim& cluster, MdsId src, MdsId dst) {
+  EXPECT_FALSE(cluster.mds(dst).migrating());
+  EXPECT_EQ(cluster.mds(dst).stats().migrations_in, 0u);
+  EXPECT_EQ(cluster.mds(dst).stats().items_migrated_in, 0u);
+  EXPECT_EQ(cluster.mds(dst).stats().migrations_rolled_back, 0u);
+  EXPECT_FALSE(cluster.mds(src).migrating());
+  EXPECT_EQ(cluster.mds(src).frozen_subtrees(), 0u);
+  EXPECT_EQ(cluster.mds(src).stats().migrations_out, 0u);
+  EXPECT_EQ(cluster.mds(src).stats().migration_timeouts, 0u);
+  for (int i = 0; i < cluster.num_mds(); ++i) {
+    EXPECT_EQ(cluster.mds(i).cache().check_invariants(), "") << i;
+  }
+}
+
+TEST_F(MigrationTest, ImporterRefusesWhenRootUnlinkedDuringUnpack) {
+  build();
+  FsNode* home = cluster->namespace_info().user_roots[0];
+  for (FsNode* u : cluster->namespace_info().user_roots) {
+    if (u->subtree_size() > home->subtree_size()) home = u;
+  }
+  const MdsId src = cluster->mds(0).authority_for(home);
+  const MdsId dst = (src + 1) % cluster->num_mds();
+  warm_subtree(home);
+  ASSERT_TRUE(cluster->mds(src).migrate_subtree(home, dst));
+  for (int i = 0; i < 100000 && !cluster->mds(dst).migrating(); ++i) {
+    run_for(from_micros(1));
+  }
+  // The prepare just landed; its unpack charge (2 us an item) is queued.
+  ASSERT_TRUE(cluster->mds(dst).migrating());
+  std::vector<FsNode*> doomed{home};
+  for (std::size_t i = 0; i < doomed.size(); ++i) {
+    for (FsNode* c : doomed[i]->children_list()) doomed.push_back(c);
+  }
+  for (auto it = doomed.rbegin(); it != doomed.rend(); ++it) {
+    ASSERT_TRUE(cluster->tree().remove(*it));
+  }
+  run_for(100 * kMillisecond);
+  expect_refused(*cluster, src, dst);
+}
+
+TEST_F(MigrationTest, ImporterRefusesWhenAnchorFetchFails) {
+  // Short heartbeats: the lost prefix fetch times out (2 s, swept on a
+  // heartbeat) well before the exporter's 3 s watchdog.
+  build(/*heartbeat_period=*/250 * kMillisecond);
+  // A directory inside a home owned by `holder`, first handed to `src`.
+  // The importer has never cached that home, so anchoring the directory
+  // needs the home as a prefix replica from `holder`.
+  FsNode* home = cluster->namespace_info().user_roots[2];
+  const MdsId holder = cluster->mds(0).authority_for(home);
+  const MdsId src = (holder + 1) % cluster->num_mds();
+  const MdsId dst = (holder + 2) % cluster->num_mds();
+  FsNode* dir = nullptr;
+  for (FsNode* c : home->children_list()) {
+    if (c->is_dir() && (dir == nullptr ||
+                        c->subtree_size() > dir->subtree_size())) {
+      dir = c;
+    }
+  }
+  ASSERT_NE(dir, nullptr);
+  warm_subtree(dir);
+  ASSERT_TRUE(cluster->mds(holder).migrate_subtree(dir, src));
+  run_for(2 * kSecond);
+  ASSERT_EQ(cluster->mds(0).authority_for(dir), src);
+  warm_subtree(dir);
+  ASSERT_EQ(cluster->mds(dst).cache().peek(home->ino()), nullptr);
+  ASSERT_NE(cluster->mds(dst).cache().peek(home->parent()->ino()), nullptr);
+
+  // Lose the importer's replica request to the holder, and nothing else:
+  // the cut lasts until that request is sent.
+  const std::uint64_t requests = cluster->mds(dst).stats().replica_requests_sent;
+  cluster->network().cut_link(dst, holder);
+  ASSERT_TRUE(cluster->mds(src).migrate_subtree(dir, dst));
+  for (int i = 0; i < 100000 &&
+                  cluster->mds(dst).stats().replica_requests_sent == requests;
+       ++i) {
+    run_for(from_micros(10));
+  }
+  ASSERT_EQ(cluster->mds(dst).stats().replica_requests_sent, requests + 1);
+  cluster->network().restore_link(dst, holder);
+
+  run_for(2500 * kMillisecond);
+  EXPECT_EQ(cluster->mds(dst).stats().replica_fetch_timeouts, 1u);
+  expect_refused(*cluster, src, dst);
+  EXPECT_EQ(cluster->mds(0).authority_for(dir), src);
 }
 
 TEST_F(MigrationTest, ReDelegationPrefersImportedTrees) {

@@ -69,6 +69,70 @@ TEST_F(NetworkTest, CountsByType) {
   EXPECT_EQ(net_->total_messages(), 0u);
 }
 
+// Message conservation across every way the fabric can lose or copy a
+// message: each send is counted once, either as sent or as dropped, and
+// each delivery is a sent message or a duplicate of one.
+TEST_F(NetworkTest, EverySendIsCountedOrDropped) {
+  std::uint64_t sends = 0;
+  const auto send = [&](int from, int to, int n = 1) {
+    for (int i = 0; i < n; ++i) {
+      net_->send(addrs_[from], addrs_[to], make(MsgType::kHeartbeat));
+      ++sends;
+    }
+  };
+  send(0, 1, 2);
+  send(0, 0);  // loopback
+
+  net_->set_down(addrs_[2], true);
+  send(0, 2);
+  send(2, 1);
+  net_->set_down(addrs_[2], false);
+
+  net_->partition({{addrs_[0], addrs_[1]}, {addrs_[2]}});
+  send(0, 2);
+  send(2, 0);
+  net_->heal();
+
+  net_->cut_link(addrs_[0], addrs_[1]);
+  send(0, 1);  // cut
+  send(1, 0);  // the reverse direction still flows
+  net_->restore_link(addrs_[0], addrs_[1]);
+
+  LinkFault drop;
+  drop.drop = 1.0;
+  net_->set_link_fault(addrs_[0], addrs_[2], drop);
+  send(0, 2);
+  send(2, 0);
+  net_->clear_link_fault(addrs_[0], addrs_[2]);
+
+  LinkFault lossy;  // sustained degrade: slow, and loses about half
+  lossy.latency_factor = 3.0;
+  lossy.extra_latency = 50;
+  lossy.drop = 0.5;
+  net_->set_link_fault(addrs_[1], addrs_[2], lossy);
+  send(1, 2, 20);
+  send(2, 1, 20);
+  net_->clear_link_fault(addrs_[1], addrs_[2]);
+
+  LinkFault dup;
+  dup.duplicate = 1.0;
+  net_->set_link_fault(addrs_[0], addrs_[1], dup);
+  send(0, 1, 3);
+  net_->clear_link_fault(addrs_[0], addrs_[1]);
+  sim_.run();
+
+  std::uint64_t deliveries = 0;
+  for (const Recorder& r : nodes_) deliveries += r.arrivals.size();
+  const Network::FaultCounters& fc = net_->fault_counters();
+  EXPECT_EQ(net_->down_dropped(), 2u);
+  EXPECT_EQ(net_->partition_dropped(), 3u);
+  EXPECT_GT(fc.dropped, 2u);       // the drop link plus some lossy sends
+  EXPECT_LT(fc.dropped, 2u + 40u);
+  EXPECT_EQ(fc.duplicated, 3u);
+  EXPECT_EQ(sends, net_->total_messages() + net_->dropped_messages());
+  EXPECT_EQ(deliveries, net_->total_messages() + fc.duplicated);
+}
+
 // A delivery batch: a burst of messages reaching one endpoint at the same
 // instant. The network once folded such a burst into one engine event; now
 // every message is its own event, and these tests pin that the burst still

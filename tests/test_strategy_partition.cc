@@ -75,9 +75,6 @@ TEST_F(PartitionTest, SubtreeDelegationNesting) {
   for (FsNode* child : u0->children_list()) {
     EXPECT_EQ(p.authority_of(child), 2);
   }
-
-  p.undelegate(u0);
-  EXPECT_EQ(p.authority_of(u0), 1);
 }
 
 TEST_F(PartitionTest, DelegateReturnsPreviousHolder) {

@@ -44,14 +44,6 @@ TEST(OpMix, CreateHeavyFavoursCreates) {
             3 * (counts[OpType::kUnlink] + counts[OpType::kRmdir]));
 }
 
-TEST(OpMix, ReadOnlyNeverMutates) {
-  OpMix mix = OpMix::read_only();
-  Rng rng(3);
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_FALSE(op_is_update(mix.sample(rng)));
-  }
-}
-
 class GeneralWorkloadTest : public ::testing::Test {
  protected:
   GeneralWorkloadTest() {
