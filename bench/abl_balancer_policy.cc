@@ -12,9 +12,9 @@ using namespace mdsim;
 using namespace mdsim::bench;
 
 int main(int argc, char** argv) {
+  const BenchArgs args = parse_args(argc, argv);
   banner("Ablation B — balancer load-metric policy",
          "paper: sections 4.3, 5.1, 5.3.2");
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
 
   struct Policy {
     const char* name;
@@ -39,15 +39,9 @@ int main(int argc, char** argv) {
               "max_tput_after_shift", "migrations"});
 
   ConsoleTable table({"policy", "avg", "min", "max", "migr"});
+  std::vector<Run<>> runs;
   for (const Policy& p : policies) {
-    SimConfig cfg = shift_config(StrategyKind::kDynamicSubtree);
-    if (quick) {
-      cfg.num_mds = 6;
-      cfg.fs.num_users = 144;
-      cfg.num_clients = 360;
-      cfg.duration = 40 * kSecond;
-      cfg.shifting.shift_at = 12 * kSecond;
-    }
+    SimConfig cfg = shift_run_config(StrategyKind::kDynamicSubtree, args.quick);
     cfg.mds.load_weight_throughput = p.w_tp;
     cfg.mds.load_weight_miss = p.w_miss;
     cfg.mds.balancer_metric = p.metric;
@@ -55,28 +49,31 @@ int main(int argc, char** argv) {
       // Effectively never trigger.
       cfg.mds.balance_trigger = 1e18;
     }
-    ClusterSim cluster(cfg);
-    cluster.run();
-    Metrics& m = cluster.metrics();
-    const SimTime t0 = cfg.shifting.shift_at + 5 * kSecond;
-    const SimTime t1 = cfg.duration;
-    std::uint64_t migrations = 0;
-    for (int i = 0; i < cluster.num_mds(); ++i) {
-      migrations += cluster.mds(i).stats().migrations_out;
-    }
-    const double avg =
-        m.avg_throughput().mean_in(t0, t1, /*include_end=*/true);
-    const double mn =
-        m.min_throughput().mean_in(t0, t1, /*include_end=*/true);
-    const double mx =
-        m.max_throughput().mean_in(t0, t1, /*include_end=*/true);
-    csv.field(p.name).field(avg).field(mn).field(mx).field(migrations);
-    csv.end_row();
-    table.add_row({p.name, fmt_double(avg, 0), fmt_double(mn, 0),
-                   fmt_double(mx, 0), std::to_string(migrations)});
-    std::cout << "  [" << p.name << "] avg " << fmt_double(avg, 0)
-              << " ops/s after shift, " << migrations << " migrations\n";
+    runs.push_back({cfg, [name = p.name](const SimConfig& cfg, Output<>& o) {
+      ClusterSim cluster(cfg);
+      cluster.run();
+      Metrics& m = cluster.metrics();
+      const SimTime t0 = cfg.shifting.shift_at + 5 * kSecond;
+      const SimTime t1 = cfg.duration;
+      std::uint64_t migrations = 0;
+      for (int i = 0; i < cluster.num_mds(); ++i) {
+        migrations += cluster.mds(i).stats().migrations_out;
+      }
+      const auto mean = [&](const TimeSeries& series) {
+        return series.mean_in(t0, t1, /*include_end=*/true);
+      };
+      const double avg = mean(m.avg_throughput());
+      const double mn = mean(m.min_throughput());
+      const double mx = mean(m.max_throughput());
+      o.rows.field(name).field(avg).field(mn).field(mx).field(migrations);
+      o.rows.end_row();
+      o.value = {name, fmt_double(avg, 0), fmt_double(mn, 0),
+                 fmt_double(mx, 0), std::to_string(migrations)};
+      o.out << "  [" << name << "] avg " << fmt_double(avg, 0)
+            << " ops/s after shift, " << migrations << " migrations\n";
+    }});
   }
+  for (auto& o : run_all(args, std::move(runs), &csv)) table.add_row(o.value);
   table.print("Post-shift per-MDS throughput by balancer policy");
   std::cout << "\nExpected: any balancing beats none under the shift; the "
                "policies differ in how much spread (min..max) they leave — "

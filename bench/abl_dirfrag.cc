@@ -10,56 +10,45 @@ using namespace mdsim;
 using namespace mdsim::bench;
 
 int main(int argc, char** argv) {
+  const BenchArgs args = parse_args(argc, argv);
   banner("Ablation D — dynamic directory fragmentation",
          "paper: section 4.3 (hash/unhash of hot directories)");
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
 
   CsvWriter csv(csv_path("abl_dirfrag"));
   csv.header({"dirfrag", "avg_mds_throughput_ops", "mean_latency_ms",
               "failures", "fragment_events", "merge_events"});
 
   ConsoleTable table({"dirfrag", "tput", "latency_ms", "frag/merge"});
+  std::vector<Run<>> runs;
   for (bool enabled : {false, true}) {
-    SimConfig cfg;
-    cfg.strategy = StrategyKind::kDynamicSubtree;
-    cfg.num_mds = quick ? 4 : 8;
-    cfg.num_clients = quick ? 200 : 600;
-    cfg.fs.num_users = 16;
-    cfg.fs.nodes_per_user = 100;
-    cfg.fs.num_projects = 2;
-    cfg.fs.project_runs = 2;
-    cfg.fs.project_dir_files = 1500;
-    cfg.workload = WorkloadKind::kScientific;
-    cfg.scientific.compute_phase = 2 * kSecond;
-    cfg.scientific.ops_per_burst = 30;
-    cfg.scientific.n_to_1_fraction = 0.2;  // mostly create storms
+    SimConfig cfg = storm_config(args.quick);
     cfg.mds.dirfrag_enabled = enabled;
-    cfg.mds.dirfrag_size_threshold = 2000;
-    cfg.mds.dirfrag_temp_threshold = 400.0;
     cfg.duration = 20 * kSecond;
     cfg.warmup = 4 * kSecond;
-
-    ClusterSim cluster(cfg);
-    cluster.run();
-    Metrics& m = cluster.metrics();
-    const double tput = m.avg_mds_throughput(cluster.sim().now());
-    const double lat = m.client_latency().mean() * 1e3;
-    csv.field(std::int64_t{enabled ? 1 : 0})
-        .field(tput)
-        .field(lat)
-        .field(m.total_failures())
-        .field(cluster.dirfrag().fragment_events)
-        .field(cluster.dirfrag().merge_events);
-    csv.end_row();
-    table.add_row({enabled ? "on" : "off", fmt_double(tput, 0),
-                   fmt_double(lat, 1),
-                   std::to_string(cluster.dirfrag().fragment_events) + "/" +
-                       std::to_string(cluster.dirfrag().merge_events)});
-    std::cout << "  [dirfrag " << (enabled ? "on" : "off") << "] "
-              << fmt_double(tput, 0) << " ops/s/MDS, latency "
-              << fmt_double(lat, 1) << " ms, frag events "
-              << cluster.dirfrag().fragment_events << "\n";
+    runs.push_back({cfg, [enabled](const SimConfig& cfg, Output<>& o) {
+      ClusterSim cluster(cfg);
+      cluster.run();
+      Metrics& m = cluster.metrics();
+      const double tput = m.avg_mds_throughput(cluster.sim().now());
+      const double lat = m.client_latency().mean() * 1e3;
+      o.rows.field(std::int64_t{enabled ? 1 : 0})
+          .field(tput)
+          .field(lat)
+          .field(m.total_failures())
+          .field(cluster.dirfrag().fragment_events)
+          .field(cluster.dirfrag().merge_events);
+      o.rows.end_row();
+      o.value = {enabled ? "on" : "off", fmt_double(tput, 0),
+                 fmt_double(lat, 1),
+                 std::to_string(cluster.dirfrag().fragment_events) + "/" +
+                     std::to_string(cluster.dirfrag().merge_events)};
+      o.out << "  [dirfrag " << (enabled ? "on" : "off") << "] "
+            << fmt_double(tput, 0) << " ops/s/MDS, latency "
+            << fmt_double(lat, 1) << " ms, frag events "
+            << cluster.dirfrag().fragment_events << "\n";
+    }});
   }
+  for (auto& o : run_all(args, std::move(runs), &csv)) table.add_row(o.value);
   table.print("Checkpoint storm with/without directory fragmentation");
   std::cout << "\nExpected: fragmentation spreads the create hot-spot "
                "across the cluster (higher throughput, lower latency) and "

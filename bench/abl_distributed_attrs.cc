@@ -14,28 +14,7 @@ using namespace mdsim::bench;
 
 namespace {
 
-void run_mode(bool distributed, CsvWriter& csv, ConsoleTable& table,
-              bool quick) {
-  SimConfig cfg;
-  cfg.strategy = StrategyKind::kDynamicSubtree;
-  cfg.num_mds = quick ? 4 : 8;
-  cfg.num_clients = quick ? 240 : 640;
-  cfg.fs.num_users = 16;
-  cfg.fs.nodes_per_user = 100;
-  cfg.fs.num_projects = 1;
-  cfg.fs.project_runs = 2;
-  cfg.fs.project_dir_files = 200;
-  cfg.workload = WorkloadKind::kScientific;
-  cfg.scientific.compute_phase = kSecond;
-  cfg.scientific.ops_per_burst = 40;
-  cfg.scientific.n_to_1_fraction = 1.0;        // every burst shares a file
-  cfg.scientific.n_to_1_write_fraction = 0.7;  // ... and mostly writes it
-  cfg.mds.distributed_attr_updates = distributed;
-  cfg.mds.replication_threshold = 200.0;  // the shared file replicates fast
-  cfg.mds.popularity_half_life = kSecond;
-  cfg.duration = 16 * kSecond;
-  cfg.warmup = 3 * kSecond;
-
+void run_mode(const SimConfig& cfg, Output<>& o) {
   ClusterSim cluster(cfg);
   cluster.run();
   Metrics& m = cluster.metrics();
@@ -47,38 +26,61 @@ void run_mode(bool distributed, CsvWriter& csv, ConsoleTable& table,
     flushes += cluster.mds(i).stats().attr_flushes_applied;
     callbacks += cluster.mds(i).stats().attr_callbacks;
   }
-  const char* mode = distributed ? "distributed" : "authority_serialized";
-  csv.field(mode)
+  const char* mode =
+      cfg.mds.distributed_attr_updates ? "distributed" : "authority_serialized";
+  o.rows.field(mode)
       .field(tput)
       .field(lat.mean() * 1e3)
       .field(lat.max() * 1e3)
       .field(local)
       .field(flushes)
       .field(callbacks);
-  csv.end_row();
-  table.add_row({mode, fmt_double(tput, 0), fmt_double(lat.mean() * 1e3, 2),
-                 fmt_double(lat.max() * 1e3, 1), std::to_string(local),
-                 std::to_string(flushes), std::to_string(callbacks)});
-  std::cout << "  [" << mode << "] " << fmt_double(tput, 0)
-            << " ops/s/MDS, mean latency "
-            << fmt_double(lat.mean() * 1e3, 2) << " ms, absorbed locally "
-            << local << ", batched flushes " << flushes << "\n";
+  o.rows.end_row();
+  o.value = {mode, fmt_double(tput, 0), fmt_double(lat.mean() * 1e3, 2),
+             fmt_double(lat.max() * 1e3, 1), std::to_string(local),
+             std::to_string(flushes), std::to_string(callbacks)};
+  o.out << "  [" << mode << "] " << fmt_double(tput, 0)
+        << " ops/s/MDS, mean latency " << fmt_double(lat.mean() * 1e3, 2)
+        << " ms, absorbed locally " << local << ", batched flushes "
+        << flushes << "\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  const BenchArgs args = parse_args(argc, argv);
   banner("Ablation F — distributed attribute updates (shared writers)",
          "paper: section 4.2 (the GPFS-style monotone-attribute scheme)");
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
 
   CsvWriter csv(csv_path("abl_distributed_attrs"));
   csv.header({"mode", "avg_mds_throughput_ops", "mean_latency_ms",
               "max_latency_ms", "local_updates", "flushes", "callbacks"});
   ConsoleTable table({"mode", "tput", "lat_ms", "max_ms", "local",
                       "flushes", "callbacks"});
-  run_mode(false, csv, table, quick);
-  run_mode(true, csv, table, quick);
+  std::vector<Run<>> runs;
+  for (bool distributed : {false, true}) {
+    SimConfig cfg;
+    cfg.strategy = StrategyKind::kDynamicSubtree;
+    cfg.num_mds = args.quick ? 4 : 8;
+    cfg.num_clients = args.quick ? 240 : 640;
+    cfg.fs.num_users = 16;
+    cfg.fs.nodes_per_user = 100;
+    cfg.fs.num_projects = 1;
+    cfg.fs.project_runs = 2;
+    cfg.fs.project_dir_files = 200;
+    cfg.workload = WorkloadKind::kScientific;
+    cfg.scientific.compute_phase = kSecond;
+    cfg.scientific.ops_per_burst = 40;
+    cfg.scientific.n_to_1_fraction = 1.0;        // every burst shares a file
+    cfg.scientific.n_to_1_write_fraction = 0.7;  // ... and mostly writes it
+    cfg.mds.distributed_attr_updates = distributed;
+    cfg.mds.replication_threshold = 200.0;  // the shared file replicates fast
+    cfg.mds.popularity_half_life = kSecond;
+    cfg.duration = 16 * kSecond;
+    cfg.warmup = 3 * kSecond;
+    runs.push_back({cfg, run_mode});
+  }
+  for (auto& o : run_all(args, std::move(runs), &csv)) table.add_row(o.value);
   table.print("Shared-write storm on one file");
   std::cout << "\nExpected: with distributed updates, most writes are "
                "absorbed at replicas and batched (latency drops, the "

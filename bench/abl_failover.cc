@@ -16,26 +16,13 @@ using namespace mdsim::bench;
 
 namespace {
 
+/// What the closing comparison reads.
 struct Outcome {
-  double before;        // per-survivor ops/s pre-kill
-  double dip;           // first 4 s after the kill
-  double settled;       // last 10 s of the run
-  double post_kill_hit; // cluster hit rate in the 6 s after the kill
-  std::uint64_t retries;
+  double settled = 0.0;        // last 10 s of the run, per survivor
+  double post_kill_hit = 0.0;  // cluster hit rate in the 6 s after the kill
 };
 
-Outcome run_mode(bool warm, CsvWriter& csv, bool quick) {
-  SimConfig cfg;
-  cfg.strategy = StrategyKind::kDynamicSubtree;
-  cfg.num_mds = quick ? 4 : 8;
-  cfg.num_clients = quick ? 240 : 600;
-  cfg.fs.num_users = 24 * cfg.num_mds;
-  cfg.fs.nodes_per_user = 400;
-  cfg.mds.cache_capacity = 3000;
-  cfg.duration = 40 * kSecond;
-  cfg.warmup = 3 * kSecond;
-  cfg.client_retry.request_timeout = kSecond;
-
+void run_mode(const SimConfig& cfg, bool warm, Output<Outcome>& out) {
   const SimTime kill_at = 12 * kSecond;
   ClusterSim cluster(cfg);
   cluster.run_until(kill_at);
@@ -58,12 +45,13 @@ Outcome run_mode(bool warm, CsvWriter& csv, bool quick) {
   cluster.run_until(cfg.duration);
 
   Metrics& m = cluster.metrics();
-  Outcome o{};
+  Outcome& o = out.value;
   // Per-survivor throughput (the dead node reports zero after the kill).
   const double scale =
       static_cast<double>(cfg.num_mds) / (cfg.num_mds - 1);
-  o.before = m.avg_throughput().mean_in(cfg.warmup, kill_at);
-  o.dip = m.avg_throughput().mean_in(kill_at, kill_at + 4 * kSecond) * scale;
+  const double before = m.avg_throughput().mean_in(cfg.warmup, kill_at);
+  const double dip =  // first 4 s after the kill
+      m.avg_throughput().mean_in(kill_at, kill_at + 4 * kSecond) * scale;
   o.settled = m.avg_throughput().mean_in(cfg.duration - 10 * kSecond,
                                          cfg.duration,
                                          /*include_end=*/true) *
@@ -73,33 +61,40 @@ Outcome run_mode(bool warm, CsvWriter& csv, bool quick) {
   o.post_kill_hit =
       dh + dm > 0 ? static_cast<double>(dh) / static_cast<double>(dh + dm)
                   : 0.0;
-  o.retries = cluster.cohort().totals().retries;
   const char* mode = warm ? "warm_takeover" : "cold_takeover";
   for (const auto& p : m.avg_throughput().points()) {
-    csv.field(mode).field(to_seconds(p.time)).field(p.value);
-    csv.end_row();
+    out.rows.field(mode).field(to_seconds(p.time)).field(p.value);
+    out.rows.end_row();
   }
-  std::cout << "  [" << mode << "] per-node tput before "
-            << fmt_double(o.before, 0) << " ops/s; dip (per survivor) "
-            << fmt_double(o.dip, 0) << "; settled "
-            << fmt_double(o.settled, 0) << "; survivor hit rate in the 6 s "
-            << "after the kill " << fmt_double(o.post_kill_hit, 4)
-            << "; client retries " << o.retries << "\n";
-  return o;
+  out.out << "  [" << mode << "] per-node tput before "
+          << fmt_double(before, 0) << " ops/s; dip (per survivor) "
+          << fmt_double(dip, 0) << "; settled " << fmt_double(o.settled, 0)
+          << "; survivor hit rate in the 6 s after the kill "
+          << fmt_double(o.post_kill_hit, 4) << "; client retries "
+          << cluster.cohort().totals().retries << "\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  const BenchArgs args = parse_args(argc, argv);
   banner("Ablation E — failover: warm vs cold takeover",
          "paper: sections 2.1.2 and 4.6 (journal as working set, shared-"
          "storage takeover)");
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
 
   CsvWriter csv(csv_path("abl_failover"));
   csv.header({"mode", "time_s", "avg_tput"});
-  const Outcome warm = run_mode(true, csv, quick);
-  const Outcome cold = run_mode(false, csv, quick);
+  std::vector<Run<Outcome>> runs;
+  for (bool warm : {true, false}) {
+    runs.push_back({failure_config(args.quick ? 4 : 8, args.quick ? 240 : 600,
+                                   /*nodes_per_user=*/400),
+                    [warm](const SimConfig& cfg, Output<Outcome>& o) {
+                      run_mode(cfg, warm, o);
+                    }});
+  }
+  const auto outputs = run_all(args, std::move(runs), &csv);
+  const Outcome& warm = outputs[0].value;
+  const Outcome& cold = outputs[1].value;
   std::cout << "\nExpected: both modes dip when the node dies (timeouts + "
                "inherited load); warm takeover keeps the survivors' hit "
                "rate up because the heirs start with the dead node's "

@@ -34,43 +34,17 @@ struct IntervalRow {
   double mean_latency_ms = 0.0;
 };
 
+/// What the verdict reads, and the timeline CSV's rows.
 struct VariantResult {
   std::uint64_t fragment_events = 0;
   std::uint64_t split_events = 0;
-  std::uint64_t pair_merge_events = 0;
-  std::uint64_t merge_events = 0;
   std::uint64_t max_event_moved = 0;
-  std::uint64_t total_event_moved = 0;
   std::uint64_t redirects_total = 0;
   std::uint64_t redirects_after_stable = 0;
   double tput = 0.0;
   double mean_latency_ms = 0.0;
-  double max_latency_ms = 0.0;
-  std::uint64_t failures = 0;
-  std::vector<IntervalRow> timeline;
+  CsvWriter timeline;  // in memory
 };
-
-SimConfig storm_config(bool giga, bool quick) {
-  SimConfig cfg;
-  cfg.strategy = StrategyKind::kDynamicSubtree;
-  cfg.num_mds = quick ? 4 : 8;
-  cfg.num_clients = quick ? 200 : 600;
-  cfg.fs.num_users = 16;
-  cfg.fs.nodes_per_user = 100;
-  cfg.fs.num_projects = 2;
-  cfg.fs.project_runs = 2;
-  cfg.fs.project_dir_files = 1500;
-  cfg.workload = WorkloadKind::kScientific;
-  cfg.scientific.compute_phase = 2 * kSecond;
-  cfg.scientific.ops_per_burst = 30;
-  cfg.scientific.n_to_1_fraction = 0.2;  // mostly create storms
-  cfg.mds.dirfrag_size_threshold = 2000;
-  cfg.mds.dirfrag_temp_threshold = 400.0;
-  cfg.mds.giga_enabled = giga;
-  cfg.duration = quick ? 16 * kSecond : 24 * kSecond;
-  cfg.warmup = 0;  // event counters cover the whole run
-  return cfg;
-}
 
 void sum_latency(ClusterSim& cluster, double* sum_s, std::uint64_t* count) {
   *sum_s = 0.0;
@@ -82,9 +56,9 @@ void sum_latency(ClusterSim& cluster, double* sum_s, std::uint64_t* count) {
   }
 }
 
-VariantResult run_variant(const std::string& label, bool giga, bool chaos,
-                          bool quick) {
-  SimConfig cfg = storm_config(giga, quick);
+/// Writes the variant's summary CSV row and console line.
+void simulate(const SimConfig& cfg, const char* name, bool chaos,
+              Output<VariantResult>& o) {
   ClusterSim cluster(cfg);
   FaultPlan plan;
   if (chaos) {
@@ -95,7 +69,8 @@ VariantResult run_variant(const std::string& label, bool giga, bool chaos,
     plan.arm(cluster);
   }
 
-  VariantResult r;
+  VariantResult& r = o.value;
+  std::vector<IntervalRow> timeline;
   const SimTime step = 2 * kSecond;
   std::uint64_t prev_splits = 0;
   std::uint64_t prev_merges = 0;
@@ -124,54 +99,75 @@ VariantResult run_variant(const std::string& label, bool giga, bool chaos,
     prev_redirects = redirects;
     prev_lat_sum = lat_sum;
     prev_lat_count = lat_count;
-    r.timeline.push_back(row);
+    timeline.push_back(row);
+    r.timeline.field(name)
+        .field(row.t_s)
+        .field(row.splits)
+        .field(row.pair_merges)
+        .field(row.redirects)
+        .field(row.mean_latency_ms);
+    r.timeline.end_row();
   }
 
   const DirFragRegistry& reg = cluster.dirfrag();
   r.fragment_events = reg.fragment_events;
   r.split_events = reg.split_events;
-  r.pair_merge_events = reg.pair_merge_events;
-  r.merge_events = reg.merge_events;
   r.max_event_moved = reg.max_event_moved;
-  r.total_event_moved = reg.total_event_moved;
   r.redirects_total = cluster.cohort().totals().giga_redirects;
 
   // Redirects observed after the bitmap went quiet: everything strictly
   // after the interval holding the last split/pair-merge, plus one
   // settling interval for corrections already in flight.
   std::size_t last_change = 0;
-  for (std::size_t i = 0; i < r.timeline.size(); ++i) {
-    if (r.timeline[i].splits > 0 || r.timeline[i].pair_merges > 0) {
+  for (std::size_t i = 0; i < timeline.size(); ++i) {
+    if (timeline[i].splits > 0 || timeline[i].pair_merges > 0) {
       last_change = i;
     }
   }
-  for (std::size_t i = last_change + 2; i < r.timeline.size(); ++i) {
-    r.redirects_after_stable += r.timeline[i].redirects;
+  for (std::size_t i = last_change + 2; i < timeline.size(); ++i) {
+    r.redirects_after_stable += timeline[i].redirects;
   }
 
   Metrics& m = cluster.metrics();
   r.tput = m.avg_mds_throughput(cluster.sim().now());
   const Summary lat = m.client_latency();
   r.mean_latency_ms = lat.mean() * 1e3;
-  r.max_latency_ms = lat.max() * 1e3;
-  r.failures = m.total_failures();
-
-  std::cout << "  [" << label << "] splits " << r.split_events
-            << ", pair merges " << r.pair_merge_events << ", max moved "
-            << r.max_event_moved << ", redirects " << r.redirects_total
-            << " (" << r.redirects_after_stable
-            << " after stable), latency " << fmt_double(r.mean_latency_ms, 2)
-            << " ms\n";
-  return r;
+  o.out << "  [" << name << "] splits " << r.split_events << ", pair merges "
+        << reg.pair_merge_events << ", max moved " << r.max_event_moved
+        << ", redirects " << r.redirects_total << " ("
+        << r.redirects_after_stable << " after stable), latency "
+        << fmt_double(r.mean_latency_ms, 2) << " ms\n";
+  o.rows.field(name)
+      .field(r.fragment_events)
+      .field(r.split_events)
+      .field(reg.pair_merge_events)
+      .field(reg.merge_events)
+      .field(r.max_event_moved)
+      .field(reg.total_event_moved)
+      .field(r.redirects_total)
+      .field(r.redirects_after_stable)
+      .field(r.tput)
+      .field(r.mean_latency_ms)
+      .field(lat.max() * 1e3)
+      .field(m.total_failures());
+  o.rows.end_row();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  const BenchArgs args = parse_args(argc, argv);
   banner("Ablation G — GIGA+ incremental splitting vs all-at-once hashing",
          "paper: section 4.3, grown per GIGA+ (incremental partitioning)");
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
 
+  struct Named {
+    const char* name;
+    bool giga;
+    bool chaos;
+  };
+  const Named variants[] = {{"giga", true, false},
+                            {"all_at_once", false, false},
+                            {"giga_chaos", true, true}};
   CsvWriter csv(csv_path("abl_giga_split"));
   csv.header({"variant", "fragment_events", "split_events",
               "pair_merge_events", "merge_events", "max_event_moved",
@@ -184,52 +180,30 @@ int main(int argc, char** argv) {
 
   ConsoleTable table(
       {"variant", "splits", "max_moved", "redirects", "latency_ms"});
-  struct Named {
-    const char* name;
-    bool giga;
-    bool chaos;
-  };
-  const Named variants[] = {{"giga", true, false},
-                            {"all_at_once", false, false},
-                            {"giga_chaos", true, true}};
-  VariantResult results[3];
-  for (int v = 0; v < 3; ++v) {
-    results[v] = run_variant(variants[v].name, variants[v].giga,
-                             variants[v].chaos, quick);
-    const VariantResult& r = results[v];
-    csv.field(variants[v].name)
-        .field(r.fragment_events)
-        .field(r.split_events)
-        .field(r.pair_merge_events)
-        .field(r.merge_events)
-        .field(r.max_event_moved)
-        .field(r.total_event_moved)
-        .field(r.redirects_total)
-        .field(r.redirects_after_stable)
-        .field(r.tput)
-        .field(r.mean_latency_ms)
-        .field(r.max_latency_ms)
-        .field(r.failures);
-    csv.end_row();
-    for (const IntervalRow& row : r.timeline) {
-      tl.field(variants[v].name)
-          .field(row.t_s)
-          .field(row.splits)
-          .field(row.pair_merges)
-          .field(row.redirects)
-          .field(row.mean_latency_ms);
-      tl.end_row();
-    }
-    table.add_row({variants[v].name, std::to_string(r.split_events),
+  std::vector<Run<VariantResult>> runs;
+  for (const Named& v : variants) {
+    SimConfig cfg = storm_config(args.quick);
+    cfg.mds.giga_enabled = v.giga;
+    cfg.duration = args.quick ? 16 * kSecond : 24 * kSecond;
+    cfg.warmup = 0;  // event counters cover the whole run
+    runs.push_back({cfg, [v](const SimConfig& c, Output<VariantResult>& o) {
+                      simulate(c, v.name, v.chaos, o);
+                    }});
+  }
+  const auto outputs = run_all(args, std::move(runs), &csv);
+  for (std::size_t i = 0; i < outputs.size(); ++i) {
+    const VariantResult& r = outputs[i].value;
+    tl.append(r.timeline);
+    table.add_row({variants[i].name, std::to_string(r.split_events),
                    std::to_string(r.max_event_moved),
                    std::to_string(r.redirects_total),
                    fmt_double(r.mean_latency_ms, 2)});
   }
   table.print("Create storm into giant directories, three ways");
 
-  const VariantResult& giga = results[0];
-  const VariantResult& off = results[1];
-  const VariantResult& chaos = results[2];
+  const VariantResult& giga = outputs[0].value;
+  const VariantResult& off = outputs[1].value;
+  const VariantResult& chaos = outputs[2].value;
 
   int rc = 0;
   if (giga.split_events == 0) {

@@ -18,9 +18,9 @@ using namespace mdsim;
 using namespace mdsim::bench;
 
 int main(int argc, char** argv) {
+  const BenchArgs args = parse_args(argc, argv);
   banner("Ablation G — journal device (disk log vs NVRAM)",
          "paper: section 4.6 (two-tiered storage, NVRAM remark)");
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
 
   struct Device {
     const char* name;
@@ -37,10 +37,11 @@ int main(int argc, char** argv) {
               "mean_latency_ms", "update_latency_bound_ms"});
 
   ConsoleTable table({"device", "tput", "latency_ms"});
+  std::vector<Run<>> runs;
   for (const Device& d : devices) {
     SimConfig cfg;
     cfg.strategy = StrategyKind::kDynamicSubtree;
-    cfg.num_mds = quick ? 3 : 6;
+    cfg.num_mds = args.quick ? 3 : 6;
     // Light load: nothing saturates, so reply latency directly exposes
     // the commit path.
     cfg.num_clients = 15 * cfg.num_mds;
@@ -54,20 +55,22 @@ int main(int argc, char** argv) {
     cfg.workload = WorkloadKind::kShifting;
     cfg.shifting.shift_at = 0;
     cfg.shifting.fraction = 1.0;
-
-    const RunResult r = run_one(cfg);
-    csv.field(d.name)
-        .field(static_cast<double>(d.append) / 1e3)
-        .field(r.avg_mds_throughput)
-        .field(r.mean_latency_ms)
-        .field(to_seconds(d.append) * 1e3);
-    csv.end_row();
-    table.add_row({d.name, fmt_double(r.avg_mds_throughput, 0),
-                   fmt_double(r.mean_latency_ms, 2)});
-    std::cout << "  [" << d.name << "] "
-              << fmt_double(r.avg_mds_throughput, 0) << " ops/s/MDS, "
-              << fmt_double(r.mean_latency_ms, 2) << " ms mean latency\n";
+    runs.push_back({cfg, [d](const SimConfig& cfg, Output<>& o) {
+      const RunResult r = run_one(cfg);
+      o.rows.field(d.name)
+          .field(static_cast<double>(d.append) / 1e3)
+          .field(r.avg_mds_throughput)
+          .field(r.mean_latency_ms)
+          .field(to_seconds(d.append) * 1e3);
+      o.rows.end_row();
+      o.value = {d.name, fmt_double(r.avg_mds_throughput, 0),
+                 fmt_double(r.mean_latency_ms, 2)};
+      o.out << "  [" << d.name << "] " << fmt_double(r.avg_mds_throughput, 0)
+            << " ops/s/MDS, " << fmt_double(r.mean_latency_ms, 2)
+            << " ms mean latency\n";
+    }});
   }
+  for (auto& o : run_all(args, std::move(runs), &csv)) table.add_row(o.value);
   table.print("Create-heavy workload vs journal device");
   std::cout << "\nExpected: mean latency falls with the commit device "
                "(every create waits for its journal append); NVRAM makes "

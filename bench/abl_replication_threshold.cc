@@ -10,11 +10,9 @@ using namespace mdsim;
 using namespace mdsim::bench;
 
 int main(int argc, char** argv) {
+  const BenchArgs args = parse_args(argc, argv);
   banner("Ablation C — replication threshold vs crowd response",
          "paper: section 5.4 (Traffic Control)");
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-
-  std::vector<double> thresholds{50, 150, 300, 600, 1500, 1e12};
 
   CsvWriter csv(csv_path("abl_replication_threshold"));
   csv.header({"threshold", "time_to_distribute_ms", "mean_replies_per_s",
@@ -22,51 +20,54 @@ int main(int argc, char** argv) {
 
   ConsoleTable table(
       {"threshold", "distribute_ms", "replies/s", "latency_ms", "nodes"});
-  for (double thr : thresholds) {
+  std::vector<Run<>> runs;
+  for (double thr : {50.0, 150.0, 300.0, 600.0, 1500.0, 1e12}) {
     SimConfig cfg = flash_crowd_config(/*traffic_control=*/true);
     cfg.mds.replication_threshold = thr;
-    if (quick) cfg.num_clients = 2000;
-    ClusterSim cluster(cfg);
-    cluster.run();
-    Metrics& m = cluster.metrics();
-    const SimTime t0 = cfg.flash.start;
-    const SimTime t1 = t0 + cfg.flash.duration;
+    if (args.quick) cfg.num_clients = 2000;
+    runs.push_back({cfg, [thr](const SimConfig& cfg, Output<>& o) {
+      ClusterSim cluster(cfg);
+      cluster.run();
+      Metrics& m = cluster.metrics();
+      const SimTime t0 = cfg.flash.start;
+      const SimTime t1 = t0 + cfg.flash.duration;
 
-    // Time until >= half the nodes are replying at a meaningful rate.
-    SimTime distributed_at = t1;
-    const auto& series = m.per_mds_throughput();
-    const std::size_t n_samples = series[0].points().size();
-    for (std::size_t s = 0; s < n_samples; ++s) {
-      const SimTime t = series[0].points()[s].time;
-      if (t < t0) continue;
-      int active = 0;
-      for (const auto& node_series : series) {
-        if (node_series.points()[s].value > 1000.0) ++active;
+      // Time until >= half the nodes are replying at a meaningful rate.
+      SimTime distributed_at = t1;
+      const auto& series = m.per_mds_throughput();
+      const std::size_t n_samples = series[0].points().size();
+      for (std::size_t s = 0; s < n_samples; ++s) {
+        const SimTime t = series[0].points()[s].time;
+        if (t < t0) continue;
+        int active = 0;
+        for (const auto& node_series : series) {
+          if (node_series.points()[s].value > 1000.0) ++active;
+        }
+        if (active * 2 >= cluster.num_mds()) {
+          distributed_at = t;
+          break;
+        }
       }
-      if (active * 2 >= cluster.num_mds()) {
-        distributed_at = t;
-        break;
+      int serving = 0;
+      for (int i = 0; i < cluster.num_mds(); ++i) {
+        if (cluster.mds(i).stats().replies_sent > 50) ++serving;
       }
-    }
-    int serving = 0;
-    for (int i = 0; i < cluster.num_mds(); ++i) {
-      if (cluster.mds(i).stats().replies_sent > 50) ++serving;
-    }
-    const double distribute_ms =
-        distributed_at > t0 ? to_seconds(distributed_at - t0) * 1e3
-                            : 0.0;
-    const double rate = m.reply_rate().mean_in(t0, t1);
-    const double lat = m.client_latency().mean() * 1e3;
-    const std::string label = thr >= 1e12 ? "inf" : fmt_double(thr, 0);
-    csv.field(label).field(distribute_ms).field(rate).field(lat).field(
-        std::int64_t{serving});
-    csv.end_row();
-    table.add_row({label, fmt_double(distribute_ms, 0), fmt_double(rate, 0),
-                   fmt_double(lat, 1), std::to_string(serving)});
-    std::cout << "  [thr=" << label << "] distributed in "
-              << fmt_double(distribute_ms, 0) << " ms, " << serving
-              << " nodes serving\n";
+      const double distribute_ms =
+          distributed_at > t0 ? to_seconds(distributed_at - t0) * 1e3 : 0.0;
+      const double rate = m.reply_rate().mean_in(t0, t1);
+      const double lat = m.client_latency().mean() * 1e3;
+      const std::string label = thr >= 1e12 ? "inf" : fmt_double(thr, 0);
+      o.rows.field(label).field(distribute_ms).field(rate).field(lat).field(
+          std::int64_t{serving});
+      o.rows.end_row();
+      o.value = {label, fmt_double(distribute_ms, 0), fmt_double(rate, 0),
+                 fmt_double(lat, 1), std::to_string(serving)};
+      o.out << "  [thr=" << label << "] distributed in "
+            << fmt_double(distribute_ms, 0) << " ms, " << serving
+            << " nodes serving\n";
+    }});
   }
+  for (auto& o : run_all(args, std::move(runs), &csv)) table.add_row(o.value);
   table.print("Flash-crowd response vs replication threshold");
   std::cout << "\nExpected: low thresholds distribute the crowd almost "
                "immediately; high thresholds delay replication; an "

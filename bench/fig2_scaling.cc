@@ -6,61 +6,40 @@
 // Paper shape to reproduce: subtree partitioning (static & dynamic) on
 // top, DirHash below them, LazyHybrid and FileHash far below; hashed
 // strategies degrade faster with scale; LazyHybrid scales almost flat.
-#include <cstdlib>
-
 #include "bench_util.h"
 
 using namespace mdsim;
 using namespace mdsim::bench;
 
 int main(int argc, char** argv) {
+  // One shard (the default) repeats the single engine event for event;
+  // more split the system, with the same output at every --threads.
+  const BenchArgs args = parse_args(argc, argv, kLayerFlags | kShardFlags);
   banner("Figure 2 — per-MDS throughput vs cluster size",
          "paper: fig 2, section 5.3 (Performance and Scalability)");
 
   std::vector<int> sizes{2, 4, 8, 16, 32, 50};
-  int shards = 1;
-  int threads = 1;
-  bool overload_noop = false;
-  bool giga_off = false;
-  bool gray_noop = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      sizes = {2, 4, 8};
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::atoi(arg.c_str() + 9);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = std::atoi(arg.c_str() + 10);
-    } else if (arg == "--overload-noop") {
-      overload_noop = true;  // gate enabled, limits unreachable: must match
-    } else if (arg == "--giga-off") {
-      giga_off = true;  // all-at-once hashing: must match when nothing splits
-    } else if (arg == "--gray-noop") {
-      gray_noop = true;  // health+hedging armed but inert: must match
+  if (args.quick) sizes = {2, 4, 8};
+  std::vector<Run<RunResult>> runs;
+  for (int n : sizes) {
+    for (StrategyKind k : kAllStrategies) {
+      runs.push_back({scaled_system_config(k, n), summary_job});
     }
   }
-  // --shards=1 (the default) runs one shard, which repeats the single
-  // engine event for event and reproduces the committed CSVs
-  // byte-for-byte; higher shard counts split the system, and the output
-  // is identical for every --threads.
+  const auto outputs = run_all(args, std::move(runs), nullptr);
 
-  CsvWriter csv(csv_path("fig2_scaling"), /*echo_stdout=*/false);
+  CsvWriter csv(csv_path("fig2_scaling"));
   csv.header({"strategy", "num_mds", "avg_mds_throughput_ops",
               "hit_rate", "prefix_fraction", "forward_fraction",
               "mean_latency_ms", "replies", "failures"});
 
   ConsoleTable table({"mds", "Static", "Dynamic", "DirHash", "LazyHyb",
                       "FileHash"});
+  auto o = outputs.begin();
   for (int n : sizes) {
     std::vector<std::string> row{std::to_string(n)};
-    for (StrategyKind k : all_strategies()) {
-      SimConfig config = scaled_system_config(k, n);
-      config.shards = shards;
-      config.threads = threads;
-      if (overload_noop) apply_overload_noop(&config);
-      if (giga_off) apply_giga_off(&config);
-      if (gray_noop) apply_gray_noop(&config);
-      const RunResult r = run_one(config);
+    for (StrategyKind k : kAllStrategies) {
+      const RunResult& r = (o++)->value;
       csv.field(strategy_name(k))
           .field(std::int64_t{n})
           .field(r.avg_mds_throughput)

@@ -13,11 +13,12 @@ using namespace mdsim;
 using namespace mdsim::bench;
 
 int main(int argc, char** argv) {
+  const BenchArgs args = parse_args(argc, argv);
   banner("Figure 3 — prefix-inode share of MDS cache vs cluster size",
          "paper: fig 3, section 5.3.1 (Prefix Caching)");
 
   std::vector<int> sizes{2, 4, 8, 16, 24, 32};
-  if (argc > 1 && std::string(argv[1]) == "--quick") sizes = {2, 4, 8};
+  if (args.quick) sizes = {2, 4, 8};
 
   // Figure 3 omits LazyHybrid (it keeps no prefixes; see the cluster
   // tests), so the sweep covers the four traversal-based strategies.
@@ -29,33 +30,44 @@ int main(int argc, char** argv) {
   csv.header({"strategy", "num_mds", "prefix_fraction_pct", "hit_rate",
               "replicas_mean"});
 
+  std::vector<Run<>> runs;
+  for (int n : sizes) {
+    for (StrategyKind k : strategies) {
+      runs.push_back({scaled_system_config(k, n), [k, n](const SimConfig& c,
+                                                          Output<>& o) {
+        double replica_mean = 0.0;
+        const RunResult r = run_one(c, [&](ShardedClusterSim& run) {
+          for (int s = 0; s < run.num_shards(); ++s) {
+            ClusterSim& cluster = run.shard(s);
+            for (int i = 0; i < cluster.num_mds(); ++i) {
+              replica_mean += static_cast<double>(
+                  cluster.mds(i).cache().replica_count());
+            }
+          }
+          replica_mean /= run.total_mds();
+        });
+        o.rows.field(strategy_name(k))
+            .field(std::int64_t{n})
+            .field(r.prefix_fraction * 100.0)
+            .field(r.hit_rate)
+            .field(replica_mean);
+        o.rows.end_row();
+        o.value = {fmt_double(r.prefix_fraction * 100.0, 1)};
+        o.out << "  [" << strategy_name(k) << " x" << n << "] prefixes "
+              << fmt_double(r.prefix_fraction * 100.0, 1)
+              << "% of cache, mean replicas/node "
+              << fmt_double(replica_mean, 0) << "\n";
+      }});
+    }
+  }
+  const auto outputs = run_all(args, std::move(runs), &csv);
+
   ConsoleTable table({"mds", "Dynamic", "Static", "DirHash", "FileHash"});
+  auto o = outputs.begin();
   for (int n : sizes) {
     std::vector<std::string> row{std::to_string(n)};
-    for (StrategyKind k : strategies) {
-      double replica_mean = 0.0;
-      const RunResult r =
-          run_one(scaled_system_config(k, n), [&](ShardedClusterSim& run) {
-            for (int s = 0; s < run.num_shards(); ++s) {
-              ClusterSim& cluster = run.shard(s);
-              for (int i = 0; i < cluster.num_mds(); ++i) {
-                replica_mean += static_cast<double>(
-                    cluster.mds(i).cache().replica_count());
-              }
-            }
-            replica_mean /= run.total_mds();
-          });
-      csv.field(strategy_name(k))
-          .field(std::int64_t{n})
-          .field(r.prefix_fraction * 100.0)
-          .field(r.hit_rate)
-          .field(replica_mean);
-      csv.end_row();
-      row.push_back(fmt_double(r.prefix_fraction * 100.0, 1));
-      std::cout << "  [" << strategy_name(k) << " x" << n << "] prefixes "
-                << fmt_double(r.prefix_fraction * 100.0, 1)
-                << "% of cache, mean replicas/node "
-                << fmt_double(replica_mean, 0) << "\n";
+    for (std::size_t k = 0; k < strategies.size(); ++k) {
+      row.push_back((o++)->value.front());
     }
     table.add_row(row);
   }

@@ -11,25 +11,19 @@ using namespace mdsim;
 using namespace mdsim::bench;
 
 int main(int argc, char** argv) {
+  const BenchArgs args = parse_args(argc, argv, kLayerFlags);
   banner("Figure 4 — cache hit rate vs cache size fraction",
          "paper: fig 4, section 5.3.1 (Prefix Caching)");
 
   std::vector<double> fractions{0.05, 0.10, 0.20, 0.35, 0.60};
-  bool overload_noop = false;
-  bool giga_off = false;
-  bool gray_noop = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      fractions = {0.05, 0.20, 0.60};
-    } else if (arg == "--overload-noop") {
-      overload_noop = true;  // gate enabled, limits unreachable: must match
-    } else if (arg == "--giga-off") {
-      giga_off = true;  // all-at-once hashing: must match when nothing splits
-    } else if (arg == "--gray-noop") {
-      gray_noop = true;  // health+hedging armed but inert: must match
+  if (args.quick) fractions = {0.05, 0.20, 0.60};
+  std::vector<Run<RunResult>> runs;
+  for (double frac : fractions) {
+    for (StrategyKind k : kAllStrategies) {
+      runs.push_back({cache_sweep_config(k, frac), summary_job});
     }
   }
+  const auto outputs = run_all(args, std::move(runs), nullptr);
 
   CsvWriter csv(csv_path("fig4_cache_hit"));
   csv.header({"strategy", "cache_fraction", "hit_rate",
@@ -37,14 +31,11 @@ int main(int argc, char** argv) {
 
   ConsoleTable table({"fraction", "Static", "Dynamic", "DirHash", "LazyHyb",
                       "FileHash"});
+  auto o = outputs.begin();
   for (double frac : fractions) {
     std::vector<std::string> row{fmt_double(frac, 2)};
-    for (StrategyKind k : all_strategies()) {
-      SimConfig config = cache_sweep_config(k, frac);
-      if (overload_noop) apply_overload_noop(&config);
-      if (giga_off) apply_giga_off(&config);
-      if (gray_noop) apply_gray_noop(&config);
-      const RunResult r = run_one(config);
+    for (StrategyKind k : kAllStrategies) {
+      const RunResult& r = (o++)->value;
       csv.field(strategy_name(k))
           .field(frac)
           .field(r.hit_rate)

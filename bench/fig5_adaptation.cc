@@ -13,15 +13,7 @@ using namespace mdsim::bench;
 
 namespace {
 
-void run_strategy(StrategyKind k, CsvWriter& csv, bool quick) {
-  SimConfig cfg = shift_config(k);
-  if (quick) {
-    cfg.num_mds = 6;
-    cfg.fs.num_users = 144;
-    cfg.num_clients = 360;
-    cfg.duration = 40 * kSecond;
-    cfg.shifting.shift_at = 12 * kSecond;
-  }
+void run_strategy(const SimConfig& cfg, Output<>& o) {
   ClusterSim cluster(cfg);
   cluster.run();
 
@@ -30,52 +22,49 @@ void run_strategy(StrategyKind k, CsvWriter& csv, bool quick) {
   const auto& mn = m.min_throughput().points();
   const auto& mx = m.max_throughput().points();
   for (std::size_t i = 0; i < avg.size(); ++i) {
-    csv.field(strategy_name(k))
+    o.rows.field(strategy_name(cfg.strategy))
         .field(to_seconds(avg[i].time))
         .field(mn[i].value)
         .field(avg[i].value)
         .field(mx[i].value);
-    csv.end_row();
+    o.rows.end_row();
   }
 
   const SimTime shift = cfg.shifting.shift_at;
-  const SimTime end = cfg.duration;
   std::uint64_t migrations = 0;
   for (int i = 0; i < cluster.num_mds(); ++i) {
     migrations += cluster.mds(i).stats().migrations_out;
   }
-  std::cout << "  [" << strategy_name(k) << "] avg tput before shift "
-            << fmt_double(m.avg_throughput().mean_in(cfg.warmup, shift), 0)
-            << " ops/s, after shift "
-            << fmt_double(
-                   m.avg_throughput().mean_in(shift + 5 * kSecond, end,
-                                              /*include_end=*/true),
-                   0)
-            << " ops/s; min-node after shift "
-            << fmt_double(
-                   m.min_throughput().mean_in(shift + 5 * kSecond, end,
-                                              /*include_end=*/true),
-                   0)
-            << ", max-node "
-            << fmt_double(
-                   m.max_throughput().mean_in(shift + 5 * kSecond, end,
-                                              /*include_end=*/true),
-                   0)
-            << "; migrations " << migrations << "\n";
+  // Mean from 5 s after the shift to the end of the run.
+  const auto after_shift = [&](const TimeSeries& series) {
+    return fmt_double(series.mean_in(shift + 5 * kSecond, cfg.duration,
+                                     /*include_end=*/true),
+                      0);
+  };
+  o.out << "  [" << strategy_name(cfg.strategy) << "] avg tput before shift "
+        << fmt_double(m.avg_throughput().mean_in(cfg.warmup, shift), 0)
+        << " ops/s, after shift " << after_shift(m.avg_throughput())
+        << " ops/s; min-node after shift " << after_shift(m.min_throughput())
+        << ", max-node " << after_shift(m.max_throughput()) << "; migrations "
+        << migrations << "\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  const BenchArgs args = parse_args(argc, argv);
   banner("Figure 5 — MDS throughput range under a workload shift",
          "paper: fig 5, section 5.3.2 (Dynamic Partitioning and Workload "
          "Evolution)");
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
 
   CsvWriter csv(csv_path("fig5_adaptation"));
   csv.header({"strategy", "time_s", "min_tput", "avg_tput", "max_tput"});
-  run_strategy(StrategyKind::kDynamicSubtree, csv, quick);
-  run_strategy(StrategyKind::kStaticSubtree, csv, quick);
+  std::vector<Run<>> runs;
+  for (StrategyKind k :
+       {StrategyKind::kDynamicSubtree, StrategyKind::kStaticSubtree}) {
+    runs.push_back({shift_run_config(k, args.quick), run_strategy});
+  }
+  run_all(args, std::move(runs), &csv);
   std::cout << "\nExpected shape: after the shift the static cluster pins "
                "one node at its service ceiling (max >> avg, min ~ idle) "
                "while the dynamic cluster re-delegates subtrees and "

@@ -9,65 +9,45 @@ using namespace mdsim::bench;
 
 namespace {
 
-void run_strategy(StrategyKind k, CsvWriter& csv, bool quick,
-                  bool overload_noop, bool giga_off, bool gray_noop) {
-  SimConfig cfg = shift_config(k);
-  if (quick) {
-    cfg.num_mds = 6;
-    cfg.fs.num_users = 144;
-    cfg.num_clients = 360;
-    cfg.duration = 40 * kSecond;
-    cfg.shifting.shift_at = 12 * kSecond;
-  }
-  if (overload_noop) apply_overload_noop(&cfg);
-  if (giga_off) apply_giga_off(&cfg);
-  if (gray_noop) apply_gray_noop(&cfg);
+void run_strategy(const SimConfig& cfg, Output<>& o) {
   ClusterSim cluster(cfg);
+  const char* name = strategy_name(cfg.strategy);
   cluster.run();
 
   Metrics& m = cluster.metrics();
   for (const auto& p : m.forward_fraction().points()) {
-    csv.field(strategy_name(k)).field(to_seconds(p.time)).field(p.value);
-    csv.end_row();
+    o.rows.field(name).field(to_seconds(p.time)).field(p.value);
+    o.rows.end_row();
   }
   const SimTime shift = cfg.shifting.shift_at;
-  std::cout << "  [" << strategy_name(k) << "] forwarded fraction: before "
-            << fmt_double(m.forward_fraction().mean_in(cfg.warmup, shift), 3)
-            << ", spike window "
-            << fmt_double(m.forward_fraction().mean_in(
-                              shift, shift + 5 * kSecond),
-                          3)
-            << ", settled "
-            << fmt_double(m.forward_fraction().mean_in(shift + 15 * kSecond,
-                                                       cfg.duration,
-                                                       /*include_end=*/true),
-                          3)
-            << "\n";
+  o.out << "  [" << name << "] forwarded fraction: before "
+        << fmt_double(m.forward_fraction().mean_in(cfg.warmup, shift), 3)
+        << ", spike window "
+        << fmt_double(m.forward_fraction().mean_in(shift, shift + 5 * kSecond),
+                      3)
+        << ", settled "
+        << fmt_double(m.forward_fraction().mean_in(shift + 15 * kSecond,
+                                                   cfg.duration,
+                                                   /*include_end=*/true),
+                      3)
+        << "\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  const BenchArgs args = parse_args(argc, argv, kLayerFlags);
   banner("Figure 6 — forwarded-request fraction under a workload shift",
          "paper: fig 6, section 5.3.3 (Client Ignorance)");
-  bool quick = false;
-  bool overload_noop = false;
-  bool giga_off = false;
-  bool gray_noop = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") quick = true;
-    if (arg == "--overload-noop") overload_noop = true;
-    if (arg == "--giga-off") giga_off = true;
-    if (arg == "--gray-noop") gray_noop = true;
-  }
 
   CsvWriter csv(csv_path("fig6_forwarding"));
   csv.header({"strategy", "time_s", "forward_fraction"});
-  run_strategy(StrategyKind::kDynamicSubtree, csv, quick, overload_noop,
-               giga_off, gray_noop);
-  run_strategy(StrategyKind::kStaticSubtree, csv, quick, overload_noop,
-               giga_off, gray_noop);
+  std::vector<Run<>> runs;
+  for (StrategyKind k :
+       {StrategyKind::kDynamicSubtree, StrategyKind::kStaticSubtree}) {
+    runs.push_back({shift_run_config(k, args.quick), run_strategy});
+  }
+  run_all(args, std::move(runs), &csv);
   std::cout << "\nExpected shape: both spike when clients move into "
                "unexplored territory; the static fraction decays back to "
                "its discovery baseline, while the dynamic one stays higher "

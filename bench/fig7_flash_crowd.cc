@@ -16,58 +16,57 @@ using namespace mdsim::bench;
 
 namespace {
 
-void run_mode(bool traffic_control, CsvWriter& csv, bool quick) {
-  SimConfig cfg = flash_crowd_config(traffic_control);
-  if (quick) cfg.num_clients = 2000;
+void run_mode(const SimConfig& cfg, Output<>& o) {
   ClusterSim cluster(cfg);
   cluster.run();
 
   Metrics& m = cluster.metrics();
-  const char* mode = traffic_control ? "traffic_control" : "no_control";
+  const char* mode =
+      cfg.mds.traffic_control_enabled ? "traffic_control" : "no_control";
   const auto& replies = m.reply_rate().points();
   const auto& forwards = m.forward_rate().points();
   for (std::size_t i = 0; i < replies.size(); ++i) {
     if (replies[i].time < cfg.flash.start - 100 * kMillisecond) continue;
-    csv.field(mode)
+    o.rows.field(mode)
         .field(to_seconds(replies[i].time))
         .field(replies[i].value)
         .field(forwards[i].value);
-    csv.end_row();
+    o.rows.end_row();
   }
 
   const SimTime t0 = cfg.flash.start;
   const SimTime t1 = t0 + cfg.flash.duration;
   // How many nodes actually served the crowd?
   int serving_nodes = 0;
-  std::uint64_t total_replies = 0;
   for (int i = 0; i < cluster.num_mds(); ++i) {
-    const std::uint64_t r = cluster.mds(i).stats().replies_sent;
-    total_replies += r;
-    if (r > 50) ++serving_nodes;
+    if (cluster.mds(i).stats().replies_sent > 50) ++serving_nodes;
   }
-  std::cout << "  [" << mode << "] peak replies/s "
-            << fmt_double(m.reply_rate().max_value(), 0)
-            << ", peak forwards/s "
-            << fmt_double(m.forward_rate().max_value(), 0)
-            << ", mean replies/s in crowd "
-            << fmt_double(m.reply_rate().mean_in(t0, t1), 0)
-            << ", nodes serving " << serving_nodes << "/"
-            << cluster.num_mds() << ", client latency mean "
-            << fmt_double(m.client_latency().mean() * 1e3, 1) << " ms\n";
-  (void)total_replies;
+  o.out << "  [" << mode << "] peak replies/s "
+        << fmt_double(m.reply_rate().max_value(), 0) << ", peak forwards/s "
+        << fmt_double(m.forward_rate().max_value(), 0)
+        << ", mean replies/s in crowd "
+        << fmt_double(m.reply_rate().mean_in(t0, t1), 0) << ", nodes serving "
+        << serving_nodes << "/" << cluster.num_mds()
+        << ", client latency mean "
+        << fmt_double(m.client_latency().mean() * 1e3, 1) << " ms\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  const BenchArgs args = parse_args(argc, argv);
   banner("Figure 7 — flash crowd with and without traffic control",
          "paper: fig 7, section 5.4 (Traffic Control)");
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
 
   CsvWriter csv(csv_path("fig7_flash_crowd"));
   csv.header({"mode", "time_s", "replies_per_s", "forwards_per_s"});
-  run_mode(/*traffic_control=*/false, csv, quick);
-  run_mode(/*traffic_control=*/true, csv, quick);
+  std::vector<Run<>> runs;
+  for (bool traffic_control : {false, true}) {
+    SimConfig cfg = flash_crowd_config(traffic_control);
+    if (args.quick) cfg.num_clients = 2000;
+    runs.push_back({cfg, run_mode});
+  }
+  run_all(args, std::move(runs), &csv);
   std::cout << "\nExpected shape: without control the authority serializes "
                "the crowd (forwards dwarf replies, one node serving); with "
                "control the metadata replicates within milliseconds and "

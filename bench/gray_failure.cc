@@ -38,6 +38,7 @@
 //                        target): hedging and health routing must not
 //                        confuse failover with gray degradation.
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -48,8 +49,6 @@ using namespace mdsim;
 using namespace mdsim::bench;
 
 namespace {
-
-bool g_verbose = false;
 
 constexpr int kNumMds = 8;
 /// Node 0 anchors the namespace root, so it carries the largest share of
@@ -135,22 +134,19 @@ TailLatency tail_latency(ClusterSim& cluster) {
   return r;
 }
 
+/// What the verdict reads, and the arm's report, printed after every arm
+/// has run.
 struct Outcome {
-  TailLatency lat;
-  double goodput = 0.0;        // ops_ok/s over the measured window
-  std::uint64_t hedges = 0;
-  std::uint64_t hedge_wins = 0;
-  std::uint64_t wasted = 0;
-  std::uint64_t stale = 0;
-  double gray_seconds = 0.0;   // node-seconds flagged degraded
-  std::uint64_t gray_incidents = 0;
-  std::uint64_t victim_migrations_out = 0;
+  double p99_ms = 0.0;
+  std::string report;
 };
 
-Outcome run_arm(const SimConfig& cfg, const FaultPlan* plan) {
+/// Writes the arm's CSV row, and with `verbose` its per-node dump.
+void run_arm(const SimConfig& cfg, const FaultPlan& plan, const char* arm,
+             const char* label, bool verbose, Output<Outcome>& o) {
   ClusterSim cluster(cfg);
   cluster.run_until(0);
-  if (plan != nullptr) plan->arm(cluster);
+  plan.arm(cluster);
   const SimTime m0 = measure_from(cfg);
   cluster.run_until(m0);
   // Steady-state window: drop the healthy plateau and the mitigation
@@ -159,71 +155,94 @@ Outcome run_arm(const SimConfig& cfg, const FaultPlan* plan) {
   const std::uint64_t ok0 = cluster.cohort().totals().ops_ok;
   cluster.run_until(cfg.duration);
 
-  const ClientStats clients = cluster.cohort().totals();
-  Outcome out;
-  out.lat = tail_latency(cluster);
-  out.goodput = static_cast<double>(clients.ops_ok - ok0) /
-                to_seconds(cfg.duration - m0);
-  out.hedges = clients.hedges_fired;
-  out.hedge_wins = clients.hedge_wins;
-  out.wasted = clients.wasted_hedges;
-  out.stale = clients.stale_replies;
-  out.gray_seconds =
+  const ClientStats c = cluster.cohort().totals();
+  const TailLatency lat = tail_latency(cluster);
+  // ops_ok/s over the measured window
+  const double goodput =
+      static_cast<double>(c.ops_ok - ok0) / to_seconds(cfg.duration - m0);
+  const double gray_seconds =  // node-seconds flagged degraded
       cluster.fault_log().gray_degraded_seconds(cluster.sim().now());
-  out.gray_incidents = cluster.fault_log().gray_incidents().size();
-  out.victim_migrations_out = cluster.mds(kVictim).stats().migrations_out;
-  if (g_verbose) {
-    std::cout << "  per-node (replies fwd migr_in/out cpu_hw disk_q hit):\n";
+  const std::uint64_t gray_incidents =
+      cluster.fault_log().gray_incidents().size();
+  const std::uint64_t victim_migrations =
+      cluster.mds(kVictim).stats().migrations_out;
+  o.rows.field(arm).field(lat.p99_ms).field(lat.read_p99_ms);
+  o.rows.field(lat.mean_ms).field(goodput);
+  o.rows.field(c.hedges_fired).field(c.hedge_wins).field(c.wasted_hedges);
+  o.rows.field(c.stale_replies).field(gray_seconds).field(gray_incidents);
+  o.rows.field(victim_migrations);
+  o.rows.end_row();
+
+  std::ostringstream report;
+  report << label << ":\n"
+         << "  cluster p99 " << fmt_double(lat.p99_ms, 1) << " ms (reads "
+         << fmt_double(lat.read_p99_ms, 1) << " ms), mean "
+         << fmt_double(lat.mean_ms, 2) << " ms, goodput "
+         << fmt_double(goodput, 0) << " ops/s\n"
+         << "  hedges fired " << c.hedges_fired << " (wins " << c.hedge_wins
+         << ", wasted " << c.wasted_hedges << ", stale replies "
+         << c.stale_replies << ")\n"
+         << "  gray incidents " << gray_incidents
+         << ", degraded node-seconds " << fmt_double(gray_seconds, 1)
+         << ", victim migrations out " << victim_migrations << "\n";
+  o.value = {lat.p99_ms, report.str()};
+
+  if (verbose) {
+    std::ostream& os = o.out;
+    os << "  per-node (replies fwd migr_in/out cpu_hw disk_q hit):\n";
     for (int i = 0; i < cfg.num_mds; ++i) {
       MdsNode& n = cluster.mds(i);
       const MdsStats& s = n.stats();
       const auto& cs = n.cache().stats();
       const std::uint64_t acc = cs.hits + cs.misses;
-      std::cout << "    mds" << i << ": " << s.replies_sent << " "
-                << s.forwards << " " << s.migrations_in << "/"
-                << s.migrations_out << " " << n.cpu().depth_highwater() << " "
-                << n.disk().store_queue_depth() << " "
-                << fmt_double(acc > 0 ? 100.0 * cs.hits / acc : 0.0, 1)
-                << "%\n";
+      os << "    mds" << i << ": " << s.replies_sent << " " << s.forwards
+         << " " << s.migrations_in << "/" << s.migrations_out << " "
+         << n.cpu().depth_highwater() << " " << n.disk().store_queue_depth()
+         << " " << fmt_double(acc > 0 ? 100.0 * cs.hits / acc : 0.0, 1)
+         << "%\n";
     }
     for (OpType t : {OpType::kStat, OpType::kOpen, OpType::kClose,
                      OpType::kReaddir, OpType::kCreate, OpType::kUnlink,
                      OpType::kChmod, OpType::kSetattr, OpType::kRename}) {
       const LogHistogram& h = cluster.tracer()->total_hist(t);
       if (h.total_count() == 0) continue;
-      std::cout << "    " << op_name(t) << ": n=" << h.total_count()
-                << " mean=" << fmt_double(h.mean() / 1e6, 1)
-                << "ms p99=" << fmt_double(h.percentile(99.0) / 1e6, 1)
-                << "ms\n";
+      os << "    " << op_name(t) << ": n=" << h.total_count()
+         << " mean=" << fmt_double(h.mean() / 1e6, 1)
+         << "ms p99=" << fmt_double(h.percentile(99.0) / 1e6, 1) << "ms\n";
     }
   }
-  return out;
 }
 
-void csv_row(CsvWriter& csv, const char* arm, const Outcome& o) {
-  csv.field(arm).field(o.lat.p99_ms).field(o.lat.read_p99_ms);
-  csv.field(o.lat.mean_ms).field(o.goodput);
-  csv.field(o.hedges).field(o.hedge_wins).field(o.wasted).field(o.stale);
-  csv.field(o.gray_seconds).field(o.gray_incidents);
-  csv.field(o.victim_migrations_out);
-  csv.end_row();
+struct Arm {
+  const char* name;   // in the CSV
+  const char* label;  // in the report
+  SimConfig cfg;
+  FaultPlan plan;
+};
+
+/// Run the arms side by side; their CSV rows and --verbose dumps come out
+/// in list order, then their reports.
+std::vector<Output<Outcome>> run_arms(const BenchArgs& args,
+                                      const std::string& csv_name,
+                                      const std::vector<Arm>& arms) {
+  CsvWriter csv(csv_path(csv_name));
+  csv.header({"arm", "cluster_p99_ms", "read_p99_ms", "mean_ms",
+              "goodput_ops", "hedges", "hedge_wins", "wasted_hedges",
+              "stale_replies", "gray_node_seconds", "gray_incidents",
+              "victim_migrations"});
+  std::vector<Run<Outcome>> runs;
+  for (const Arm& arm : arms) {
+    runs.push_back({arm.cfg, [arm, verbose = args.verbose](
+                                 const SimConfig& c, Output<Outcome>& o) {
+                      run_arm(c, arm.plan, arm.name, arm.label, verbose, o);
+                    }});
+  }
+  auto outputs = run_all(args, std::move(runs), &csv);
+  for (const auto& o : outputs) std::cout << o.value.report;
+  return outputs;
 }
 
-void print_outcome(const char* label, const Outcome& o) {
-  std::cout << label << ":\n"
-            << "  cluster p99 " << fmt_double(o.lat.p99_ms, 1)
-            << " ms (reads " << fmt_double(o.lat.read_p99_ms, 1)
-            << " ms), mean " << fmt_double(o.lat.mean_ms, 2)
-            << " ms, goodput " << fmt_double(o.goodput, 0) << " ops/s\n"
-            << "  hedges fired " << o.hedges << " (wins " << o.hedge_wins
-            << ", wasted " << o.wasted << ", stale replies " << o.stale
-            << ")\n"
-            << "  gray incidents " << o.gray_incidents
-            << ", degraded node-seconds " << fmt_double(o.gray_seconds, 1)
-            << ", victim migrations out " << o.victim_migrations_out << "\n";
-}
-
-int run_failslow(bool quick) {
+int run_failslow(const BenchArgs& args) {
   banner("Gray failure — fail-slow disk, mitigation off vs on",
          "one MDS disk at 10x service time in an 8-node cluster; health "
          "scoring + balancer bias + hedged reads vs nothing");
@@ -232,27 +251,17 @@ int run_failslow(bool quick) {
   plan.fail_slow(kFaultAt, /*until=*/0, kVictim, /*cpu_mult=*/1.0,
                  /*disk_mult=*/kDiskSlow);
 
-  CsvWriter csv(csv_path("gray_failslow"));
-  csv.header({"arm", "cluster_p99_ms", "read_p99_ms", "mean_ms",
-              "goodput_ops", "hedges", "hedge_wins", "wasted_hedges",
-              "stale_replies", "gray_node_seconds", "gray_incidents",
-              "victim_migrations"});
-
-  const Outcome base = run_arm(base_config(quick, false), nullptr);
-  csv_row(csv, "baseline", base);
-  const Outcome off = run_arm(base_config(quick, false), &plan);
-  csv_row(csv, "off", off);
-  const Outcome on = run_arm(base_config(quick, true), &plan);
-  csv_row(csv, "on", on);
-
-  print_outcome("Healthy baseline", base);
-  print_outcome("Fail-slow, mitigation OFF", off);
-  print_outcome("Fail-slow, mitigation ON", on);
-
-  const double off_x = base.lat.p99_ms > 0 ? off.lat.p99_ms / base.lat.p99_ms
-                                           : 0.0;
-  const double on_x = base.lat.p99_ms > 0 ? on.lat.p99_ms / base.lat.p99_ms
-                                          : 0.0;
+  const auto outcomes = run_arms(
+      args, "gray_failslow",
+      {{"baseline", "Healthy baseline", base_config(args.quick, false),
+        FaultPlan()},
+       {"off", "Fail-slow, mitigation OFF", base_config(args.quick, false),
+        plan},
+       {"on", "Fail-slow, mitigation ON", base_config(args.quick, true),
+        plan}});
+  const double base = outcomes[0].value.p99_ms;
+  const double off_x = base > 0 ? outcomes[1].value.p99_ms / base : 0.0;
+  const double on_x = base > 0 ? outcomes[2].value.p99_ms / base : 0.0;
   const bool off_degraded = off_x >= kOffDegradeMin;
   const bool on_held = on_x > 0 && on_x <= kOnHoldMax;
   std::cout << "Verdict: mitigation-off p99 at " << fmt_double(off_x, 1)
@@ -270,30 +279,22 @@ int run_failslow(bool quick) {
 
 // --- chaos: fail-slow + crash of a likely hedge target ---------------------
 
-int run_chaos(bool quick) {
+int run_chaos(const BenchArgs& args) {
   banner("Gray chaos — fail-slow composed with a mid-run crash",
          "the sick node stays sick while a healthy peer (a likely hedge "
          "target) crashes and restarts; mitigation must survive both");
-
-  CsvWriter csv(csv_path("gray_chaos"));
-  csv.header({"arm", "cluster_p99_ms", "read_p99_ms", "mean_ms",
-              "goodput_ops", "hedges", "hedge_wins", "wasted_hedges",
-              "stale_replies", "gray_node_seconds", "gray_incidents",
-              "victim_migrations"});
 
   const MdsId crash_victim = 5;  // a healthy peer: hedges/migrations land here
   FaultPlan plan;
   plan.fail_slow(kFaultAt, /*until=*/0, kVictim, 1.0, kDiskSlow)
       .crash(14 * kSecond, crash_victim, /*warm=*/true)
-      .restart(quick ? 20 * kSecond : 22 * kSecond, crash_victim);
+      .restart(args.quick ? 20 * kSecond : 22 * kSecond, crash_victim);
 
-  const Outcome off = run_arm(base_config(quick, false), &plan);
-  csv_row(csv, "off", off);
-  const Outcome on = run_arm(base_config(quick, true), &plan);
-  csv_row(csv, "on", on);
-
-  print_outcome("Chaos, mitigation OFF", off);
-  print_outcome("Chaos, mitigation ON", on);
+  run_arms(args, "gray_chaos",
+           {{"off", "Chaos, mitigation OFF", base_config(args.quick, false),
+             plan},
+            {"on", "Chaos, mitigation ON", base_config(args.quick, true),
+             plan}});
   std::cout << "Expected: the crash removes a hedge/migration target while "
                "the gray node is still sick; with mitigation on, hedges "
                "re-route via retries and the balancer works around both "
@@ -305,23 +306,13 @@ int run_chaos(bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string scenario = "failslow";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--verbose") {
-      g_verbose = true;
-    } else if (arg.rfind("--scenario=", 0) == 0) {
-      scenario = arg.substr(11);
-    }
-  }
-  if (scenario == "chaos") return run_chaos(quick);
-  if (scenario == "all") {
-    const int a = run_failslow(quick);
-    const int b = run_chaos(quick);
+  const BenchArgs args = parse_args(argc, argv, kVerboseFlag,
+                                    {"failslow", "chaos", "all"});
+  if (args.scenario == "chaos") return run_chaos(args);
+  if (args.scenario == "all") {
+    const int a = run_failslow(args);
+    const int b = run_chaos(args);
     return a != 0 ? a : b;
   }
-  return run_failslow(quick);
+  return run_failslow(args);
 }

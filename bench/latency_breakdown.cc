@@ -10,7 +10,6 @@
 // and two runs with the same seed must produce byte-identical CSVs
 // (checked in CI by diffing the output of two invocations).
 #include <cmath>
-#include <cstdlib>
 
 #include "bench_util.h"
 
@@ -71,23 +70,27 @@ bool reconcile(const TraceCollector& tr, const Summary& client_lat) {
   return true;
 }
 
+struct Traced {
+  TraceCollector tracer;
+  Summary client_latency;
+};
+
+void simulate(const SimConfig& cfg, Output<Traced>& o) {
+  ClusterSim cluster(cfg);
+  cluster.run();
+  o.value = {*cluster.tracer(), cluster.metrics().client_latency()};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  const BenchArgs args = parse_args(argc, argv);
   banner("Latency breakdown — per-request tracing and attribution",
          "where a metadata op's time goes, by stage and op type");
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
 
-  SimConfig cfg = breakdown_config(quick);
-  ClusterSim cluster(cfg);
-  cluster.run();
-
-  Metrics& m = cluster.metrics();
-  TraceCollector* tr = cluster.tracer();
-  if (tr == nullptr) {
-    std::cout << "tracing not enabled?\n";
-    return 1;
-  }
+  std::vector<Run<Traced>> runs{{breakdown_config(args.quick), simulate}};
+  const Traced run = run_all(args, std::move(runs), nullptr).front().value;
+  const TraceCollector* tr = &run.tracer;
 
   // Per-op end-to-end table.
   ConsoleTable ops({"op", "count", "mean_ms", "p50_ms", "p95_ms", "p99_ms",
@@ -144,7 +147,7 @@ int main(int argc, char** argv) {
   stages.print("Attributed time by stage (all ops)");
 
   std::cout << "\n";
-  if (!reconcile(*tr, m.client_latency())) return 1;
+  if (!reconcile(*tr, run.client_latency)) return 1;
 
   CsvWriter breakdown(csv_path("latency_breakdown"));
   tr->write_breakdown_csv(breakdown);

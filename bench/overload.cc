@@ -111,14 +111,64 @@ double p99_ms(ClusterSim& cluster) {
 
 // --- ladder ----------------------------------------------------------------
 
-int run_ladder(bool quick) {
+/// One rung's numbers over the window from warm-up to the end of the run.
+struct Rung {
+  double goodput = 0.0;
+  double shed_rate = 0.0;
+  double p99 = 0.0;
+  std::uint64_t rejects = 0;
+  std::size_t queue_hw = 0;
+  double qmean = 0.0;
+  std::uint64_t retries = 0;
+  std::uint64_t retries_suppressed = 0;
+  std::uint64_t ops_failed = 0;
+};
+
+void run_rung(const SimConfig& cfg, Output<Rung>& o) {
+  ClusterSim cluster(cfg);
+  cluster.run_until(cfg.warmup);
+  const ClientStats base = cluster.cohort().totals();
+  cluster.run_until(cfg.duration);
+  const ClientStats end = cluster.cohort().totals();
+  const double secs = to_seconds(cfg.duration - cfg.warmup);
+
+  Metrics& m = cluster.metrics();
+  Rung& r = o.value;
+  r.goodput = static_cast<double>(end.ops_ok - base.ops_ok) / secs;
+  r.shed_rate = static_cast<double>(m.total_sheds()) / secs;
+  r.p99 = p99_ms(cluster);
+  r.rejects = m.total_rejects();
+  r.queue_hw = m.cpu_queue_highwater();
+  r.qmean = m.mean_cpu_queue_depth(cfg.duration);
+  r.retries = end.retries - base.retries;
+  r.retries_suppressed = end.retries_suppressed - base.retries_suppressed;
+  r.ops_failed = end.ops_failed - base.ops_failed;
+}
+
+int run_ladder(const BenchArgs& args) {
   banner("Overload ladder — sustained offered load, protection off vs on",
          "bounded queues + token-bucket admission + retry budgets under "
          "1x..10x offered load");
   const std::vector<double> multipliers =
-      quick ? std::vector<double>{0.5, 4, 10}
-            : std::vector<double>{0.5, 1, 2, 4, 6, 8, 10};
+      args.quick ? std::vector<double>{0.5, 4, 10}
+                 : std::vector<double>{0.5, 1, 2, 4, 6, 8, 10};
   const double capacity = theoretical_capacity();
+
+  std::vector<Run<Rung>> runs;
+  for (int protect = 0; protect <= 1; ++protect) {
+    for (double mult : multipliers) {
+      SimConfig cfg = base_config(args.quick, protect != 0);
+      cfg.duration = args.quick ? 12 * kSecond : 20 * kSecond;
+      cfg.warmup = 3 * kSecond;
+      // No crowd: the ladder is pure steady background load.
+      cfg.flash.start = cfg.duration + kSecond;
+      cfg.flash.base_think = static_cast<SimTime>(
+          static_cast<double>(cfg.num_clients) / (mult * capacity) *
+          static_cast<double>(kSecond));
+      runs.push_back({cfg, run_rung});
+    }
+  }
+  const auto rungs = run_all(args, std::move(runs), nullptr);
 
   CsvWriter csv(csv_path("overload_ladder"));
   csv.header({"protection", "multiplier", "offered_ops", "goodput_ops",
@@ -129,48 +179,24 @@ int run_ladder(bool quick) {
   ConsoleTable table({"prot", "mult", "offered/s", "goodput/s", "p99 ms",
                       "shed/s", "q-hw", "q-mean"});
   double reference = 0.0;  // goodput at the healthy rung, protection off
-
+  auto rung = rungs.begin();
   for (int protect = 0; protect <= 1; ++protect) {
     for (double mult : multipliers) {
-      SimConfig cfg = base_config(quick, protect != 0);
-      cfg.duration = quick ? 12 * kSecond : 20 * kSecond;
-      cfg.warmup = 3 * kSecond;
-      // No crowd: the ladder is pure steady background load.
-      cfg.flash.start = cfg.duration + kSecond;
+      const Rung& r = (rung++)->value;
       const double offered = mult * capacity;
-      cfg.flash.base_think = static_cast<SimTime>(
-          static_cast<double>(cfg.num_clients) / offered *
-          static_cast<double>(kSecond));
+      if (protect == 0 && mult == multipliers.front()) reference = r.goodput;
 
-      ClusterSim cluster(cfg);
-      cluster.run_until(cfg.warmup);
-      const ClientStats base = cluster.cohort().totals();
-      cluster.run_until(cfg.duration);
-      const ClientStats end = cluster.cohort().totals();
-      const double secs = to_seconds(cfg.duration - cfg.warmup);
-      const double goodput =
-          static_cast<double>(end.ops_ok - base.ops_ok) / secs;
-      if (protect == 0 && mult == multipliers.front()) reference = goodput;
-
-      Metrics& m = cluster.metrics();
-      const double shed_rate = static_cast<double>(m.total_sheds()) / secs;
-      const double p99 = p99_ms(cluster);
-      const double qmean = m.mean_cpu_queue_depth(cfg.duration);
-
-      csv.field(protect).field(mult).field(offered).field(goodput);
-      csv.field(reference > 0 ? goodput / reference : 0.0);
-      csv.field(p99).field(shed_rate).field(m.total_rejects());
-      csv.field(m.cpu_queue_highwater()).field(qmean);
-      csv.field(end.retries - base.retries);
-      csv.field(end.retries_suppressed - base.retries_suppressed);
-      csv.field(end.ops_failed - base.ops_failed);
+      csv.field(protect).field(mult).field(offered).field(r.goodput);
+      csv.field(reference > 0 ? r.goodput / reference : 0.0);
+      csv.field(r.p99).field(r.shed_rate).field(r.rejects);
+      csv.field(r.queue_hw).field(r.qmean);
+      csv.field(r.retries).field(r.retries_suppressed).field(r.ops_failed);
       csv.end_row();
 
       table.add_row({protect ? "on" : "off", fmt_double(mult, 0),
-                 fmt_double(offered, 0), fmt_double(goodput, 0),
-                 fmt_double(p99, 1), fmt_double(shed_rate, 0),
-                 std::to_string(m.cpu_queue_highwater()),
-                 fmt_double(qmean, 1)});
+                     fmt_double(offered, 0), fmt_double(r.goodput, 0),
+                     fmt_double(r.p99, 1), fmt_double(r.shed_rate, 0),
+                     std::to_string(r.queue_hw), fmt_double(r.qmean, 1)});
     }
   }
   table.print();
@@ -187,31 +213,24 @@ int run_ladder(bool quick) {
 
 // --- spike-and-recover -----------------------------------------------------
 
+/// What the spike verdict reads.
 struct SpikeOutcome {
-  double baseline = 0.0;   // pre-spike goodput
-  double storm = 0.0;      // goodput during the spike
-  double after = 0.0;      // goodput from spike end to run end
-  double recover_s = -1.0; // spike end -> sustained recovery; -1 = never
-  double p99 = 0.0;
-  std::uint64_t shed_queue = 0;
-  std::uint64_t shed_bucket = 0;
-  std::uint64_t shed_deadline = 0;
-  std::uint64_t sheds = 0;
-  double max_cpu_wait_s = 0.0;  // worst queue wait of any *served* job
-  std::size_t queue_hw = 0;
-  ClientStats totals;
-  Summary episodes;
+  double baseline = 0.0;    // pre-spike goodput
+  double after = 0.0;       // goodput from spike end to run end
+  double recover_s = -1.0;  // spike end -> sustained recovery; -1 = never
 };
 
-SpikeOutcome run_spike_once(const SimConfig& cfg, SimTime spike_end,
-                            CsvWriter* csv, int protect,
-                            const FaultPlan* plan) {
+/// Writes the goodput timeline after warm-up as CSV rows, one per 500 ms
+/// slice labelled `protect`, and the run's report under `label`.
+void run_spike_once(const SimConfig& cfg, const FaultPlan& plan, int protect,
+                    const char* label, Output<SpikeOutcome>& o) {
   constexpr SimTime kSlice = 500 * kMillisecond;
+  const SimTime spike_end = cfg.flash.start + cfg.flash.duration;
   ClusterSim cluster(cfg);
   cluster.run_until(0);
-  if (plan != nullptr) plan->arm(cluster);
+  plan.arm(cluster);
 
-  SpikeOutcome out;
+  SpikeOutcome& out = o.value;
   std::uint64_t prev_ok = 0;
   std::uint64_t prev_shed = 0;
   Summary base_sum, storm_sum, after_sum;
@@ -230,10 +249,8 @@ SpikeOutcome run_spike_once(const SimConfig& cfg, SimTime spike_end,
     prev_ok = ct.ops_ok;
     prev_shed = sheds;
     if (t <= cfg.warmup) continue;  // client counters reset never; metrics at warmup
-    if (csv != nullptr) {
-      csv->field(protect).field(to_seconds(t)).field(goodput).field(shed_rate);
-      csv->end_row();
-    }
+    o.rows.field(protect).field(to_seconds(t)).field(goodput).field(shed_rate);
+    o.rows.end_row();
     if (t <= cfg.flash.start) {
       base_sum.add(goodput);
     } else if (t <= spike_end) {
@@ -259,51 +276,46 @@ SpikeOutcome run_spike_once(const SimConfig& cfg, SimTime spike_end,
   }
 
   out.baseline = base_sum.count() ? base_sum.mean() : 0.0;
-  out.storm = storm_sum.count() ? storm_sum.mean() : 0.0;
   out.after = after_sum.count() ? after_sum.mean() : 0.0;
-  out.p99 = p99_ms(cluster);
-  out.sheds = cluster.metrics().total_sheds();
+  std::uint64_t shed_queue = 0, shed_bucket = 0, shed_deadline = 0;
+  double max_cpu_wait_s = 0.0;  // worst queue wait of any *served* job
   for (int i = 0; i < cluster.num_mds(); ++i) {
     const MdsStats& s = cluster.mds(i).stats();
-    out.shed_queue += s.requests_shed_queue;
-    out.shed_bucket += s.requests_shed_admission;
-    out.shed_deadline += s.requests_shed_deadline;
-    out.max_cpu_wait_s =
-        std::max(out.max_cpu_wait_s, cluster.mds(i).cpu().wait_times().max());
+    shed_queue += s.requests_shed_queue;
+    shed_bucket += s.requests_shed_admission;
+    shed_deadline += s.requests_shed_deadline;
+    max_cpu_wait_s =
+        std::max(max_cpu_wait_s, cluster.mds(i).cpu().wait_times().max());
   }
-  out.queue_hw = cluster.metrics().cpu_queue_highwater();
-  out.totals = cluster.cohort().totals();
-  out.episodes = cluster.fault_log().overload_episode_seconds();
-  return out;
-}
+  const ClientStats totals = cluster.cohort().totals();
+  const Summary episodes = cluster.fault_log().overload_episode_seconds();
 
-void print_spike_outcome(const char* label, const SpikeOutcome& o) {
-  std::cout << label << ":\n"
-            << "  goodput baseline " << fmt_double(o.baseline, 0)
-            << " ops/s; during spike " << fmt_double(o.storm, 0)
-            << "; after spike " << fmt_double(o.after, 0) << "\n"
-            << "  time-to-recover ";
-  if (o.recover_s < 0) {
-    std::cout << "NEVER (metastable: goodput did not return to 80% of "
-                 "baseline)";
+  o.out << label << ":\n"
+        << "  goodput baseline " << fmt_double(out.baseline, 0)
+        << " ops/s; during spike "
+        << fmt_double(storm_sum.count() ? storm_sum.mean() : 0.0, 0)
+        << "; after spike " << fmt_double(out.after, 0) << "\n"
+        << "  time-to-recover ";
+  if (out.recover_s < 0) {
+    o.out << "NEVER (metastable: goodput did not return to 80% of "
+             "baseline)";
   } else {
-    std::cout << fmt_double(o.recover_s, 1) << " s after the spike ended";
+    o.out << fmt_double(out.recover_s, 1) << " s after the spike ended";
   }
-  std::cout << "\n  end-to-end p99 (incl. retry stalls) "
-            << fmt_double(o.p99, 1) << " ms; max CPU queue wait of served "
-            << fmt_double(o.max_cpu_wait_s * 1e3, 1)
-            << " ms; CPU queue high-water " << o.queue_hw << "\n"
-            << "  sheds " << o.sheds << " (queue " << o.shed_queue
-            << ", bucket " << o.shed_bucket << ", deadline "
-            << o.shed_deadline << "); rejected replies "
-            << o.totals.rejected_replies << "; retries " << o.totals.retries
-            << "; suppressed " << o.totals.retries_suppressed << "; stale "
-            << o.totals.stale_replies << "; ops failed "
-            << o.totals.ops_failed << "\n";
-  if (o.episodes.count() > 0) {
-    std::cout << "  overload episodes: " << o.episodes.count()
-              << ", mean length " << fmt_double(o.episodes.mean(), 1)
-              << " s\n";
+  o.out << "\n  end-to-end p99 (incl. retry stalls) "
+        << fmt_double(p99_ms(cluster), 1)
+        << " ms; max CPU queue wait of served "
+        << fmt_double(max_cpu_wait_s * 1e3, 1) << " ms; CPU queue high-water "
+        << cluster.metrics().cpu_queue_highwater() << "\n"
+        << "  sheds " << cluster.metrics().total_sheds() << " (queue "
+        << shed_queue << ", bucket " << shed_bucket << ", deadline "
+        << shed_deadline << "); rejected replies " << totals.rejected_replies
+        << "; retries " << totals.retries << "; suppressed "
+        << totals.retries_suppressed << "; stale " << totals.stale_replies
+        << "; ops failed " << totals.ops_failed << "\n";
+  if (episodes.count() > 0) {
+    o.out << "  overload episodes: " << episodes.count() << ", mean length "
+          << fmt_double(episodes.mean(), 1) << " s\n";
   }
 }
 
@@ -323,27 +335,35 @@ SimConfig spike_config(bool quick, bool protect) {
   return cfg;
 }
 
-int run_spike(bool quick) {
+/// The spike with protection off and then on, each with `plan` armed and
+/// reported under its label; writes the goodput timeline CSV and returns
+/// both outcomes.
+std::vector<Output<SpikeOutcome>> run_spike_pair(
+    const BenchArgs& args, const std::string& csv_name, const FaultPlan& plan,
+    const char* off_label, const char* on_label) {
+  CsvWriter csv(csv_path(csv_name));
+  csv.header({"protection", "time_s", "goodput_ops", "shed_per_s"});
+  std::vector<Run<SpikeOutcome>> runs;
+  for (int protect : {0, 1}) {
+    const char* label = protect ? on_label : off_label;
+    runs.push_back({spike_config(args.quick, protect != 0),
+                    [plan, protect, label](const SimConfig& c,
+                                           Output<SpikeOutcome>& o) {
+                      run_spike_once(c, plan, protect, label, o);
+                    }});
+  }
+  return run_all(args, std::move(runs), &csv);
+}
+
+int run_spike(const BenchArgs& args) {
   banner("Overload spike — metastable collapse vs bounded recovery",
          "a 5 s flash crowd at >10x capacity on a ~0.6x baseline; "
          "protection off collapses and stays down, protection on sheds "
          "and recovers");
-  CsvWriter csv(csv_path("overload_spike"));
-  csv.header({"protection", "time_s", "goodput_ops", "shed_per_s"});
-
-  SpikeOutcome off, on;
-  {
-    SimConfig cfg = spike_config(quick, false);
-    off = run_spike_once(cfg, cfg.flash.start + cfg.flash.duration, &csv, 0,
-                         nullptr);
-  }
-  {
-    SimConfig cfg = spike_config(quick, true);
-    on = run_spike_once(cfg, cfg.flash.start + cfg.flash.duration, &csv, 1,
-                        nullptr);
-  }
-  print_spike_outcome("Protection OFF", off);
-  print_spike_outcome("Protection ON", on);
+  const auto outcomes = run_spike_pair(args, "overload_spike", FaultPlan(),
+                                       "Protection OFF", "Protection ON");
+  const SpikeOutcome& off = outcomes[0].value;
+  const SpikeOutcome& on = outcomes[1].value;
 
   const bool off_collapsed =
       off.baseline > 0 && off.after < 0.5 * off.baseline;
@@ -363,33 +383,16 @@ int run_spike(bool quick) {
 
 // --- chaos: spike + crash mid-storm ---------------------------------------
 
-int run_chaos(bool quick) {
+int run_chaos(const BenchArgs& args) {
   banner("Overload chaos — flash crowd composed with an MDS crash",
          "one node crashes mid-storm and restarts later; failover retries "
          "must survive the retry budget while the storm is shed");
-  CsvWriter csv(csv_path("overload_chaos"));
-  csv.header({"protection", "time_s", "goodput_ops", "shed_per_s"});
-
   const MdsId victim = 1;
-  SpikeOutcome off, on;
-  {
-    SimConfig cfg = spike_config(quick, false);
-    FaultPlan plan;
-    plan.crash(10 * kSecond, victim, /*warm=*/true)
-        .restart(20 * kSecond, victim);
-    off = run_spike_once(cfg, cfg.flash.start + cfg.flash.duration, &csv, 0,
-                         &plan);
-  }
-  {
-    SimConfig cfg = spike_config(quick, true);
-    FaultPlan plan;
-    plan.crash(10 * kSecond, victim, /*warm=*/true)
-        .restart(20 * kSecond, victim);
-    on = run_spike_once(cfg, cfg.flash.start + cfg.flash.duration, &csv, 1,
-                        &plan);
-  }
-  print_spike_outcome("Protection OFF (with crash)", off);
-  print_spike_outcome("Protection ON (with crash)", on);
+  FaultPlan plan;
+  plan.crash(10 * kSecond, victim, /*warm=*/true)
+      .restart(20 * kSecond, victim);
+  run_spike_pair(args, "overload_chaos", plan, "Protection OFF (with crash)",
+                 "Protection ON (with crash)");
   std::cout << "Expected: the crash deepens the storm (a third of capacity "
                "gone at peak); with protection on the survivors shed "
                "harder but stay live, and the cluster still recovers after "
@@ -401,23 +404,15 @@ int run_chaos(bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string scenario = "spike";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg.rfind("--scenario=", 0) == 0) {
-      scenario = arg.substr(11);
-    }
-  }
-  if (scenario == "ladder") return run_ladder(quick);
-  if (scenario == "chaos") return run_chaos(quick);
-  if (scenario == "all") {
-    const int a = run_ladder(quick);
-    const int b = run_spike(quick);
-    const int c = run_chaos(quick);
+  const BenchArgs args = parse_args(argc, argv, 0,
+                                    {"spike", "ladder", "chaos", "all"});
+  if (args.scenario == "ladder") return run_ladder(args);
+  if (args.scenario == "chaos") return run_chaos(args);
+  if (args.scenario == "all") {
+    const int a = run_ladder(args);
+    const int b = run_spike(args);
+    const int c = run_chaos(args);
     return a != 0 ? a : (b != 0 ? b : c);
   }
-  return run_spike(quick);
+  return run_spike(args);
 }

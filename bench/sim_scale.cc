@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
   }
 
   const std::string csv_name = tag.empty() ? "sim_scale" : "sim_scale_" + tag;
-  CsvWriter csv(csv_path(csv_name), /*echo_stdout=*/false);
+  CsvWriter csv(csv_path(csv_name));
   csv.header({"mode", "shards", "clients", "avg_mds_throughput_ops",
               "hit_rate", "forward_fraction", "mean_latency_ms", "replies",
               "failures", "events", "cross_posts"});

@@ -1,13 +1,11 @@
 #include "common/csv.h"
 
 #include <iomanip>
-#include <iostream>
 #include <stdexcept>
 
 namespace mdsim {
 
-CsvWriter::CsvWriter(const std::string& path, bool echo_stdout)
-    : path_(path), out_(path), echo_(echo_stdout) {
+CsvWriter::CsvWriter(const std::string& path) : path_(path), out_(path) {
   if (!out_) {
     throw std::runtime_error("CsvWriter: cannot open " + path);
   }
@@ -74,9 +72,14 @@ void CsvWriter::end_row() {
   row_started_ = false;
 }
 
+void CsvWriter::append(const CsvWriter& rows) { out_ << rows.memory_.str(); }
+
 void CsvWriter::raw(const std::string& s) {
-  out_ << s << '\n';
-  if (echo_) std::cout << s << '\n';
+  if (out_.is_open()) {
+    out_ << s << '\n';
+  } else {
+    memory_ << s << '\n';
+  }
 }
 
 std::string fmt_double(double v, int precision) {

@@ -9,16 +9,18 @@
 
 namespace mdsim {
 
-/// Streams rows to a CSV file (and optionally mirrors them to stdout).
+/// Streams rows to a CSV file, or holds them in memory for another writer.
 /// Fields containing commas/quotes/newlines are quoted per RFC 4180.
 class CsvWriter {
  public:
   /// Opens `path` for writing; throws std::runtime_error on failure.
-  explicit CsvWriter(const std::string& path, bool echo_stdout = false);
+  explicit CsvWriter(const std::string& path);
+  /// Keeps the rows in memory until another writer append()s them.
+  CsvWriter() = default;
   ~CsvWriter();
 
-  CsvWriter(const CsvWriter&) = delete;
-  CsvWriter& operator=(const CsvWriter&) = delete;
+  CsvWriter(CsvWriter&&) = default;
+  CsvWriter& operator=(CsvWriter&&) = default;
 
   void header(std::initializer_list<std::string> cols);
 
@@ -30,6 +32,9 @@ class CsvWriter {
   CsvWriter& field(int v) { return field(static_cast<std::int64_t>(v)); }
   void end_row();
 
+  /// Write the rows an in-memory writer holds.
+  void append(const CsvWriter& rows);
+
   const std::string& path() const { return path_; }
 
  private:
@@ -38,7 +43,7 @@ class CsvWriter {
 
   std::string path_;
   std::ofstream out_;
-  bool echo_;
+  std::ostringstream memory_;  // the rows, when no file is open
   bool row_started_ = false;
   std::ostringstream row_;
 };

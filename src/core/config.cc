@@ -1,5 +1,7 @@
 #include "core/config.h"
 
+#include <limits>
+
 namespace mdsim {
 
 std::string SimConfig::label() const {
@@ -96,6 +98,27 @@ SimConfig flash_crowd_config(bool traffic_control, std::uint64_t seed) {
   cfg.warmup = from_seconds(7.5);
   cfg.sample_period = from_millis(10);
   return cfg;
+}
+
+void apply_overload_noop(SimConfig* cfg) {
+  OverloadParams& ov = cfg->mds.overload;
+  ov.enabled = true;
+  ov.max_cpu_queue_depth = std::numeric_limits<std::size_t>::max();
+  ov.max_cpu_queue_delay = 0;
+  ov.max_disk_queue_depth = std::numeric_limits<std::size_t>::max();
+  ov.admit_rate = 0.0;
+  ov.deadline_drop = false;
+}
+
+void apply_giga_off(SimConfig* cfg) { cfg->mds.giga_enabled = false; }
+
+void apply_gray_noop(SimConfig* cfg) {
+  HealthParams& h = cfg->mds.health;
+  h.enabled = true;
+  h.degraded_factor = 1e300;  // finite: inf * a zero median would be NaN
+  h.min_lag = std::numeric_limits<SimTime>::max();
+  cfg->hedge.enabled = true;
+  cfg->hedge.min_samples = std::numeric_limits<std::uint32_t>::max();
 }
 
 }  // namespace mdsim

@@ -128,4 +128,22 @@ SimConfig shift_config(StrategyKind strategy, std::uint64_t seed = 42);
 /// Figure 7 preset: flash crowd with/without traffic control.
 SimConfig flash_crowd_config(bool traffic_control, std::uint64_t seed = 42);
 
+// Inert layers: each arms one protection layer so that it can never act.
+// A run must be byte-identical to one with the layer disabled; CI diffs
+// the fig CSVs under each (the benches' --overload-noop, --giga-off and
+// --gray-noop) to prove the layer is zero-cost when it never fires.
+
+/// The overload gate enabled with limits no request can reach: depth
+/// bounds at SIZE_MAX, no backlog bound, no bucket, no deadline drops.
+void apply_overload_noop(SimConfig* cfg);
+
+/// All-at-once directory hashing instead of GIGA+ splitting: identical
+/// while no directory ever fragments.
+void apply_giga_off(SimConfig* cfg);
+
+/// Health scoring with thresholds no score can cross (no node is ever
+/// flagged, the balancer is never biased) and hedging with a warm-up no
+/// op class can finish (no hedge fires, no extra RNG is drawn).
+void apply_gray_noop(SimConfig* cfg);
+
 }  // namespace mdsim

@@ -1,8 +1,5 @@
 #include "core/experiment.h"
 
-#include <atomic>
-#include <thread>
-
 #include "core/sharded_cluster.h"
 
 namespace mdsim {
@@ -45,36 +42,6 @@ RunResult run_one(const SimConfig& config,
   cluster.run();
   if (inspect) inspect(cluster);
   return cluster.result();
-}
-
-std::vector<RunResult> run_batch(const std::vector<SimConfig>& configs,
-                                 unsigned parallelism) {
-  if (parallelism == 0) {
-    parallelism = std::max(1u, std::thread::hardware_concurrency());
-  }
-  std::vector<RunResult> results(configs.size());
-  if (parallelism == 1 || configs.size() == 1) {
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      results[i] = run_one(configs[i]);
-    }
-    return results;
-  }
-
-  std::atomic<std::size_t> next{0};
-  auto worker = [&]() {
-    while (true) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= configs.size()) return;
-      results[i] = run_one(configs[i]);
-    }
-  };
-  std::vector<std::thread> pool;
-  const unsigned n = std::min<unsigned>(
-      parallelism, static_cast<unsigned>(configs.size()));
-  pool.reserve(n);
-  for (unsigned t = 0; t < n; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  return results;
 }
 
 }  // namespace mdsim

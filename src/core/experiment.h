@@ -1,13 +1,14 @@
-// Sweep driver: run a batch of independent simulations (optionally on a
-// thread pool — each run is fully self-contained) and collect the
-// aggregate numbers the paper's figures plot. Both engines summarize a run
-// the same way: summarize() folds the Metrics of every cluster unit (one
-// on the single engine, one per shard on the parallel engine) into one
-// RunResult.
+// Sweep driver: run a batch of independent simulations on a thread pool
+// (each run is fully self-contained) and collect the aggregate numbers the
+// paper's figures plot. Both engines summarize a run the same way:
+// summarize() folds the Metrics of every cluster unit (one on the single
+// engine, one per shard on the parallel engine) into one RunResult.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <functional>
-#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/cluster.h"
@@ -40,9 +41,26 @@ RunResult summarize(const SimConfig& config,
 RunResult run_one(const SimConfig& config,
                   const std::function<void(ShardedClusterSim&)>& inspect = {});
 
-/// Run a batch, at most `parallelism` at a time (1 = serial, 0 = hardware
-/// concurrency). Results are returned in input order.
-std::vector<RunResult> run_batch(const std::vector<SimConfig>& configs,
-                                 unsigned parallelism = 0);
+/// The one ordered parallel map: run job(i) for every i in [0, n), at most
+/// `parallelism` at a time, and return the results in index order. The
+/// calling thread is one of the workers, so at parallelism 0 or 1 the loop
+/// runs on it alone. Each job must own everything it touches. A job must
+/// not throw (no simulation code does): an exception ends the process.
+template <typename Job>
+auto run_batch(std::size_t n, unsigned parallelism, const Job& job)
+    -> std::vector<decltype(job(std::size_t{}))> {
+  std::vector<decltype(job(std::size_t{}))> results(n);
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&]() noexcept {
+    for (std::size_t i; (i = next.fetch_add(1)) < n;) results[i] = job(i);
+  };
+  {
+    std::vector<std::jthread> pool;  // joined when the scope ends
+    const std::size_t workers = std::min<std::size_t>(parallelism, n);
+    for (std::size_t t = 1; t < workers; ++t) pool.emplace_back(worker);
+    worker();
+  }
+  return results;
+}
 
 }  // namespace mdsim

@@ -142,18 +142,36 @@ TEST(ClusterComparative, LazyHybridHasNoPrefixFootprint) {
 
 TEST(Experiment, BatchRunsAllConfigsInOrder) {
   std::vector<SimConfig> configs;
-  for (int mds = 2; mds <= 3; ++mds) {
-    SimConfig cfg = small_config(StrategyKind::kStaticSubtree);
-    cfg.num_mds = mds;
-    cfg.duration = 3 * kSecond;
-    cfg.warmup = kSecond;
-    configs.push_back(cfg);
+  for (int mds = 2; mds <= 4; ++mds) {
+    for (StrategyKind k :
+         {StrategyKind::kStaticSubtree, StrategyKind::kDirHash}) {
+      SimConfig cfg = small_config(k);
+      cfg.num_mds = mds;
+      cfg.duration = 3 * kSecond;
+      cfg.warmup = kSecond;
+      configs.push_back(cfg);
+    }
   }
-  const auto results = run_batch(configs, 2);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].config.num_mds, 2);
-  EXPECT_EQ(results[1].config.num_mds, 3);
-  for (const auto& r : results) EXPECT_GT(r.replies, 100u);
+  // Four jobs at a time, each on its own ClusterSim, against one at a time
+  // on this thread: every field must match exactly.
+  const auto results = run_batch(configs.size(), 4, [&](std::size_t i) {
+    return run_one(configs[i]);
+  });
+  ASSERT_EQ(results.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const RunResult serial = run_one(configs[i]);
+    const RunResult& r = results[i];
+    EXPECT_EQ(r.config.label(), serial.config.label());
+    EXPECT_EQ(r.config.num_mds, configs[i].num_mds);
+    EXPECT_EQ(r.avg_mds_throughput, serial.avg_mds_throughput);
+    EXPECT_EQ(r.hit_rate, serial.hit_rate);
+    EXPECT_EQ(r.prefix_fraction, serial.prefix_fraction);
+    EXPECT_EQ(r.forward_fraction, serial.forward_fraction);
+    EXPECT_EQ(r.mean_latency_ms, serial.mean_latency_ms);
+    EXPECT_EQ(r.replies, serial.replies);
+    EXPECT_EQ(r.failures, serial.failures);
+    EXPECT_GT(r.replies, 100u);
+  }
 }
 
 TEST(Workloads, ScientificClusterRuns) {

@@ -7,7 +7,6 @@
 // gate uses).
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -219,17 +218,6 @@ TEST(GrayDetection, HealthyClusterNeverFlagsAnyone) {
 
 // --- zero-cost-off --------------------------------------------------------
 
-/// Mirror of bench/bench_util.h apply_gray_noop: the layer fully armed
-/// but unable to act — health may never flag (infinite relative factor,
-/// saturated absolute floor) and hedging may never warm up.
-void arm_inert_gray_layer(SimConfig* cfg) {
-  cfg->mds.health.enabled = true;
-  cfg->mds.health.degraded_factor = 1e300;
-  cfg->mds.health.min_lag = std::numeric_limits<SimTime>::max();
-  cfg->hedge.enabled = true;
-  cfg->hedge.min_samples = std::numeric_limits<std::uint32_t>::max();
-}
-
 TEST(GrayZeroCost, InertLayerIsByteIdenticalToDisabled) {
   auto digest = [](SimConfig cfg) {
     ClusterSim cluster(cfg);
@@ -252,7 +240,7 @@ TEST(GrayZeroCost, InertLayerIsByteIdenticalToDisabled) {
   SimConfig plain = small_config(7);
   plain.duration = 10 * kSecond;
   SimConfig inert = plain;
-  arm_inert_gray_layer(&inert);
+  apply_gray_noop(&inert);  // the benches' --gray-noop
 
   const auto a = digest(plain);
   const auto b = digest(inert);

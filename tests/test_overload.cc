@@ -12,8 +12,6 @@
 //    byte-identical to the stock simulation (zero-cost-off).
 #include <gtest/gtest.h>
 
-#include <limits>
-
 #include "client/retry_policy.h"
 #include "core/cluster.h"
 #include "core/experiment.h"
@@ -277,23 +275,11 @@ SimConfig loaded_config() {
   return cfg;
 }
 
-/// Protection enabled but with limits no request can hit: the same
-/// configuration the fig benches' --overload-noop flag uses to prove the
-/// gate costs nothing when it never fires.
-void make_vacuous(OverloadParams* ov) {
-  ov->enabled = true;
-  ov->max_cpu_queue_depth = std::numeric_limits<std::size_t>::max();
-  ov->max_cpu_queue_delay = 0;
-  ov->max_disk_queue_depth = std::numeric_limits<std::size_t>::max();
-  ov->admit_rate = 0.0;
-  ov->deadline_drop = false;
-}
-
 TEST(OverloadGate, VacuousLimitsAreByteIdenticalToDisabled) {
   ClusterSim off(loaded_config());
   off.run();
   SimConfig noop_cfg = loaded_config();
-  make_vacuous(&noop_cfg.mds.overload);
+  apply_overload_noop(&noop_cfg);  // the benches' --overload-noop
   ClusterSim noop(noop_cfg);
   noop.run();
 

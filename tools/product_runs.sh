@@ -41,7 +41,8 @@ for fig in fig2_scaling fig4_cache_hit fig6_forwarding; do
     run "$fig$flag" "$b/$fig" --quick "$flag"
   done
 done
-run fig2_scaling-shards1 "$b/fig2_scaling" --quick --shards=1 --threads=1
+run fig2_scaling-shards2-t1 "$b/fig2_scaling" --quick --shards=2 --threads=1
+run fig2_scaling-shards2-t2 "$b/fig2_scaling" --quick --shards=2 --threads=2
 for bench in fig3_prefix_cache fig5_adaptation fig7_flash_crowd \
              latency_breakdown abl_giga_split abl_dirfrag \
              abl_balancer_policy abl_failover abl_distributed_attrs \
