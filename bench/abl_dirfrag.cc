@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
   for (auto& o : run_all(args, std::move(runs), &csv)) table.add_row(o.value);
   table.print("Checkpoint storm with/without directory fragmentation");
   std::cout << "\nExpected: fragmentation spreads the create hot-spot "
-               "across the cluster (higher throughput, lower latency) and "
-               "merges the directory back after the storm.\nCSV: "
+               "across the cluster (higher throughput, lower latency). No "
+               "run merges the directory back (merge_events is 0).\nCSV: "
             << csv_path("abl_dirfrag") << "\n";
   return 0;
 }

@@ -122,12 +122,10 @@ void run_partition(const SimConfig& cfg, Output<>& o) {
   Metrics& m = cluster.metrics();
 
   const ClientStats clients = cluster.cohort().totals();
-  std::uint64_t fences = 0, unfences = 0, parked = 0, stale_rejects = 0;
+  std::uint64_t parked = 0, stale_rejects = 0;
   std::uint64_t deferred = 0, takeovers = 0, reconciled = 0;
   for (int i = 0; i < cluster.num_mds(); ++i) {
     const MdsStats& s = cluster.mds(i).stats();
-    fences += s.fence_events;
-    unfences += s.unfence_events;
     parked += s.writes_parked_fenced;
     stale_rejects += s.stale_epoch_rejects;
     deferred += s.takeovers_deferred;
@@ -144,18 +142,24 @@ void run_partition(const SimConfig& cfg, Output<>& o) {
 
   const SimTime now = cluster.sim().now();
   std::ostream& out = o.out;
+  const std::vector<Episode> fences =
+      cluster.fault_log().episodes(Episode::Kind::kFence);
+  std::uint64_t unfences = 0;
   out << "Lifecycle spans (FaultLog):\n";
-  for (const auto& f : cluster.fault_log().fence_incidents()) {
+  for (const Episode& f : fences) {
+    if (!f.open()) ++unfences;
     out << "  mds " << f.node << " fenced at "
-        << fmt_double(to_seconds(f.fenced_at), 3) << " s ("
-        << fmt_double(to_seconds(f.fenced_at) - to_seconds(cut_at), 3)
+        << fmt_double(to_seconds(f.begin), 3) << " s ("
+        << fmt_double(to_seconds(f.begin) - to_seconds(cut_at), 3)
         << " s after the cut), unfenced at "
-        << fmt_double(to_seconds(f.unfenced_at), 3) << " s\n";
+        << fmt_double(to_seconds(f.end), 3) << " s\n";
   }
   out << "  minority write stall (fenced node-seconds): "
-      << fmt_double(cluster.fault_log().minority_stall_seconds(now), 3)
+      << fmt_double(cluster.fault_log().episode_seconds(Episode::Kind::kFence,
+                                                        now),
+                    3)
       << " s\n";
-  out << "Counters: fences " << fences << "; unfences " << unfences
+  out << "Counters: fences " << fences.size() << "; unfences " << unfences
       << "; writes parked while fenced " << parked
       << "; stale-epoch rejects " << stale_rejects
       << "; takeovers deferred (no quorum) " << deferred

@@ -161,9 +161,10 @@ void run_arm(const SimConfig& cfg, const FaultPlan& plan, const char* arm,
   const double goodput =
       static_cast<double>(c.ops_ok - ok0) / to_seconds(cfg.duration - m0);
   const double gray_seconds =  // node-seconds flagged degraded
-      cluster.fault_log().gray_degraded_seconds(cluster.sim().now());
+      cluster.fault_log().episode_seconds(Episode::Kind::kGray,
+                                          cluster.sim().now());
   const std::uint64_t gray_incidents =
-      cluster.fault_log().gray_incidents().size();
+      cluster.fault_log().episodes(Episode::Kind::kGray).size();
   const std::uint64_t victim_migrations =
       cluster.mds(kVictim).stats().migrations_out;
   o.rows.field(arm).field(lat.p99_ms).field(lat.read_p99_ms);

@@ -288,7 +288,8 @@ void run_spike_once(const SimConfig& cfg, const FaultPlan& plan, int protect,
         std::max(max_cpu_wait_s, cluster.mds(i).cpu().wait_times().max());
   }
   const ClientStats totals = cluster.cohort().totals();
-  const Summary episodes = cluster.fault_log().overload_episode_seconds();
+  const Summary episodes =
+      cluster.fault_log().episode_spans(Episode::Kind::kOverload);
 
   o.out << label << ":\n"
         << "  goodput baseline " << fmt_double(out.baseline, 0)

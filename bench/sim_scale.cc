@@ -19,6 +19,8 @@
 //   --threads=N,M    thread sweep for the sharded rungs (default 1)
 //   --no-legacy      skip the monolithic engine rung
 //   --tag=NAME       suffix for the CSV file name
+// Any other flag, or a --threads list with an entry that is not a whole
+// number from 1 to kMaxShards, exits 2 with a usage line.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -162,24 +164,35 @@ void announce(const Timing& t) {
             << " ms, " << c.worker_parks << " worker parks\n";
 }
 
-std::vector<int> parse_threads(const std::string& list) {
+[[noreturn]] void usage(const char* argv0, const std::string& why) {
+  std::cerr << argv0 << ": " << why << "\nusage: " << argv0
+            << " [--quick] [--ladder] [--threads=N,M,...] [--no-legacy]"
+               " [--tag=NAME]\n";
+  std::exit(2);
+}
+
+/// The comma-separated thread counts, each a whole number from 1 to
+/// kMaxShards, or exit 2.
+std::vector<int> parse_threads(const std::string& list, const char* argv0) {
   std::vector<int> out;
   std::stringstream ss(list);
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    const int v = std::atoi(tok.c_str());
-    if (v >= 1) out.push_back(v);
+    char* end = nullptr;
+    const long v = std::strtol(tok.c_str(), &end, 10);
+    if (end == tok.c_str() || *end != '\0' || v < 1 || v > kMaxShards) {
+      usage(argv0, "--threads=" + list + ": each count must be a whole "
+                   "number from 1 to " + std::to_string(kMaxShards));
+    }
+    out.push_back(static_cast<int>(v));
   }
-  if (out.empty()) out.push_back(1);
+  if (out.empty()) usage(argv0, "--threads= needs at least one count");
   return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  banner("Simulation scale ladder — sharded engine vs monolithic",
-         "engine benchmark (DESIGN.md section 5f/5g); not a paper figure");
-
   bool quick = false;
   bool ladder = false;
   bool skip_legacy = false;
@@ -191,9 +204,12 @@ int main(int argc, char** argv) {
     else if (arg == "--ladder") ladder = true;
     else if (arg == "--no-legacy") skip_legacy = true;
     else if (arg.rfind("--threads=", 0) == 0)
-      threads = parse_threads(arg.substr(10));
+      threads = parse_threads(arg.substr(10), argv[0]);
     else if (arg.rfind("--tag=", 0) == 0) tag = arg.substr(6);
+    else usage(argv[0], "'" + arg + "' is not a flag of this bench");
   }
+  banner("Simulation scale ladder — sharded engine vs monolithic",
+         "engine benchmark (DESIGN.md section 5f/5g); not a paper figure");
 
   const std::string csv_name = tag.empty() ? "sim_scale" : "sim_scale_" + tag;
   CsvWriter csv(csv_path(csv_name));

@@ -17,7 +17,15 @@
 //   --no-dirfrag
 //   --fail-at S --fail-node K   kill an MDS mid-run
 //   --csv PATH         write the per-sample throughput series
-#include <cstring>
+//
+// A value that is not a number, has trailing characters or is out of
+// range (fewer than 1 MDS, user or cache slot, a negative client count, a
+// duration that is not positive, a warm-up not shorter than the run)
+// exits 2 with the usage line.
+#include <cerrno>
+#include <climits>
+#include <cmath>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -37,6 +45,35 @@ namespace {
                "  [--no-traffic-control] [--no-dirfrag]\n"
                "  [--fail-at S --fail-node K] [--csv PATH]\n";
   std::exit(2);
+}
+
+/// `flag`'s value `s` as a whole number in [lo, hi], or exit 2.
+long long parse_int(const std::string& flag, const std::string& s,
+                    long long lo, long long hi, const char* argv0) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(s.c_str(), &end, 10);
+  if (end == s.c_str() || *end != '\0' || errno == ERANGE || v < lo ||
+      v > hi) {
+    std::cerr << flag << " " << s << ": expected a whole number from " << lo
+              << " to " << hi << "\n";
+    usage(argv0);
+  }
+  return v;
+}
+
+/// `flag`'s value `s` as a number of seconds of magnitude at most 1e9
+/// (a SimTime in ns holds about 1.8e10 s), or exit 2.
+double parse_seconds(const std::string& flag, const std::string& s,
+                     const char* argv0) {
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (end == s.c_str() || *end != '\0' || !(std::fabs(v) <= 1e9)) {
+    std::cerr << flag << " " << s
+              << ": expected a number of seconds from -1e9 to 1e9\n";
+    usage(argv0);
+  }
+  return v;
 }
 
 StrategyKind parse_strategy(const std::string& s, const char* argv0) {
@@ -66,9 +103,8 @@ int main(int argc, char** argv) {
   cfg.num_clients = 200;
   cfg.fs.num_users = 64;
   cfg.fs.nodes_per_user = 400;
-  cfg.duration = 15 * kSecond;
-  cfg.warmup = 3 * kSecond;
-
+  double duration_s = 15.0;
+  double warmup_s = 3.0;
   double fail_at = -1.0;
   int fail_node = 1;
   std::string csv_path;
@@ -79,25 +115,29 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    auto count = [&](long long lo) {
+      return static_cast<int>(parse_int(arg, next(), lo, INT_MAX, argv[0]));
+    };
     if (arg == "--strategy") {
       cfg.strategy = parse_strategy(next(), argv[0]);
     } else if (arg == "--mds") {
-      cfg.num_mds = std::stoi(next());
+      cfg.num_mds = count(1);
     } else if (arg == "--clients") {
-      cfg.num_clients = std::stoi(next());
+      cfg.num_clients = count(0);
     } else if (arg == "--users") {
-      cfg.fs.num_users = std::stoi(next());
+      cfg.fs.num_users = count(1);
     } else if (arg == "--nodes-per-user") {
-      cfg.fs.nodes_per_user = std::stoi(next());
+      cfg.fs.nodes_per_user = count(0);
     } else if (arg == "--cache") {
-      cfg.mds.cache_capacity = static_cast<std::size_t>(std::stoul(next()));
+      cfg.mds.cache_capacity = static_cast<std::size_t>(count(1));
       cfg.mds.journal_capacity = cfg.mds.cache_capacity;
     } else if (arg == "--duration") {
-      cfg.duration = from_seconds(std::stod(next()));
+      duration_s = parse_seconds(arg, next(), argv[0]);
     } else if (arg == "--warmup") {
-      cfg.warmup = from_seconds(std::stod(next()));
+      warmup_s = parse_seconds(arg, next(), argv[0]);
     } else if (arg == "--seed") {
-      cfg.seed = std::stoull(next());
+      cfg.seed = static_cast<std::uint64_t>(
+          parse_int(arg, next(), 0, LLONG_MAX, argv[0]));
       cfg.fs.seed = cfg.seed;
     } else if (arg == "--workload") {
       cfg.workload = parse_workload(next(), argv[0]);
@@ -106,15 +146,24 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-dirfrag") {
       cfg.mds.dirfrag_enabled = false;
     } else if (arg == "--fail-at") {
-      fail_at = std::stod(next());
+      fail_at = parse_seconds(arg, next(), argv[0]);
     } else if (arg == "--fail-node") {
-      fail_node = std::stoi(next());
+      fail_node = static_cast<int>(
+          parse_int(arg, next(), INT_MIN, INT_MAX, argv[0]));
     } else if (arg == "--csv") {
       csv_path = next();
     } else {
       usage(argv[0]);
     }
   }
+  // The statistics window [warmup, duration) must not be empty.
+  if (!(duration_s > 0.0 && warmup_s >= 0.0 && warmup_s < duration_s)) {
+    std::cerr << "--duration must be positive and --warmup from 0 to below "
+                 "it\n";
+    usage(argv[0]);
+  }
+  cfg.duration = from_seconds(duration_s);
+  cfg.warmup = from_seconds(warmup_s);
   // A crash needs a surviving peer to take over, and the victim must exist.
   if (fail_at > 0 &&
       (cfg.num_mds < 2 || fail_node < 0 || fail_node >= cfg.num_mds)) {

@@ -7,7 +7,9 @@
 // log), rejoin (replay finished, serving again) and re-mark-up (the first
 // survivor that heard a heartbeat again). The summaries below derive
 // detection latency, unavailability windows and recovery time from these
-// stamps.
+// stamps. Fences, overload, gray flags and fail-slow windows are episodes:
+// one record shape (node, begin, end) per span. The log counts nothing
+// another layer already counts, such as sheds.
 #pragma once
 
 #include <algorithm>
@@ -35,66 +37,40 @@ struct FaultIncident {
   bool has(SimTime t) const { return t != kUnset; }
 };
 
-/// A node losing (and possibly regaining) its authority lease: the span
-/// it spent self-fenced — not serving writes — because it could not hear
-/// a quorum. Distinct from FaultIncident: the process is up the whole
-/// time; the network partitioned it away.
-struct FenceIncident {
+/// A span of one kind of trouble on one node. Distinct from FaultIncident:
+/// the process is up the whole time.
+/// - kFence: the node self-fenced (stopped serving writes) because it
+///   could not hear a quorum; the network partitioned it away.
+/// - kOverload: the node shed load at admission. Consecutive sheds are
+///   coalesced: `end` is the last shed, and a shed more than kQuietGap
+///   after it begins a new episode.
+/// - kGray: a detector saw the node's health score (EWMA of heartbeat lag
+///   + self-reported service lag) cross the degraded threshold;
+///   `detected_by` is the first detector. This is what the detector saw.
+/// - kFailSlow: injection ground truth, the window in which a fail-slow
+///   fault was installed (ClusterSim::set_fail_slow). Benches compare
+///   detected kGray episodes against these.
+/// An episode whose `end` is unset is open.
+struct Episode {
   static constexpr SimTime kUnset = FaultIncident::kUnset;
+  enum class Kind : std::uint8_t { kFence, kOverload, kGray, kFailSlow };
 
+  Kind kind = Kind::kFence;
   MdsId node = kInvalidMds;
-  SimTime fenced_at = kUnset;
-  SimTime unfenced_at = kUnset;
-  bool open = true;
-};
+  SimTime begin = kUnset;
+  SimTime end = kUnset;
+  MdsId detected_by = kInvalidMds;  // kGray: first detector
 
-/// An MDS shedding load at admission. Consecutive sheds on one node are
-/// coalesced into an episode: the episode stays open while sheds keep
-/// arriving and closes after a quiet gap (no shed for kQuietGap). The
-/// episode span approximates "time spent in overload" the way fence
-/// incidents approximate time spent partitioned.
-struct OverloadIncident {
-  static constexpr SimTime kUnset = FaultIncident::kUnset;
-
-  MdsId node = kInvalidMds;
-  SimTime began_at = kUnset;
-  SimTime last_shed_at = kUnset;
-  std::uint64_t sheds = 0;
-  bool open = true;
-};
-
-/// A peer observed to be gray-degraded: its health score (EWMA of
-/// heartbeat lag + self-reported service lag) crossed the degraded
-/// threshold at some MDS. Distinct from FaultIncident (the node is alive
-/// and heartbeating) and from the *injection* record below: this is what
-/// the detector saw, that is what was actually done to the node.
-struct GrayIncident {
-  static constexpr SimTime kUnset = FaultIncident::kUnset;
-
-  MdsId node = kInvalidMds;
-  SimTime degraded_at = kUnset;
-  SimTime recovered_at = kUnset;
-  MdsId detected_by = kInvalidMds;  // first detector
-  bool open = true;
-};
-
-/// Injection ground truth: the window in which a fail-slow fault was
-/// actually installed on a node (ClusterSim::set_fail_slow). Benches
-/// compare detected GrayIncidents against these.
-struct FailSlowIncident {
-  static constexpr SimTime kUnset = FaultIncident::kUnset;
-
-  MdsId node = kInvalidMds;
-  SimTime began_at = kUnset;
-  SimTime cleared_at = kUnset;
-  bool open = true;
+  bool open() const { return end == kUnset; }
 };
 
 class FaultLog {
  public:
   void note_crash(MdsId node, SimTime now) {
-    // A re-crash closes any incident still open for the node.
-    if (FaultIncident* inc = open_in(incidents_, node)) inc->open = false;
+    // A re-crash closes any incident still open for the node, and the
+    // crash ends a fence: a dead node is not a stalled minority.
+    if (FaultIncident* inc = open_incident(node)) inc->open = false;
+    end_episode(Episode::Kind::kFence, node, now);
     FaultIncident fresh;
     fresh.node = node;
     fresh.crashed_at = now;
@@ -102,118 +78,96 @@ class FaultLog {
   }
 
   void note_detection(MdsId node, MdsId by, SimTime now) {
-    FaultIncident* inc = open_in(incidents_, node);
+    FaultIncident* inc = open_incident(node);
     if (inc == nullptr || inc->has(inc->detected_at)) return;
     inc->detected_at = now;
     inc->detected_by = by;
   }
 
   void note_takeover(MdsId node, SimTime now) {
-    FaultIncident* inc = open_in(incidents_, node);
+    FaultIncident* inc = open_incident(node);
     if (inc == nullptr || inc->has(inc->takeover_at)) return;
     inc->takeover_at = now;
   }
 
   void note_restart(MdsId node, SimTime now) {
-    FaultIncident* inc = open_in(incidents_, node);
+    FaultIncident* inc = open_incident(node);
     if (inc == nullptr || inc->has(inc->restarted_at)) return;
     inc->restarted_at = now;
   }
 
   void note_rejoin(MdsId node, SimTime now) {
-    FaultIncident* inc = open_in(incidents_, node);
+    FaultIncident* inc = open_incident(node);
     if (inc == nullptr || inc->has(inc->rejoined_at)) return;
     inc->rejoined_at = now;
     maybe_close(*inc);
   }
 
   void note_marked_up(MdsId node, SimTime now) {
-    FaultIncident* inc = open_in(incidents_, node);
+    FaultIncident* inc = open_incident(node);
     if (inc == nullptr || inc->has(inc->remarked_up_at)) return;
     inc->remarked_up_at = now;
     maybe_close(*inc);
   }
 
-  void note_fenced(MdsId node, SimTime now) {
-    if (open_in(fences_, node) != nullptr) return;
-    FenceIncident f;
-    f.node = node;
-    f.fenced_at = now;
-    fences_.push_back(f);
+  /// Opens a `kind` episode on `node`; a no-op while one is open (for
+  /// kGray: the first detector opens it, later ones change nothing).
+  void begin_episode(Episode::Kind kind, MdsId node, SimTime now,
+                     MdsId by = kInvalidMds) {
+    const Episode* e = last_episode(kind, node);
+    if (e != nullptr && e->open()) return;
+    episodes_.push_back(Episode{kind, node, now, Episode::kUnset, by});
   }
 
-  void note_unfenced(MdsId node, SimTime now) {
-    FenceIncident* f = open_in(fences_, node);
-    if (f == nullptr) return;
-    f->unfenced_at = now;
-    f->open = false;
+  /// Ends the open `kind` episode on `node`; a no-op when none is open.
+  void end_episode(Episode::Kind kind, MdsId node, SimTime now) {
+    Episode* e = last_episode(kind, node);
+    if (e != nullptr && e->open()) e->end = now;
   }
 
-  /// One admission-gate shed on `node`. Extends the node's open overload
-  /// episode, or opens a new one after a quiet gap.
+  /// One admission-gate shed on `node`. Extends the node's overload
+  /// episode, or begins a new one after a quiet gap.
   void note_shed(MdsId node, SimTime now) {
-    OverloadIncident* inc = open_in(overloads_, node);
-    if (inc != nullptr && now - inc->last_shed_at > kQuietGap) {
-      inc->open = false;
-      inc = nullptr;
+    Episode* e = last_episode(Episode::Kind::kOverload, node);
+    if (e != nullptr && now - e->end <= kQuietGap) {
+      e->end = now;
+    } else {
+      episodes_.push_back(Episode{Episode::Kind::kOverload, node, now, now});
     }
-    if (inc == nullptr) {
-      OverloadIncident fresh;
-      fresh.node = node;
-      fresh.began_at = now;
-      overloads_.push_back(fresh);
-      inc = &overloads_.back();
-    }
-    inc->last_shed_at = now;
-    ++inc->sheds;
-  }
-
-  /// First detector to see `node` cross the degraded threshold opens the
-  /// incident; later detectors are no-ops while it stays open.
-  void note_gray_degraded(MdsId node, MdsId by, SimTime now) {
-    if (open_in(grays_, node) != nullptr) return;
-    GrayIncident g;
-    g.node = node;
-    g.degraded_at = now;
-    g.detected_by = by;
-    grays_.push_back(g);
-  }
-
-  void note_gray_recovered(MdsId node, SimTime now) {
-    GrayIncident* g = open_in(grays_, node);
-    if (g == nullptr) return;
-    g->recovered_at = now;
-    g->open = false;
-  }
-
-  /// Injection bookkeeping (ClusterSim::set_fail_slow).
-  void note_fail_slow(MdsId node, SimTime now) {
-    if (open_in(fail_slows_, node) != nullptr) return;
-    FailSlowIncident f;
-    f.node = node;
-    f.began_at = now;
-    fail_slows_.push_back(f);
-  }
-
-  void note_fail_slow_cleared(MdsId node, SimTime now) {
-    FailSlowIncident* f = open_in(fail_slows_, node);
-    if (f == nullptr) return;
-    f->cleared_at = now;
-    f->open = false;
   }
 
   const std::vector<FaultIncident>& incidents() const { return incidents_; }
-  const std::vector<FenceIncident>& fence_incidents() const { return fences_; }
-  const std::vector<GrayIncident>& gray_incidents() const { return grays_; }
-  const std::vector<FailSlowIncident>& fail_slow_incidents() const {
-    return fail_slows_;
+
+  /// The `kind` episodes, in the order they began.
+  std::vector<Episode> episodes(Episode::Kind kind) const {
+    std::vector<Episode> out;
+    for (const Episode& e : episodes_) {
+      if (e.kind == kind) out.push_back(e);
+    }
+    return out;
   }
 
-  /// Total seconds peers were flagged gray-degraded, right-censoring
-  /// incidents still open at `asof`.
-  double gray_degraded_seconds(SimTime asof) const {
-    return censored_seconds(grays_, &GrayIncident::degraded_at,
-                            &GrayIncident::recovered_at, asof);
+  /// Total seconds in `kind` episodes, right-censoring episodes still
+  /// open at `asof`: fenced node-seconds (the minority-side write stall)
+  /// or gray-flagged node-seconds.
+  double episode_seconds(Episode::Kind kind, SimTime asof) const {
+    double total = 0.0;
+    for (const Episode& e : episodes_) {
+      const SimTime end = e.open() ? asof : e.end;
+      if (e.kind != kind || end < e.begin) continue;
+      total += to_seconds(end - e.begin);
+    }
+    return total;
+  }
+
+  /// Per-episode spans of the ended `kind` episodes. An overload episode
+  /// with one shed contributes 0; a sustained storm its whole span.
+  Summary episode_spans(Episode::Kind kind) const {
+    Summary s;
+    for (const Episode& e : episodes_) {
+      if (e.kind == kind && !e.open()) s.add(to_seconds(e.end - e.begin));
+    }
+    return s;
   }
 
   /// Crash -> first survivor detection. `asof` (usually the run end)
@@ -241,32 +195,6 @@ class FaultLog {
                 [](const FaultIncident& i) { return i.restarted_at; }, asof);
   }
 
-  /// Per-episode overload durations (first shed -> last shed of the
-  /// episode). An episode with one shed contributes 0; a sustained storm
-  /// contributes its whole span.
-  Summary overload_episode_seconds() const {
-    Summary s;
-    for (const OverloadIncident& o : overloads_) {
-      if (o.began_at == OverloadIncident::kUnset) continue;
-      s.add(to_seconds(o.last_shed_at - o.began_at));
-    }
-    return s;
-  }
-
-  /// Total requests shed at admission, across all nodes and episodes.
-  std::uint64_t total_sheds() const {
-    std::uint64_t n = 0;
-    for (const OverloadIncident& o : overloads_) n += o.sheds;
-    return n;
-  }
-
-  /// Total seconds nodes spent self-fenced (minority-side write stall).
-  /// Still-open fences are censored at `asof`.
-  double minority_stall_seconds(SimTime asof) const {
-    return censored_seconds(fences_, &FenceIncident::fenced_at,
-                            &FenceIncident::unfenced_at, asof);
-  }
-
  private:
   // Rejoin (replay done) and re-mark-up (peers hear heartbeats again)
   // race freely — whichever lands second completes the lifecycle.
@@ -276,28 +204,24 @@ class FaultLog {
     }
   }
 
-  /// The node's most recent still-open incident in `v`, or null.
-  template <typename Incident>
-  static Incident* open_in(std::vector<Incident>& v, MdsId node) {
-    for (auto it = v.rbegin(); it != v.rend(); ++it) {
-      if (it->node == node && it->open) return &*it;
-    }
-    return nullptr;
+  /// The most recent record in `v` that `match` accepts, or null. A node
+  /// has at most one open record of each sort, and it is the most recent.
+  template <typename Record, typename Match>
+  static Record* last(std::vector<Record>& v, Match match) {
+    const auto it = std::find_if(v.rbegin(), v.rend(), match);
+    return it == v.rend() ? nullptr : &*it;
   }
 
-  /// Total seconds from `begin` to `end` over `v`, right-censoring
-  /// still-open incidents at `asof`.
-  template <typename Incident>
-  static double censored_seconds(const std::vector<Incident>& v,
-                                 SimTime Incident::*begin,
-                                 SimTime Incident::*end, SimTime asof) {
-    double total = 0.0;
-    for (const Incident& i : v) {
-      const SimTime e = i.open ? asof : i.*end;
-      if (e == Incident::kUnset || e < i.*begin) continue;
-      total += to_seconds(e - i.*begin);
-    }
-    return total;
+  FaultIncident* open_incident(MdsId node) {
+    FaultIncident* inc = last(
+        incidents_, [node](const FaultIncident& i) { return i.node == node; });
+    return inc != nullptr && inc->open ? inc : nullptr;
+  }
+
+  Episode* last_episode(Episode::Kind kind, MdsId node) {
+    return last(episodes_, [kind, node](const Episode& e) {
+      return e.kind == kind && e.node == node;
+    });
   }
 
   template <typename End, typename Begin>
@@ -321,10 +245,7 @@ class FaultLog {
   static constexpr SimTime kQuietGap = kSecond;
 
   std::vector<FaultIncident> incidents_;
-  std::vector<FenceIncident> fences_;
-  std::vector<OverloadIncident> overloads_;
-  std::vector<GrayIncident> grays_;
-  std::vector<FailSlowIncident> fail_slows_;
+  std::vector<Episode> episodes_;
 };
 
 }  // namespace mdsim

@@ -75,7 +75,7 @@ void ClusterSim::build() {
 
   ctx_ = std::make_unique<ClusterContext>(ClusterContext{
       sim_, *net_, tree_, store_, *partition_, *dirfrag_, anchors_,
-      lazy_.get(), traits, mds_params, num_mds_, &fault_log_, {}});
+      lazy_.get(), traits, mds_params, num_mds_, fault_log_, {}});
 
   // --- MDS nodes (network addresses == MdsIds, attached first) -----------
   mds_nodes_.reserve(static_cast<std::size_t>(num_mds_));
@@ -225,9 +225,9 @@ void ClusterSim::set_fail_slow(MdsId node, double cpu_mult, double disk_mult) {
   assert(node >= 0 && node < num_mds_);
   mds(node).set_fail_slow(cpu_mult, disk_mult);
   if (cpu_mult != 1.0 || disk_mult != 1.0) {
-    fault_log_.note_fail_slow(node, sim_.now());
+    fault_log_.begin_episode(Episode::Kind::kFailSlow, node, sim_.now());
   } else {
-    fault_log_.note_fail_slow_cleared(node, sim_.now());
+    fault_log_.end_episode(Episode::Kind::kFailSlow, node, sim_.now());
   }
 }
 

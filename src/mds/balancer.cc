@@ -184,11 +184,11 @@ void MdsNode::health_tick(SimTime now) {
     if (peer_degraded_[i] == 0) {
       if (peer_health_[i] > flag_at) {
         peer_degraded_[i] = 1;
-        if (ctx_.faults != nullptr) ctx_.faults->note_gray_degraded(p, id_, now);
+        ctx_.faults.begin_episode(Episode::Kind::kGray, p, now, id_);
       }
     } else if (peer_health_[i] < unflag_at) {
       peer_degraded_[i] = 0;
-      if (ctx_.faults != nullptr) ctx_.faults->note_gray_recovered(p, now);
+      ctx_.faults.end_episode(Episode::Kind::kGray, p, now);
     }
   }
 }

@@ -257,7 +257,7 @@ void MdsNode::shed_request(const ClientRequestMsg& msg, NetAddr reply_to,
     case AdmitVerdict::kAdmit:
       return;
   }
-  if (ctx_.faults != nullptr) ctx_.faults->note_shed(id_, ctx_.sim.now());
+  ctx_.faults.note_shed(id_, ctx_.sim.now());
   // A deadline drop answers no one: that client has already timed out and
   // moved on. Queue/bucket sheds get an explicit rejection so the client
   // backs off for `retry_after` instead of burning its timeout. The
@@ -840,9 +840,7 @@ void MdsNode::warm_from_journal(std::vector<InodeId> log, bool own_log) {
       }
       stats_.restart_replayed_items += installed;
       recovering_ = false;
-      if (ctx_.faults != nullptr) {
-        ctx_.faults->note_rejoin(id_, ctx_.sim.now());
-      }
+      ctx_.faults.note_rejoin(id_, ctx_.sim.now());
     });
   });
 }

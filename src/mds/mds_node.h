@@ -63,7 +63,7 @@ struct ClusterContext {
   StrategyTraits traits;
   MdsParams params;
   int num_mds = 0;
-  FaultLog* faults = nullptr;  // failure-lifecycle incident log
+  FaultLog& faults;  // failure-lifecycle incident log
   std::vector<MdsNode*> nodes;  // index = MdsId = NetAddr
 };
 
@@ -99,8 +99,6 @@ struct MdsStats {
   std::uint64_t foreign_drop_visits = 0;  // entries dirfrag drops examined
 
   // Partition tolerance (leases, epochs, quorum takeover).
-  std::uint64_t fence_events = 0;           // lease expiries (self-fencing)
-  std::uint64_t unfence_events = 0;         // lease renewals after a fence
   std::uint64_t writes_parked_fenced = 0;   // updates parked while fenced
   std::uint64_t stale_epoch_rejects = 0;    // old-regime messages refused
   std::uint64_t takeovers_deferred = 0;     // grace/quorum stalled a sweep

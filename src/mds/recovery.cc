@@ -101,9 +101,7 @@ void MdsNode::peer_down(MdsId peer) {
   // directory into a black hole until the peer recovers).
   ctx_.dirfrag.set_node_alive(peer, false);
   ++stats_.peer_down_detections;
-  if (ctx_.faults != nullptr) {
-    ctx_.faults->note_detection(peer, id_, ctx_.sim.now());
-  }
+  ctx_.faults.note_detection(peer, id_, ctx_.sim.now());
 }
 
 void MdsNode::peer_up(MdsId peer) {
@@ -114,9 +112,7 @@ void MdsNode::peer_up(MdsId peer) {
   peer_alive_[idx] = 1;
   peer_loads_[idx] = 0.0;
   ctx_.dirfrag.set_node_alive(peer, true);
-  if (ctx_.faults != nullptr) {
-    ctx_.faults->note_marked_up(peer, ctx_.sim.now());
-  }
+  ctx_.faults.note_marked_up(peer, ctx_.sim.now());
 }
 
 MdsId MdsNode::coordinator() const {
@@ -199,8 +195,7 @@ void MdsNode::evaluate_lease(SimTime now) {
 
 void MdsNode::fence() {
   fenced_ = true;
-  ++stats_.fence_events;
-  if (ctx_.faults != nullptr) ctx_.faults->note_fenced(id_, ctx_.sim.now());
+  ctx_.faults.begin_episode(Episode::Kind::kFence, id_, ctx_.sim.now());
   // An export in flight cannot complete against the quorum side; give it
   // up now (the map never flipped — rollback is clean on both ends).
   if (outbound_ != nullptr) abort_outbound_migration();
@@ -208,8 +203,7 @@ void MdsNode::fence() {
 
 void MdsNode::unfence_and_reconcile() {
   fenced_ = false;
-  ++stats_.unfence_events;
-  if (ctx_.faults != nullptr) ctx_.faults->note_unfenced(id_, ctx_.sim.now());
+  ctx_.faults.end_episode(Episode::Kind::kFence, id_, ctx_.sim.now());
 
   const std::uint64_t map_epoch = subtree_map_->epoch();
   const bool reconfigured = map_epoch != view_epoch_;
@@ -344,9 +338,7 @@ void MdsNode::take_over_failed_peer(MdsId dead) {
   if (heirs.empty()) heirs.push_back(survivors.front());
 
   ++stats_.takeovers;
-  if (ctx_.faults != nullptr) {
-    ctx_.faults->note_takeover(dead, ctx_.sim.now());
-  }
+  ctx_.faults.note_takeover(dead, ctx_.sim.now());
 
   const MdsNode& victim = *ctx_.nodes[static_cast<std::size_t>(dead)];
   if (victim.warm_takeover_) {

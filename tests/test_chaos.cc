@@ -178,9 +178,10 @@ TEST_P(RandomChaosSweep, GeneratedPlansNeverCorruptOrLeakRequests) {
   // The generated schedule really injected something on every axis it
   // scripts: a crash incident and a fail-slow window are logged.
   EXPECT_FALSE(cluster.fault_log().incidents().empty());
-  const auto& fs = cluster.fault_log().fail_slow_incidents();
+  const std::vector<Episode> fs =
+      cluster.fault_log().episodes(Episode::Kind::kFailSlow);
   ASSERT_FALSE(fs.empty());
-  EXPECT_FALSE(fs.front().open);
+  EXPECT_FALSE(fs.front().open());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomChaosSweep,
@@ -202,8 +203,9 @@ TEST(Chaos, SameSeedRandomizedPlanIsBitForBitReproducible) {
         s.ops_completed, s.ops_failed, s.retries, s.stale_replies,
         s.hedges_fired, fc.dropped,
         fc.duplicated, fc.spiked,
-        cluster.fault_log().gray_incidents().size(),
-        cluster.fault_log().gray_degraded_seconds(cfg.duration),
+        cluster.fault_log().episodes(Episode::Kind::kGray).size(),
+        cluster.fault_log().episode_seconds(Episode::Kind::kGray,
+                                            cfg.duration),
         cluster.metrics().total_replies());
   };
   const auto a = run();

@@ -1,7 +1,7 @@
 // Gray-failure layer: fail-slow injection primitives (service-rate
 // multipliers on the CPU/disk queue servers, sustained link degrades),
 // the FaultPlan window that drives them, health-based detection opening
-// and closing GrayIncidents in the FaultLog, and the zero-cost-off
+// and closing gray episodes in the FaultLog, and the zero-cost-off
 // contract (health + hedging armed but inert is byte-identical to a run
 // without the layer — the same configuration the benches' --gray-noop
 // gate uses).
@@ -166,12 +166,12 @@ TEST(FailSlow, PlanWindowAppliesAndRevertsTheMultipliers) {
   EXPECT_EQ(cluster.mds(1).disk().service_time_multiplier(), 1.0);
 
   // Injection ground truth was logged with the window's exact bounds.
-  const auto& fs = cluster.fault_log().fail_slow_incidents();
+  const std::vector<Episode> fs =
+      cluster.fault_log().episodes(Episode::Kind::kFailSlow);
   ASSERT_EQ(fs.size(), 1u);
   EXPECT_EQ(fs[0].node, 1);
-  EXPECT_EQ(fs[0].began_at, kSecond);
-  EXPECT_EQ(fs[0].cleared_at, 2 * kSecond);
-  EXPECT_FALSE(fs[0].open);
+  EXPECT_EQ(fs[0].begin, kSecond);
+  EXPECT_EQ(fs[0].end, 2 * kSecond);
 }
 
 // --- detection ------------------------------------------------------------
@@ -190,20 +190,23 @@ TEST(GrayDetection, FailSlowWindowOpensAndClosesAnIncident) {
   cluster.run_until(26 * kSecond);
 
   // Peers (or the victim itself) flagged the victim while the fault was
-  // live, and un-flagged it after the backlog drained: the incident is
-  // closed with both edges inside sane bounds.
-  const auto& grays = cluster.fault_log().gray_incidents();
+  // live, and un-flagged it after the backlog drained: the episode has
+  // ended, with both edges inside sane bounds.
+  const std::vector<Episode> grays =
+      cluster.fault_log().episodes(Episode::Kind::kGray);
   ASSERT_FALSE(grays.empty());
-  const GrayIncident& g = grays.front();
+  const Episode& g = grays.front();
   EXPECT_EQ(g.node, victim);
-  EXPECT_GE(g.degraded_at, 6 * kSecond);
-  EXPECT_LE(g.degraded_at, 12 * kSecond);
+  EXPECT_GE(g.begin, 6 * kSecond);
+  EXPECT_LE(g.begin, 12 * kSecond);
   EXPECT_NE(g.detected_by, kInvalidMds);
-  EXPECT_FALSE(g.open);
-  EXPECT_GT(g.recovered_at, g.degraded_at);
-  EXPECT_GT(cluster.fault_log().gray_degraded_seconds(26 * kSecond), 0.0);
-  // Every incident this run concerns the one injected victim.
-  for (const GrayIncident& inc : grays) EXPECT_EQ(inc.node, victim);
+  EXPECT_FALSE(g.open());
+  EXPECT_GT(g.end, g.begin);
+  EXPECT_GT(
+      cluster.fault_log().episode_seconds(Episode::Kind::kGray, 26 * kSecond),
+      0.0);
+  // Every episode this run concerns the one injected victim.
+  for (const Episode& e : grays) EXPECT_EQ(e.node, victim);
 }
 
 TEST(GrayDetection, HealthyClusterNeverFlagsAnyone) {
@@ -212,8 +215,10 @@ TEST(GrayDetection, HealthyClusterNeverFlagsAnyone) {
   cfg.duration = 15 * kSecond;
   ClusterSim cluster(cfg);
   cluster.run();
-  EXPECT_TRUE(cluster.fault_log().gray_incidents().empty());
-  EXPECT_EQ(cluster.fault_log().gray_degraded_seconds(15 * kSecond), 0.0);
+  EXPECT_TRUE(cluster.fault_log().episodes(Episode::Kind::kGray).empty());
+  EXPECT_EQ(
+      cluster.fault_log().episode_seconds(Episode::Kind::kGray, 15 * kSecond),
+      0.0);
 }
 
 // --- zero-cost-off --------------------------------------------------------

@@ -16,6 +16,7 @@
 // network splitting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -254,7 +255,6 @@ TEST_F(ClusterPartitionTest, MinorityFencesWritesParkAndLandAfterHeal) {
   // majority's grace-delayed takeover.
   run_until(8 * kSecond);
   EXPECT_TRUE(cluster->mds(victim).fenced());
-  EXPECT_GE(cluster->mds(victim).stats().fence_events, 1u);
   for (int i = 0; i < cluster->num_mds(); ++i) {
     if (i != victim) {
       EXPECT_FALSE(cluster->mds(i).fenced()) << i;
@@ -299,7 +299,6 @@ TEST_F(ClusterPartitionTest, MinorityFencesWritesParkAndLandAfterHeal) {
   cluster->network().heal();
   run_until(20 * kSecond);
   EXPECT_FALSE(cluster->mds(victim).fenced());
-  EXPECT_GE(cluster->mds(victim).stats().unfence_events, 1u);
   EXPECT_EQ(cluster->mds(victim).view_epoch(), 2u);
   EXPECT_EQ(cluster->mds(victim).parked_requests(), 0u);
   ASSERT_NE(min_client.reply_for(parked_id), nullptr);
@@ -307,11 +306,14 @@ TEST_F(ClusterPartitionTest, MinorityFencesWritesParkAndLandAfterHeal) {
   EXPECT_EQ(file->inode().size, size_before + 1);
   expect_single_authority(*cluster, 20 * kSecond);
 
-  // The fence incident was logged and closed.
-  const auto& fences = cluster->fault_log().fence_incidents();
+  // The fence episode was logged and ended.
+  const std::vector<Episode> fences =
+      cluster->fault_log().episodes(Episode::Kind::kFence);
   ASSERT_GE(fences.size(), 1u);
   EXPECT_EQ(fences[0].node, victim);
-  EXPECT_FALSE(fences[0].open);
+  EXPECT_GE(fences[0].begin, 4 * kSecond);
+  EXPECT_LE(fences[0].begin, 8 * kSecond);
+  EXPECT_FALSE(fences[0].open());
 }
 
 TEST_F(ClusterPartitionTest, EvenSplitFencesBothSidesAndNobodyTakesOver) {
@@ -663,7 +665,9 @@ TEST_P(PartitionChaosSweep, SingleAuthorityHoldsAtEveryCheckpoint) {
   }
 
   // The minority node fenced during the split and recovered after heal.
-  EXPECT_GE(cluster.mds(1).stats().fence_events, 1u);
+  const std::vector<Episode> fences =
+      cluster.fault_log().episodes(Episode::Kind::kFence);
+  EXPECT_GE(std::ranges::count(fences, MdsId{1}, &Episode::node), 1);
   for (int i = 0; i < cluster.num_mds(); ++i) {
     EXPECT_FALSE(cluster.mds(i).fenced()) << i;
     EXPECT_FALSE(cluster.mds(i).failed()) << i;
@@ -673,8 +677,8 @@ TEST_P(PartitionChaosSweep, SingleAuthorityHoldsAtEveryCheckpoint) {
   auto* subtree = dynamic_cast<SubtreePartition*>(&cluster.partition());
   ASSERT_NE(subtree, nullptr);
   EXPECT_GE(subtree->epoch(), 2u);
-  for (const auto& fi : cluster.fault_log().fence_incidents()) {
-    EXPECT_FALSE(fi.open) << "node " << fi.node;
+  for (const Episode& fi : fences) {
+    EXPECT_FALSE(fi.open()) << "node " << fi.node;
   }
   // Cross-partition traffic was dropped and attributed as such.
   EXPECT_GT(cluster.network().partition_dropped(), 0u);
@@ -689,6 +693,32 @@ TEST_P(PartitionChaosSweep, SingleAuthorityHoldsAtEveryCheckpoint) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionChaosSweep,
                          ::testing::Values(1u, 42u, 1234u));
 
+TEST(PartitionCrash, CrashEndsTheFenceEpisode) {
+  // Node 1 is cut off alone, fences when its lease lapses, then crashes
+  // while still partitioned; the cut heals and the node restarts later.
+  // The restarted node rejoins at the cluster's epoch and serves, so its
+  // minority stall is fence -> crash, not fence -> end of run.
+  ClusterSim cluster(sweep_config(1));
+  cluster.run_until(0);
+  FaultPlan plan;
+  plan.partition(4 * kSecond, 12 * kSecond, {{0, 2, 3}, {1}})
+      .crash(8 * kSecond, 1)
+      .restart(14 * kSecond, 1);
+  plan.arm(cluster);
+  cluster.run_until(30 * kSecond);
+
+  EXPECT_FALSE(cluster.mds(1).fenced());
+  const std::vector<Episode> fences =
+      cluster.fault_log().episodes(Episode::Kind::kFence);
+  ASSERT_EQ(fences.size(), 1u);
+  EXPECT_EQ(fences[0].node, 1);
+  EXPECT_GT(fences[0].begin, 4 * kSecond);
+  EXPECT_EQ(fences[0].end, 8 * kSecond);
+  EXPECT_DOUBLE_EQ(
+      cluster.fault_log().episode_seconds(Episode::Kind::kFence, 30 * kSecond),
+      to_seconds(8 * kSecond - fences[0].begin));
+}
+
 TEST(PartitionDeterminism, SameSeedSameScheduleIsBitForBit) {
   auto run = []() {
     ClusterSim cluster(sweep_config(42));
@@ -701,14 +731,15 @@ TEST(PartitionDeterminism, SameSeedSameScheduleIsBitForBit) {
       tput.push_back(p.value);
     }
     const ClientStats clients = cluster.cohort().totals();
-    std::uint64_t fences = 0, parked = 0, rejects = 0, deferred = 0;
+    std::uint64_t parked = 0, rejects = 0, deferred = 0;
     for (int i = 0; i < cluster.num_mds(); ++i) {
       const MdsStats& s = cluster.mds(i).stats();
-      fences += s.fence_events;
       parked += s.writes_parked_fenced;
       rejects += s.stale_epoch_rejects;
       deferred += s.takeovers_deferred;
     }
+    const std::size_t fences =
+        cluster.fault_log().episodes(Episode::Kind::kFence).size();
     auto* subtree = dynamic_cast<SubtreePartition*>(&cluster.partition());
     return std::make_tuple(tput, clients.ops_completed, clients.retries,
                            clients.stale_replies, fences, parked,
