@@ -6,7 +6,7 @@
 // client count / thread count and reports wall-clock, simulated events,
 // and throughput (simulated ops per wall-second); sharded rungs also print
 // where the parallel engine's time went (windows, shard busy time,
-// coordinator wait, mailbox drain, worker parks). Emits a
+// coordinator wait, mailbox drain, worker parks, shard moves). Emits a
 // google-benchmark-compatible JSON (BENCH_sim_scale.json, usable with
 // tools/bench_compare.py) and a determinism CSV: the CSV carries only
 // simulation-derived values, so two runs of the same rung — at any two
@@ -161,7 +161,8 @@ void announce(const Timing& t) {
   std::cout << "    " << c.windows << " windows, shard busy " << ms(busy)
             << " ms (busiest shard " << ms(busiest) << " ms), coordinator wait "
             << ms(c.coordinator_wait_ns) << " ms, drain " << ms(c.drain_ns)
-            << " ms, " << c.worker_parks << " worker parks\n";
+            << " ms, " << c.worker_parks << " worker parks, "
+            << c.shard_moves << " shard moves\n";
 }
 
 [[noreturn]] void usage(const char* argv0, const std::string& why) {

@@ -16,13 +16,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// claim_ layout: round tag above, next unclaimed shard below.
-constexpr int kShardBits = 32;
-constexpr std::uint64_t kShardMask = (std::uint64_t{1} << kShardBits) - 1;
-
-std::uint64_t round_of(std::uint64_t claim) { return claim >> kShardBits; }
-std::uint64_t shard_of(std::uint64_t claim) { return claim & kShardMask; }
-
 /// One step of a busy-wait loop: lets the core know it is spinning.
 void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -51,6 +44,7 @@ ShardedSimulation::ShardedSimulation(int shards, SimTime lookahead)
   for (int i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Simulation>());
   }
+  slots_ = std::make_unique<Slot[]>(static_cast<std::size_t>(shards));
   mail_.resize(static_cast<std::size_t>(shards) *
                static_cast<std::size_t>(shards));
   counters_.busy_ns.resize(static_cast<std::size_t>(shards));
@@ -60,7 +54,8 @@ ShardedSimulation::~ShardedSimulation() {
   stop_pool();
   if (!pool_started_) return;
   // Pool threads build and run shards out of their own malloc arenas, and
-  // which thread takes which shard changes from run to run. Memory freed
+  // which thread takes which shard can change from run to run (a late
+  // owner's home shard is stolen, the thread count changes). Memory freed
   // by one run therefore sits in arenas a later run's threads may not
   // draw, and repeated runs in one process grew peak RSS arena by arena
   // (sharded_8x8: +8% to +23% over a serial build). Once everything the
@@ -128,27 +123,49 @@ void ShardedSimulation::drain_mailboxes() {
   }
 }
 
-void ShardedSimulation::run_claims(std::uint64_t round) {
-  const auto shards = static_cast<std::uint64_t>(shard_count());
-  std::uint64_t c = claim_.load(std::memory_order_acquire);
-  while (round_of(c) == round && shard_of(c) < shards) {
-    // A successful exchange synchronizes with the round's release, so
-    // job_ is the round's function.
-    if (!claim_.compare_exchange_weak(c, c + 1, std::memory_order_acq_rel,
-                                      std::memory_order_acquire)) {
-      continue;
+void ShardedSimulation::run_shard(int p, int i,
+                                  const std::function<void(int)>& fn) {
+  Slot& slot = slots_[static_cast<std::size_t>(i)];
+  if (slot.runner != p) {
+    if (slot.runner >= 0) ++slot.moves;
+    slot.runner = p;
+  }
+  fn(i);
+}
+
+void ShardedSimulation::run_claims(std::uint64_t round, int p) {
+  const int shards = shard_count();
+  const auto try_run = [&](int i) {
+    std::atomic<std::uint64_t>& claimed =
+        slots_[static_cast<std::size_t>(i)].claimed;
+    // Only a tag older than `round` may be claimed. Every round claims
+    // every shard, so while round R runs each tag reads R - 1 or R: a
+    // claimer still on round R - 1 claims nothing, where accepting any
+    // tag other than its own round would let it take (and run twice) a
+    // shard of round R.
+    std::uint64_t tag = claimed.load(std::memory_order_relaxed);
+    if (tag >= round ||
+        !claimed.compare_exchange_strong(tag, round,
+                                         std::memory_order_acq_rel)) {
+      return;
     }
-    (*job_)(static_cast<int>(shard_of(c)));
+    // The claim succeeded, so `round` is the current round, and this
+    // thread's acquire of it makes job_ the round's function.
+    run_shard(p, i, *job_);
     // Publishes the shard's writes to the coordinator, which reads the
     // countdown with acquire.
     unfinished_.fetch_sub(1, std::memory_order_release);
-    ++c;
-  }
+  };
+  // Home shards in ascending order, then steals in descending order, so
+  // a thief meets a late owner at the owner's last home shard.
+  const int t = participants_.load(std::memory_order_relaxed);
+  for (int i = p; i < shards; i += t) try_run(i);
+  for (int i = shards - 1; i >= 0; --i) try_run(i);
 }
 
-void ShardedSimulation::worker_loop(std::uint64_t seen_round) {
+void ShardedSimulation::worker_loop(std::uint64_t seen_round, int p) {
   const auto released = [&] {
-    return shutdown_.load() || round_of(claim_.load()) != seen_round;
+    return shutdown_.load() || round_.load() != seen_round;
   };
   for (;;) {
     // Spin while a release is likely close, then park. parked_ is raised
@@ -172,31 +189,31 @@ void ShardedSimulation::worker_loop(std::uint64_t seen_round) {
       break;
     }
     if (shutdown_.load()) return;
-    seen_round = round_of(claim_.load(std::memory_order_acquire));
-    run_claims(seen_round);
+    seen_round = round_.load(std::memory_order_acquire);
+    run_claims(seen_round, p);
   }
 }
 
 void ShardedSimulation::for_each_shard(const std::function<void(int)>& fn) {
   if (threads_ <= 1) {
-    for (int i = 0; i < shard_count(); ++i) fn(i);
+    for (int i = 0; i < shard_count(); ++i) run_shard(0, i, fn);
     return;
   }
   while (static_cast<int>(pool_.size()) < threads_ - 1) {
-    pool_.emplace_back(&ShardedSimulation::worker_loop, this,
-                       round_of(claim_.load()));
+    pool_.emplace_back(&ShardedSimulation::worker_loop, this, round_.load(),
+                       static_cast<int>(pool_.size()) + 1);
     pool_started_ = true;
   }
   job_ = &fn;
+  participants_.store(threads_, std::memory_order_relaxed);
   unfinished_.store(shard_count(), std::memory_order_relaxed);
-  const std::uint64_t round =
-      (round_of(claim_.load(std::memory_order_relaxed)) + 1) & kShardMask;
-  claim_.store(round << kShardBits);  // releases the round
+  const std::uint64_t round = round_.load(std::memory_order_relaxed) + 1;
+  round_.store(round);  // releases the round
   if (parked_.load() > 0) {
     std::lock_guard<std::mutex> lock(park_mu_);
     park_cv_.notify_all();
   }
-  run_claims(round);
+  run_claims(round, 0);
 
   // Every shard is claimed; wait for those still running on workers.
   // Spin first (they are usually close to done), then yield the CPU, in
@@ -264,6 +281,9 @@ std::uint64_t ShardedSimulation::events_executed() const {
 ShardedSimulation::Counters ShardedSimulation::counters() const {
   Counters c = counters_;
   c.worker_parks = worker_parks_.load(std::memory_order_relaxed);
+  for (int i = 0; i < shard_count(); ++i) {
+    c.shard_moves += slots_[static_cast<std::size_t>(i)].moves;
+  }
   return c;
 }
 

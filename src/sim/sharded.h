@@ -19,25 +19,30 @@
 //
 // Threading: one persistent pool, one primitive. for_each_shard(fn) runs
 // fn(i) once per shard on threads() threads — threads() - 1 pooled workers
-// plus the calling (coordinator) thread — each claiming shards off an
-// atomic counter. Any shard may run on any thread in any order; shard
-// interiors are independent, so that nondeterminism is invisible. Windows
-// use it to run every shard up to the window bound, and ShardedClusterSim
-// uses it to build the shards in parallel (a build touches only its own
-// shard). threads=1 bypasses the pool entirely. An engine whose pool ran
+// plus the calling (coordinator) thread. Participant p (the coordinator is
+// 0, worker k is k + 1) first claims its home shards p, p + T, p + 2T, …
+// (T = threads()) and then steals shards nobody has claimed yet, so a
+// shard keeps its core, and its working set that core's cache, from round
+// to round unless its owner is late. Which thread runs a shard is still
+// nondeterministic, but shard interiors are independent, so that is
+// invisible. Windows use it to run every shard up to the window bound,
+// and ShardedClusterSim uses it to build the shards in parallel (a build
+// touches only its own shard). threads=1 bypasses the pool entirely, and
+// its one participant is the coordinator. An engine whose pool ran
 // hands the allocator's free pages back to the system when it is
 // destroyed (see the destructor for why).
 //
 // Handoff: the coordinator releases a round with one atomic store of the
-// round-tagged claim counter and then waits on an atomic countdown of the
-// round's unfinished shards. An idle worker spins on the claim counter for
+// round number and then waits on an atomic countdown of the round's
+// unfinished shards. An idle worker spins on the round number for
 // kSpinBudget and only then parks on a condition variable; the
 // coordinator takes the lock and notifies only when some worker is parked.
-// Claims carry the round tag, so a worker that wakes late can never claim
-// a shard of a round it did not see released, and the coordinator never
-// waits for a worker that has nothing left to claim. The barrier phase —
-// mailbox drain and the minimum next-event scan — stays on the
-// coordinator. See DESIGN.md §5f.
+// Each shard carries the last round that claimed it, and a claim for
+// round r succeeds only from a tag older than r, so a worker that wakes
+// late can never claim a shard of a round it did not see released, and
+// the coordinator never waits for a worker that has nothing left to
+// claim. The barrier phase — mailbox drain and the minimum next-event
+// scan — stays on the coordinator. See DESIGN.md §5f.
 #pragma once
 
 #include <atomic>
@@ -67,13 +72,19 @@ class ShardedSimulation {
     /// (the windows and, in a cluster run, the parallel build).
     std::uint64_t coordinator_wait_ns = 0;
     std::uint64_t drain_ns = 0;  // serial mailbox drain at the barriers
+    /// Rounds in which a shard ran on a different participant than in
+    /// its previous round, summed over shards. A shard moves when a
+    /// thief takes it from a late owner and again when it goes home; a
+    /// run that stays at one thread never moves one.
+    std::uint64_t shard_moves = 0;
     std::vector<std::uint64_t> busy_ns;  // per shard: time inside windows
   };
 
-  /// How long an idle worker spins on the claim counter before it parks.
+  /// How long an idle worker spins on the round number before it parks.
   /// A worker idles for the rest of the window (the window span minus its
   /// own shards' work) plus the coordinator's barrier phase. On
-  /// sharded_8x8 windows span ~560 µs and the barrier ~10 µs, so 250 µs
+  /// sharded_8x8 at 4 threads, 4 995 windows take 1.4–2.1 s (280–420 µs
+  /// each) on a 4-CPU host and the barrier ~10 µs, so 250 µs
   /// covers a typical idle stretch inside a run, while a pool left idle
   /// between runs parks after a quarter of a millisecond.
   static constexpr std::chrono::nanoseconds kSpinBudget{250'000};
@@ -138,16 +149,31 @@ class ShardedSimulation {
     std::vector<Pending> entries;
   };
 
+  /// Per-shard claim state, one cache line each so that claims of
+  /// different shards do not contend.
+  struct alignas(64) Slot {
+    /// The last round that claimed this shard. Round r claims it with a
+    /// compare-exchange from a tag older than r; a claimer whose round
+    /// has moved on finds every tag at its round or newer.
+    std::atomic<std::uint64_t> claimed{0};
+    int runner = -1;  // participant that ran it last; -1 before any round
+    std::uint64_t moves = 0;  // Counters::shard_moves, this shard's share
+  };
+
   void drain_mailboxes();
   void run_window(SimTime bound);
-  /// Claim and run shards of `round` until none is left or the round has
-  /// moved on.
-  void run_claims(std::uint64_t round);
-  void worker_loop(std::uint64_t seen_round);
+  /// Run shard i as participant p: note a move, then fn(i).
+  void run_shard(int p, int i, const std::function<void(int)>& fn);
+  /// As participant p, claim and run p's home shards of `round`, then
+  /// steal any shard still unclaimed; return once every shard is claimed
+  /// or the round has moved on.
+  void run_claims(std::uint64_t round, int p);
+  void worker_loop(std::uint64_t seen_round, int p);
   void stop_pool();
 
   SimTime lookahead_;
   std::vector<std::unique_ptr<Simulation>> shards_;
+  std::unique_ptr<Slot[]> slots_;  // [shard]
   std::vector<Mailbox> mail_;  // [from * S + to]
   std::uint64_t drained_ = 0;
   Counters counters_;
@@ -158,10 +184,13 @@ class ShardedSimulation {
   /// The round's shard function; written by the coordinator before the
   /// round is released, read by claimers after a successful claim.
   const std::function<void(int)>* job_ = nullptr;
-  /// Round tag (high 32 bits) and next unclaimed shard (low 32 bits).
-  /// Releasing round r stores r << 32; a claim is a compare-exchange that
-  /// fails once the tag no longer matches the claimer's round.
-  std::atomic<std::uint64_t> claim_{0};
+  /// The latest released round; storing r releases round r. Rounds
+  /// start at 1, so every Slot::claimed tag starts older than the first.
+  std::atomic<std::uint64_t> round_{0};
+  /// The round's participant count T, which places the home shards.
+  /// Atomic because a worker that wakes late reads it while the
+  /// coordinator may already be writing the next round's.
+  std::atomic<int> participants_{1};
   std::atomic<int> unfinished_{0};  // shards of the round still running
   std::atomic<bool> shutdown_{false};
   std::atomic<int> parked_{0};

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -216,6 +218,43 @@ TEST(ShardedSim, LoweredThreadCountIsHonoured) {
   EXPECT_LE(distinct.size(), 2u);
 }
 
+TEST(ShardedSim, ForEachShardRunsEachShardOncePerRound) {
+  // Tens of thousands of short rounds with uneven shard work, so owners
+  // fall behind and their home shards are stolen, and at 8 threads on
+  // fewer cores workers are preempted between reading a round and
+  // claiming. Every round must run every shard exactly once, never on two
+  // threads at once. A claim accepted from any tag but the claimer's own
+  // round breaks this: a worker still on the previous round takes a shard
+  // of the current one, which then runs twice (or the round never ends;
+  // ctest's TIMEOUT bounds that).
+  constexpr int kShards = 8;
+  constexpr int kRounds = 50000;
+  for (int threads : {2, 3, 4, 8}) {
+    ShardedSimulation eng(kShards, /*lookahead=*/1);
+    eng.set_threads(threads);
+    std::array<std::atomic<int>, kShards> in_flight{};
+    std::array<std::atomic<int>, kShards> runs{};
+    std::atomic<int> overlaps{0};
+    int bad_round = -1;
+    for (int r = 0; r < kRounds && bad_round < 0; ++r) {
+      eng.for_each_shard([&](int i) {
+        const auto u = static_cast<std::size_t>(i);
+        if (in_flight[u].exchange(1) != 0) overlaps.fetch_add(1);
+        // 0 to 140 spins, the heavy shard moving from round to round.
+        volatile int spin = 0;
+        for (int k = ((i + r) % kShards) * 20; k > 0; --k) spin = spin + 1;
+        runs[u].fetch_add(1);
+        in_flight[u].store(0);
+      });
+      for (auto& n : runs) {
+        if (n.exchange(0) != 1) bad_round = r;
+      }
+    }
+    EXPECT_EQ(bad_round, -1) << "threads " << threads;
+    EXPECT_EQ(overlaps.load(), 0) << "threads " << threads;
+  }
+}
+
 // Tokens hop between shards, one event per hop, each hop posting the next
 // one lookahead (plus 0-2 ns) away into a random other shard: thousands of
 // windows that each run one or two events, every one of them followed by
@@ -356,9 +395,11 @@ TEST(ShardedSim, WindowCountersIdenticalAcrossThreadCounts) {
   EXPECT_GT(runs[0].windows, 0u);
   EXPECT_EQ(runs[0].windows, runs[1].windows);
   EXPECT_EQ(runs[0].windows, runs[2].windows);
-  // One thread never hands off: nothing parks and nothing is waited for.
+  // One thread never hands off: nothing parks, nothing is waited for and
+  // no shard changes threads.
   EXPECT_EQ(runs[0].worker_parks, 0u);
   EXPECT_EQ(runs[0].coordinator_wait_ns, 0u);
+  EXPECT_EQ(runs[0].shard_moves, 0u);
   for (const auto& c : runs) {
     ASSERT_EQ(c.busy_ns.size(), 2u);
     for (std::uint64_t busy : c.busy_ns) EXPECT_GT(busy, 0u);
